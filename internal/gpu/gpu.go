@@ -134,9 +134,10 @@ func smName(_ string, i int) string { return fmt.Sprintf("sm%d", i) }
 
 // NewIn is New rebuilding into a recycled GPU: the SM array, per-SM L1s,
 // the shared L2, the MSHR table, the warp state and the event engine all
-// keep their allocated capacity and are reinitialized in place. Both re
-// and pools may be nil (New is NewIn(nil, nil, ...)), so fresh and pooled
-// construction share one code path.
+// keep their allocated capacity and are reinitialized in place. With
+// non-nil pools the GPU runs on the pools' engine, the clock behind their
+// gap tables. Both re and pools may be nil (New is NewIn(nil, nil, ...)),
+// so fresh and pooled construction share one code path.
 func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, mem MemAccessor) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,11 +159,16 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 		sms = sms[:cfg.GPU.SMs]
 	}
 	mshrEntries := g.mshr.entries
+	eng := g.eng
+	if pe := pools.Engine(); pe != nil {
+		// The pools' engine is the clock their gap tables read.
+		eng = pe
+	}
 	*g = GPU{
 		cfg:   cfg,
 		col:   col,
 		mem:   mem,
-		eng:   g.eng,
+		eng:   eng,
 		cycle: sim.FreqToPeriod(cfg.GPU.CoreFreqHz),
 		sms:   sms,
 		l2:    g.l2,

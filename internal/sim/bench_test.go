@@ -52,6 +52,26 @@ func BenchmarkGapResourceBackfill(b *testing.B) {
 	}
 }
 
+// BenchmarkGapResourceBackfillClocked is the backfill pattern on a pooled
+// resource whose engine clock follows the request time, as in a run: gaps
+// the requests have moved past retire from the first-fit scan.
+func BenchmarkGapResourceBackfillClocked(b *testing.B) {
+	pools := &Pools{}
+	r := pools.GapResource("bench")
+	clock := pools.Engine()
+	at := Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at += 11
+		clock.RunUntil(at)
+		if i%8 == 0 {
+			r.ReserveAt(at+10000, 50)
+		}
+		r.Reserve(at, 3)
+	}
+}
+
 // BenchmarkZipfSharedCDF draws from a generator over a pre-computed CDF —
 // the per-warp cost after the CDF hoist in trace generation.
 func BenchmarkZipfSharedCDF(b *testing.B) {

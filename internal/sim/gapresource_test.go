@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -180,9 +181,9 @@ func TestGapResourceEvictionPressureProperty(t *testing.T) {
 	}
 }
 
-// refGapResource is the pre-optimization algorithm (no maxGapEnd early-out,
-// no minGapSize eviction skip, no scan break): the oracle the fast paths
-// must match window-for-window.
+// refGapResource is the pre-optimization algorithm (one unordered slice,
+// no early-outs, no scan break, no clock): the oracle the fast paths and
+// the live/dead split must match window-for-window.
 type refGapWindow struct{ start, end Time }
 
 type refGapResource struct {
@@ -272,6 +273,31 @@ func (r *refGapResource) addGap(start, end Time) {
 	}
 }
 
+// table returns the gap table in key order, which is the reference's
+// slice order.
+func (r *GapResource) table() []refGapWindow {
+	all := append(append([]gap(nil), r.live...), r.dead...)
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	out := make([]refGapWindow, len(all))
+	for i, g := range all {
+		out[i] = refGapWindow{g.start, g.end}
+	}
+	return out
+}
+
+func requireSameTable(t *testing.T, when string, r *GapResource, ref *refGapResource) {
+	t.Helper()
+	got := r.table()
+	if len(got) != len(ref.gaps) {
+		t.Fatalf("%s: gap table length %d != reference %d", when, len(got), len(ref.gaps))
+	}
+	for i := range ref.gaps {
+		if got[i] != ref.gaps[i] {
+			t.Fatalf("%s: gap %d: %+v != reference %+v", when, i, got[i], ref.gaps[i])
+		}
+	}
+}
+
 // TestGapResourceMatchesReference hammers the optimized GapResource and the
 // reference with an identical random operation stream — bursty times, zero
 // and large durations, future ReserveAt bookings — and requires identical
@@ -320,13 +346,140 @@ func TestGapResourceMatchesReference(t *testing.T) {
 				op, r.FreeAt(), r.Busy(), ref.freeAt, ref.busy)
 		}
 	}
-	if r.gapCount() != len(ref.gaps) {
-		t.Fatalf("gap table length %d != reference %d", r.gapCount(), len(ref.gaps))
+	requireSameTable(t, "end", r, ref)
+}
+
+// TestGapResourceClockedMatchesReference drives a pooled, clocked
+// GapResource against the clockless reference while the engine clock
+// advances. Most reservations ask for at >= Now(), as the simulator's
+// components do; a few ask below the clock and must still find the dead
+// gaps that fit them. Zero durations and far future bookings keep the
+// table full, so eviction picks victims from both the live list and the
+// dead heap. Grants, frontier and busy time must match at every step and
+// the table in key order at regular checkpoints.
+func TestGapResourceClockedMatchesReference(t *testing.T) {
+	rng := NewRng(11)
+	pools := &Pools{}
+	r := pools.GapResource("clocked")
+	clock := pools.Engine()
+	ref := &refGapResource{}
+	var now Time
+	var below, deadFits, fullWithDead int
+	for op := 0; op < 200000; op++ {
+		if rng.Intn(10) == 0 {
+			now += Time(rng.Intn(4000))
+		} else {
+			now += Time(rng.Intn(40))
+		}
+		clock.RunUntil(now)
+		at := now + Time(rng.Intn(200))
+		if rng.Intn(25) == 0 {
+			at = now - Time(rng.Intn(3000)) // behind the clock
+			if at < 0 {
+				at = 0
+			}
+			below++
+		}
+		dur := Time(rng.Intn(120))
+		switch rng.Intn(10) {
+		case 0:
+			dur = 0
+		case 1:
+			dur += Time(rng.Intn(5000))
+		}
+		for _, g := range r.dead {
+			if g.end >= at+dur && g.end-g.start >= dur {
+				deadFits++
+				break
+			}
+		}
+		if len(r.live)+len(r.dead) == maxGaps && len(r.dead) > 0 {
+			fullWithDead++
+		}
+		var s1, e1, s2, e2 Time
+		if rng.Intn(3) == 0 {
+			future := at + Time(rng.Intn(20000))
+			s1, e1 = r.ReserveAt(future, dur)
+			s2, e2 = ref.reserveAt(future, dur)
+		} else {
+			s1, e1 = r.Reserve(at, dur)
+			s2, e2 = ref.reserve(at, dur)
+		}
+		if s1 != s2 || e1 != e2 {
+			t.Fatalf("op %d: grant (%d,%d) != reference (%d,%d)", op, s1, e1, s2, e2)
+		}
+		if r.FreeAt() != ref.freeAt || r.Busy() != ref.busy {
+			t.Fatalf("op %d: frontier/busy (%d,%d) != reference (%d,%d)",
+				op, r.FreeAt(), r.Busy(), ref.freeAt, ref.busy)
+		}
+		if op%5000 == 0 {
+			requireSameTable(t, "checkpoint", r, ref)
+		}
 	}
-	for i := range ref.gaps {
-		gs, ge := r.gapAt(i)
-		if gs != ref.gaps[i].start || ge != ref.gaps[i].end {
-			t.Fatalf("gap %d: (%d,%d) != reference %+v", i, gs, ge, ref.gaps[i])
+	requireSameTable(t, "end", r, ref)
+	// The stream must have reached every path it exists to test.
+	if below == 0 || deadFits == 0 || fullWithDead == 0 {
+		t.Fatalf("stream missed a path: %d reservations below the clock, %d with a fitting dead gap, %d ops on a full table with dead gaps",
+			below, deadFits, fullWithDead)
+	}
+}
+
+// TestGapResourceClockedEvictionTies drives clocked tables with few
+// distinct gap sizes, so eviction keeps choosing among equal-sized gaps and
+// must take the lowest key. That holds only if live stays in key order when
+// a replacement inherits a dead victim's key.
+func TestGapResourceClockedEvictionTies(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := NewRng(seed)
+		pools := &Pools{}
+		r := pools.GapResource("ties")
+		clock := pools.Engine()
+		ref := &refGapResource{}
+		var now Time
+		for op := 0; op < 30000; op++ {
+			now += Time(rng.Intn(3))
+			clock.RunUntil(now)
+			at, dur := now+Time(rng.Intn(3)), Time(rng.Intn(3))
+			var s1, e1, s2, e2 Time
+			if rng.Intn(2) == 0 {
+				future := at + Time(rng.Intn(700))
+				s1, e1 = r.ReserveAt(future, dur)
+				s2, e2 = ref.reserveAt(future, dur)
+			} else {
+				s1, e1 = r.Reserve(at, dur)
+				s2, e2 = ref.reserve(at, dur)
+			}
+			if s1 != s2 || e1 != e2 {
+				t.Fatalf("seed %d op %d: grant (%d,%d) != reference (%d,%d)", seed, op, s1, e1, s2, e2)
+			}
+		}
+		requireSameTable(t, fmt.Sprintf("seed %d", seed), r, ref)
+	}
+}
+
+// TestGapResourceSteadyStateAllocFree: once a table is full, Reserve and
+// ReserveAt allocate nothing, with or without a clock.
+func TestGapResourceSteadyStateAllocFree(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		pools := &Pools{}
+		r := NewGapResource("fresh")
+		if pooled {
+			r = pools.GapResource("pooled")
+		}
+		clock := pools.Engine()
+		var at Time
+		step := func() {
+			at += 11
+			clock.RunUntil(at)
+			r.ReserveAt(at+10000, 50) // future booking leaves a gap behind
+			r.Reserve(at, 3)
+			r.Reserve(at+7, 0)
+		}
+		for len(r.live)+len(r.dead) < maxGaps {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Fatalf("%s: steady-state Reserve/ReserveAt allocates %.1f objects/op, want 0", r.Name(), allocs)
 		}
 	}
 }

@@ -69,6 +69,93 @@ func TestKernelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// reschedulingHandler is a component that schedules zero, one or two
+// successors from each event, often at the current instant, and checks every
+// firing against the reference heap as it goes.
+type reschedulingHandler struct {
+	t    *testing.T
+	eng  *Engine
+	rng  *Rng
+	ref  refHeap
+	seq  uint64
+	next int
+}
+
+func (h *reschedulingHandler) schedule(at Time) {
+	h.eng.ScheduleID(at, h, uint64(h.next))
+	heap.Push(&h.ref, &refEvent{at: at, seq: h.seq, id: h.next})
+	h.seq++
+	h.next++
+}
+
+func (h *reschedulingHandler) Handle(arg uint64) {
+	want := heap.Pop(&h.ref).(*refEvent)
+	if arg != uint64(want.id) || h.eng.Now() != want.at {
+		h.t.Fatalf("fired id %d at %d, reference heap says id %d at %d", arg, h.eng.Now(), want.id, want.at)
+	}
+	if h.eng.Pending() != h.ref.Len() {
+		h.t.Fatalf("Pending() = %d inside a handler, reference has %d", h.eng.Pending(), h.ref.Len())
+	}
+	n := 1
+	switch h.rng.Intn(4) {
+	case 0:
+		n = 0
+	case 1:
+		n = 2
+	}
+	for ; n > 0 && h.next < 50000; n-- {
+		h.schedule(h.eng.Now() + Time(h.rng.Intn(4)))
+	}
+}
+
+// TestKernelReschedulingMatchesReferenceHeap covers the held root: a
+// handler's first Schedule replaces the fired entry, and a handler that
+// schedules nothing leaves it to be popped. Firing order must match the
+// reference heap event for event.
+func TestKernelReschedulingMatchesReferenceHeap(t *testing.T) {
+	h := &reschedulingHandler{t: t, eng: NewEngine(), rng: NewRng(5)}
+	for i := 0; i < 300; i++ {
+		h.schedule(Time(h.rng.Intn(50)))
+	}
+	h.eng.Run()
+	if h.ref.Len() != 0 || h.eng.Pending() != 0 || h.eng.Fired() != uint64(h.next) {
+		t.Fatalf("fired %d of %d events; %d left in the reference, %d pending",
+			h.eng.Fired(), h.next, h.ref.Len(), h.eng.Pending())
+	}
+}
+
+// TestKernelStepFromHandler: a handler may drive the engine itself. The
+// fired entry it still holds at the root must be popped first, or a nested
+// Step would fire it again and a nested RunUntil would run past its
+// deadline.
+func TestKernelStepFromHandler(t *testing.T) {
+	eng := NewEngine()
+	rec := &orderRecorder{}
+	eng.ScheduleID(0, handlerFunc(func(arg uint64) {
+		rec.Handle(arg)
+		eng.Step() // fires id 1 at t=2
+	}), 0)
+	eng.ScheduleID(2, rec, 1)
+	eng.ScheduleID(4, handlerFunc(func(arg uint64) {
+		rec.Handle(arg)
+		eng.RunUntil(5) // nothing else is due by t=5
+		if eng.Now() != 5 || len(rec.got) != 3 {
+			t.Fatalf("nested RunUntil(5) left the clock at %d having fired %v", eng.Now(), rec.got)
+		}
+	}), 2)
+	eng.ScheduleID(6, rec, 3)
+	eng.Run()
+	want := []uint64{0, 1, 2, 3}
+	if len(rec.got) != len(want) {
+		t.Fatalf("fired %v, want %v", rec.got, want)
+	}
+	for i := range want {
+		if rec.got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", rec.got, want)
+		}
+	}
+}
+
 // TestScheduleAndScheduleIDInterleave proves the closure shim and the
 // closure-free path share one sequence ordering: alternating both forms at
 // one timestamp fires in exact submission order.

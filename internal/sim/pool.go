@@ -13,17 +13,23 @@ func (e *Engine) Reset() {
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
 	e.now, e.seq, e.fired = 0, 0, 0
+	e.held = false
 }
 
-// Pools recycles the kernel's per-run occupancy trackers across simulation
-// runs. Components that model channels, banks, and buses allocate dozens of
-// GapResources and Resources per platform build; routing those through a
-// Pools instance lets a pooled run state hand each component its previous
-// incarnation — gap tables and all — reset to empty.
+// Pools recycles the kernel's per-run state across simulation runs: the
+// event engine and the occupancy trackers. Components that model channels,
+// banks, and buses allocate dozens of GapResources and Resources per
+// platform build; routing those through a Pools instance lets a pooled run
+// state hand each component its previous incarnation — gap tables and all —
+// reset to empty.
+//
+// The pools own the run's Engine, and every GapResource they hand out reads
+// its clock, so gap tables retire windows the run has moved past.
 //
 // A nil *Pools is valid everywhere and means "allocate fresh", so
 // construction code takes a single path whether or not it is pooled.
 type Pools struct {
+	eng Engine
 	gap slab.Pool[GapResource]
 	res slab.Pool[Resource]
 
@@ -35,13 +41,14 @@ type Pools struct {
 }
 
 // Reset rewinds the pools for the next run. Objects handed out since the
-// previous Reset become reusable; the caller must no longer touch them
-// through old references once a new run starts (the core.RunState ownership
-// discipline guarantees this).
+// previous Reset become reusable, and the engine returns to time zero; the
+// caller must no longer touch them through old references once a new run
+// starts (the core.RunState ownership discipline guarantees this).
 func (p *Pools) Reset() {
 	if p == nil {
 		return
 	}
+	p.eng.Reset()
 	p.gap.Reset()
 	p.res.Reset()
 }
@@ -66,8 +73,17 @@ func (p *Pools) Name(kind string, i int, f func(kind string, i int) string) stri
 	return tab[i]
 }
 
+// Engine returns the run's event engine, or nil for a nil receiver (the
+// caller then makes its own).
+func (p *Pools) Engine() *Engine {
+	if p == nil {
+		return nil
+	}
+	return &p.eng
+}
+
 // GapResource returns an empty gap-filling resource with the given
-// diagnostic name, recycled when possible.
+// diagnostic name, clocked by the pools' engine and recycled when possible.
 func (p *Pools) GapResource(name string) *GapResource {
 	if p == nil {
 		return NewGapResource(name)
@@ -77,6 +93,7 @@ func (p *Pools) GapResource(name string) *GapResource {
 		r.Reset()
 	}
 	r.name = name
+	r.clock = &p.eng
 	return r
 }
 

@@ -73,35 +73,51 @@ type Handler interface {
 	Handle(arg uint64)
 }
 
-// event is one scheduled callback, stored by value in the engine's arena.
-// Events with equal time fire in the order of their sequence numbers (i.e.
-// scheduling order), which makes simulations deterministic regardless of
-// heap internals. Exactly one of fn and h is set.
+// event is one scheduled callback's payload, stored by value in the
+// engine's arena. Exactly one of fn and h is set.
 type event struct {
-	at  Time
-	seq uint64
 	arg uint64
 	h   Handler
 	fn  func()
 }
 
+// entry is one heap element: the event's ordering key, inline, and the
+// arena slot holding its payload. Events with equal time fire in the order
+// of their sequence numbers (i.e. scheduling order), which makes
+// simulations deterministic regardless of heap internals.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use.
 //
-// The queue is an index-based 4-ary min-heap: events live by value in an
-// arena slice whose slots are recycled through a free-list, and the heap
-// orders int32 arena indices. Compared to the former container/heap of
-// *event this removes the per-event allocation, the interface{} boxing on
-// push/pop, and two levels of pointer indirection per comparison; sift
-// operations move 4-byte indices instead of 48-byte events.
+// The queue is a 4-ary min-heap of entries ordered by their inline (at,
+// seq) keys; the payloads live by value in an arena slice whose slots are
+// recycled through a free-list. Compared to the former container/heap of
+// *event this removes the per-event allocation and the interface{} boxing
+// on push/pop, and sift comparisons read the keys they move instead of
+// indirecting through the arena.
+//
+// A fired event's entry stays at the root while its handler runs, and the
+// handler's first Schedule replaces it: one sift-down from the root, which
+// stops early for the near-future successor a component usually schedules,
+// instead of a pop that sinks the last leaf and a push. Keys are unique, so
+// every valid heap fires events in the same order.
 type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
 
-	arena []event // event storage, indexed by heap entries
-	heap  []int32 // 4-ary min-heap of arena indices ordered by (at, seq)
+	arena []event // event payloads, indexed by entry.slot
+	heap  []entry // 4-ary min-heap ordered by (at, seq)
 	free  []int32 // recycled arena slots
+
+	// held is set while the root is a fired entry that no Schedule has
+	// replaced yet.
+	held bool
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -114,19 +130,23 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.held {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // less orders heap entries by (at, seq).
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.arena[a], &e.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+func less(a, b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 // push inserts an event, reusing a free arena slot when one exists.
-func (e *Engine) push(ev event) {
+func (e *Engine) push(at Time, ev event) {
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -136,41 +156,55 @@ func (e *Engine) push(ev event) {
 		slot = int32(len(e.arena))
 		e.arena = append(e.arena, ev)
 	}
-	e.heap = append(e.heap, slot)
+	ent := entry{at: at, seq: e.seq, slot: slot}
+	e.seq++
+	if e.held {
+		e.held = false
+		e.heap[0] = ent
+		e.siftDown(0)
+		return
+	}
+	e.heap = append(e.heap, ent)
 	e.siftUp(len(e.heap) - 1)
 }
 
-// pop removes and returns the arena index of the earliest event.
-func (e *Engine) pop() int32 {
+// settle pops a fired root that no Schedule replaced.
+func (e *Engine) settle() {
+	if e.held {
+		e.held = false
+		e.pop()
+	}
+}
+
+// pop removes the earliest entry.
+func (e *Engine) pop() {
 	h := e.heap
-	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	e.heap = h[:n]
 	if n > 0 {
 		e.siftDown(0)
 	}
-	return root
 }
 
 func (e *Engine) siftUp(i int) {
 	h := e.heap
-	idx := h[i]
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.less(idx, h[parent]) {
+		if !less(&x, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = idx
+	h[i] = x
 }
 
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	idx := h[i]
+	x := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -182,17 +216,17 @@ func (e *Engine) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[best]) {
+			if less(&h[c], &h[best]) {
 				best = c
 			}
 		}
-		if !e.less(h[best], idx) {
+		if !less(&h[best], &x) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
-	h[i] = idx
+	h[i] = x
 }
 
 // Schedule runs fn at absolute time at. Scheduling in the past panics: it is
@@ -205,8 +239,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
 	}
-	e.push(event{at: at, seq: e.seq, fn: fn})
-	e.seq++
+	e.push(at, event{fn: fn})
 }
 
 // ScheduleID runs h.Handle(arg) at absolute time at. It shares the sequence
@@ -218,8 +251,7 @@ func (e *Engine) ScheduleID(at Time, h Handler, arg uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
 	}
-	e.push(event{at: at, seq: e.seq, h: h, arg: arg})
-	e.seq++
+	e.push(at, event{h: h, arg: arg})
 }
 
 // After runs fn delay picoseconds from now.
@@ -242,23 +274,26 @@ func (e *Engine) AfterID(delay Time, h Handler, arg uint64) {
 // Step executes the next event, advancing the clock. It reports whether an
 // event was executed.
 func (e *Engine) Step() bool {
+	e.settle() // a handler stepping the engine itself
 	if len(e.heap) == 0 {
 		return false
 	}
-	slot := e.pop()
-	ev := &e.arena[slot]
-	at, h, arg, fn := ev.at, ev.h, ev.arg, ev.fn
+	top := e.heap[0]
+	ev := &e.arena[top.slot]
+	h, arg, fn := ev.h, ev.arg, ev.fn
 	// Clear the slot's references before recycling so the arena does not
 	// pin dead closures or handlers for the GC.
 	ev.h, ev.fn = nil, nil
-	e.free = append(e.free, slot)
-	e.now = at
+	e.free = append(e.free, top.slot)
+	e.now = top.at
 	e.fired++
+	e.held = true
 	if h != nil {
 		h.Handle(arg)
 	} else {
 		fn()
 	}
+	e.settle()
 	return true
 }
 
@@ -271,7 +306,8 @@ func (e *Engine) Run() {
 // RunUntil executes events with time <= deadline. The clock is left at the
 // later of its current value and deadline.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.heap) > 0 && e.arena[e.heap[0]].at <= deadline {
+	e.settle()
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — run the perf-trajectory benchmark suite and emit a
-# machine-readable BENCH_<n>.json at the repo root.
+# machine-readable BENCH_<n>.json snapshot.
 #
 # Usage:
-#   scripts/bench.sh            # writes BENCH_9.json
-#   scripts/bench.sh BENCH_10.json
+#   scripts/bench.sh                # writes a temp file and prints its path
+#   scripts/bench.sh BENCH_10.json  # records a new committed snapshot
+#
+# With no argument the snapshot goes to a fresh temp file, so a local run
+# never overwrites a committed baseline.
 #
 # The suite covers four layers:
 #   - kernel:   BenchmarkKernelSchedule* (steady-state event loop, allocs/op)
@@ -23,7 +26,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_9.json}"
+OUT="${1:-$(mktemp "${TMPDIR:-/tmp}/BENCH.XXXXXX")}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP" "$OUT.tmp"' EXIT
 
