@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -480,6 +481,15 @@ func TestDispatcherFoldsExternalResolvesIntoRunnerCounters(t *testing.T) {
 	// piggyback resolve (counted as a shared hit).
 	id1 := c.submit(sixCells)
 	id2 := c.submit(sixCells)
+	// Start the worker only once all six tasks hold both waiters: a cell
+	// that finished before job 2 attached would reach job 2 as a cache hit.
+	deadline := time.Now().Add(30 * time.Second)
+	for c.d.Waiters() < 12 {
+		if time.Now().After(deadline) {
+			t.Fatalf("tasks hold %d waiters after 30s, want 12", c.d.Waiters())
+		}
+		runtime.Gosched()
+	}
 	startWorker(t, c.ts.URL, fakeRun, 2)
 	if st := c.wait(id1, 30*time.Second); st.State != serve.StateDone {
 		t.Fatalf("job 1: %s (%s)", st.State, st.Error)

@@ -55,8 +55,8 @@ type GPU struct {
 	cycle sim.Time
 
 	// warps is the value-typed execution state of the current kernel's
-	// resident warps; events carry an index into it (sim.Handler), so the
-	// steady-state issue/retire loop schedules without closure allocation.
+	// resident warps. Warp i is the engine's slot i, so the issue/retire
+	// loop schedules without closures or handler dispatch.
 	warps []warpRun
 
 	// mshr tracks outstanding L2 line misses when config.GPU.MSHREntries is
@@ -228,13 +228,8 @@ func (g *GPU) toL2(at sim.Time, addr uint64, n int) sim.Time {
 // Run executes one kernel (trace) to completion and returns the elapsed
 // simulated time. Warps are assigned to SMs round-robin.
 func (g *GPU) Run(tr *trace.Trace) sim.Time {
-	// The engine is reused across runs (and across pooled rebuilds): Reset
-	// returns it to time zero with the arena and heap capacity intact,
-	// which is observationally identical to a fresh engine.
 	if g.eng == nil {
 		g.eng = sim.NewEngine()
-	} else {
-		g.eng.Reset()
 	}
 	g.finish = 0
 	g.live = 0
@@ -246,22 +241,26 @@ func (g *GPU) Run(tr *trace.Trace) sim.Time {
 		g.warps = append(g.warps, warpRun{smIdx: i % len(g.sms), tr: wt})
 		g.live++
 	}
-	for wi := range g.warps {
-		g.eng.ScheduleID(0, g, uint64(wi))
+	// The engine is reused across runs (and across pooled rebuilds): Start
+	// rewinds it to time zero with every warp due, in warp order, and keeps
+	// its tree.
+	g.eng.Start(len(g.warps))
+	for {
+		wi, ok := g.eng.Next()
+		if !ok {
+			break
+		}
+		g.step(wi)
 	}
-	g.eng.Run()
 	if g.live != 0 {
 		panic(fmt.Sprintf("gpu: %d warps still live after event queue drained", g.live))
 	}
 	return g.finish
 }
 
-// Handle advances warp arg; it is the sim.Handler behind the closure-free
-// warp issue/retire events.
-func (g *GPU) Handle(arg uint64) { g.step(arg) }
-
-// step advances one warp from the current engine time.
-func (g *GPU) step(wi uint64) {
+// step advances the warp the engine just fired from the current engine
+// time and reschedules it, or retires it once its trace is done.
+func (g *GPU) step(wi int) {
 	w := &g.warps[wi]
 	now := g.eng.Now()
 	if w.pc >= len(w.tr) {
@@ -284,7 +283,7 @@ func (g *GPU) step(wi uint64) {
 		w.pc += k
 		g.col.Instructions += uint64(k)
 		_, end := s.issue.Reserve(now, sim.Time(k)*g.cycle)
-		g.eng.ScheduleID(end, g, wi)
+		g.eng.Reschedule(end)
 		return
 	}
 
@@ -295,7 +294,7 @@ func (g *GPU) step(wi uint64) {
 	_, issued := s.issue.Reserve(now, g.cycle)
 
 	resume := g.memAccess(s, issued, in.Addr, write)
-	g.eng.ScheduleID(resume, g, wi)
+	g.eng.Reschedule(resume)
 }
 
 // memAccess walks L1 -> L2 -> memory and returns when the warp may resume.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/hmem"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -224,6 +225,54 @@ func TestFasterMemoryFasterKernel(t *testing.T) {
 	fast := mkGPU(t, &c, &fixedMem{lat: 50 * sim.Nanosecond}).Run(tr)
 	if fast >= slow {
 		t.Fatalf("faster memory did not speed up kernel: %s vs %s", fast, slow)
+	}
+}
+
+// TestEventCountLaw: a warp fires one event per compute run, one per
+// memory instruction and one to retire, and an empty warp fires none. The
+// engine's Fired count after Run on real traces must equal that sum, so the
+// scheduler neither drops nor duplicates a warp step. Cells share one
+// pooled engine, as a sweep's run state does.
+func TestEventCountLaw(t *testing.T) {
+	pools := &sim.Pools{}
+	var mem *hmem.Controller
+	var g *GPU
+	for _, p := range []config.Platform{config.Origin, config.Hetero, config.OhmBW, config.Oracle} {
+		for _, mode := range []config.MemMode{config.Planar, config.TwoLevel} {
+			for _, name := range []string{"lud", "FDTD", "pagerank"} {
+				c := config.Default(p, mode)
+				c.MaxInstructions = 300
+				w, ok := config.WorkloadByName(name)
+				if !ok {
+					t.Fatalf("workload %s missing", name)
+				}
+				tr := trace.Generate(w, &c)
+				var want uint64
+				for _, wt := range tr.Warps {
+					for i, in := range wt {
+						if in.Kind != trace.Compute || i == 0 || wt[i-1].Kind != trace.Compute {
+							want++ // a memory op or the start of a compute run
+						}
+					}
+					if len(wt) > 0 {
+						want++ // retire
+					}
+				}
+				pools.Reset()
+				col := stats.NewCollector()
+				var err error
+				if mem, err = hmem.NewIn(mem, pools, &c, col, nil); err != nil {
+					t.Fatal(err)
+				}
+				if g, err = NewIn(g, pools, &c, col, mem); err != nil {
+					t.Fatal(err)
+				}
+				g.Run(tr)
+				if got := pools.Engine().Fired(); got != want {
+					t.Errorf("%s/%s/%s: engine fired %d events, want %d", p, mode, name, got, want)
+				}
+			}
+		}
 	}
 }
 

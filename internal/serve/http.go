@@ -56,7 +56,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		// Hold the job before cancelling: pruneFinished may evict the id
+		// Hold the job before cancelling: pruneFinishedLocked may evict the id
 		// from the table concurrently, but the pointer stays valid.
 		job, ok := m.Get(id)
 		if !ok {
@@ -230,12 +230,12 @@ func handleOptimize(m *Manager, w http.ResponseWriter, r *http.Request) {
 // submission response contract (202 + Location, 429 with Retry-After for
 // admission, 503 for pressure, 400 otherwise).
 func submitAndRespond(m *Manager, w http.ResponseWriter, tenant string, req Request) {
-	job, err := m.SubmitAs(tenant, req)
+	job, st, err := m.submit(tenant, req)
 	var adm *AdmissionError
 	switch {
 	case err == nil:
 		w.Header().Set("Location", "/v1/jobs/"+job.ID())
-		writeJSON(w, http.StatusAccepted, job.Status())
+		writeJSON(w, http.StatusAccepted, st)
 	case errors.As(err, &adm):
 		// Over-limit tenants get 429 with Retry-After and a machine-
 		// readable reason so clients can back off without string-matching.

@@ -438,7 +438,7 @@ func (m *Manager) Health() Health {
 	if m.closed {
 		h.Status = "draining"
 	}
-	// Lock order is m.mu before job.mu, the same as pruneFinished.
+	// Lock order is m.mu before job.mu, the same as pruneFinishedLocked.
 	for _, id := range m.order {
 		if m.jobs[id].Status().State == StateRunning {
 			h.JobsRunning++
@@ -486,26 +486,34 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 // into resident memory — run() re-expands (microseconds) when the job
 // actually starts.
 func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
+	job, _, err := m.submit(tenantName, req)
+	return job, err
+}
+
+// submit is SubmitAs that also returns the job's status read under m.mu at
+// enqueue, which always says queued: a later Status call may already see a
+// worker running the job, or done with it.
+func (m *Manager) submit(tenantName string, req Request) (*Job, Status, error) {
 	orig := req
 	req, cells, err := req.prepare()
 	if err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrDraining
+		return nil, Status{}, ErrDraining
 	}
 	// Only live queued jobs count against the bound: cancelling a queued
 	// job frees its slot immediately.
 	if len(m.pending) >= m.depth {
-		return nil, ErrQueueFull
+		return nil, Status{}, ErrQueueFull
 	}
 	// Admission runs after the cheap structural checks so a full queue
 	// answers 503 (server pressure) rather than charging tenant tokens.
 	units := req.admissionUnits(cells)
 	if err := m.Admission.Admit(tenantName, units); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	m.seq++
 	job := &Job{
@@ -525,7 +533,7 @@ func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
 			m.Admission.Release(tenantName, job.admCells)
 			m.log().Error("journal append failed; submission refused",
 				obs.KeyJobID, job.id, "err", err.Error())
-			return nil, err
+			return nil, Status{}, err
 		}
 	}
 	m.pending = append(m.pending, job)
@@ -537,7 +545,7 @@ func (m *Manager) SubmitAs(tenantName string, req Request) (*Job, error) {
 	m.log().Info("job submitted",
 		obs.KeyJobID, job.id, "kind", req.Kind(), "experiment", req.Experiment,
 		obs.KeyTenant, tenantName, "queued", len(m.pending))
-	return job, nil
+	return job, job.Status(), nil
 }
 
 // Get returns a job by id.
@@ -564,8 +572,8 @@ func (m *Manager) Jobs() []*Job {
 // drain, unstarted cells never run. Cancelling a terminal job is a no-op.
 // It reports whether the job exists.
 func (m *Manager) Cancel(id string) bool {
-	// Lock order everywhere is m.mu before job.mu (pruneFinished relies on
-	// the same order).
+	// Lock order everywhere is m.mu before job.mu (pruneFinishedLocked
+	// relies on the same order).
 	m.mu.Lock()
 	job, ok := m.jobs[id]
 	if !ok {
@@ -750,6 +758,10 @@ func (m *Manager) run(job *Job) {
 		}
 	}
 
+	// m.mu is held from the state change through the prune, so a client
+	// that sees this job terminal and then lists jobs finds the retention
+	// bound already applied.
+	m.mu.Lock()
 	job.mu.Lock()
 	job.finished = time.Now().UTC()
 	job.cancel = nil
@@ -768,6 +780,8 @@ func (m *Manager) run(job *Job) {
 	finishedAt, errMsg := job.finished, job.errMsg
 	m.releaseLocked(job)
 	job.mu.Unlock()
+	m.pruneFinishedLocked()
+	m.mu.Unlock()
 
 	mJobsRunning.Dec()
 	mJobsFinished.With(string(state)).Inc()
@@ -785,7 +799,6 @@ func (m *Manager) run(job *Job) {
 		obs.KeyJobID, job.id, "state", string(state), obs.KeyTenant, job.tenant,
 		"cells", done, "cache_hits", hits,
 		"duration", runFor.String(), "err", job.errMsg)
-	m.pruneFinished()
 	if m.Journal != nil && m.Journal.NeedsCompaction() {
 		if err := m.compactJournal(); err != nil {
 			m.log().Warn("journal compaction failed", "err", err.Error())
@@ -933,7 +946,9 @@ func (m *Manager) Recover(replayed []ReplayedJob) {
 			"kind", job.req.Kind(), "experiment", job.req.Experiment,
 			"cells_done_before_crash", r.Done, "cells_total", r.Total)
 	}
-	m.pruneFinished()
+	m.mu.Lock()
+	m.pruneFinishedLocked()
+	m.mu.Unlock()
 	if m.Journal != nil {
 		if err := m.compactJournal(); err != nil {
 			m.log().Warn("journal compaction failed", "err", err.Error())
@@ -943,16 +958,15 @@ func (m *Manager) Recover(replayed []ReplayedJob) {
 		"requeued", requeued, "terminal", terminal, "invalid", failed)
 }
 
-// pruneFinished evicts the oldest terminal jobs beyond the retention
-// bound so a long-lived daemon's job table (and the result payloads it
-// pins) stays bounded. Evicted ids answer 404 afterwards.
-func (m *Manager) pruneFinished() {
+// pruneFinishedLocked evicts the oldest terminal jobs beyond the
+// retention bound so a long-lived daemon's job table (and the result
+// payloads it pins) stays bounded. Evicted ids answer 404 afterwards.
+// Caller holds m.mu and no job.mu.
+func (m *Manager) pruneFinishedLocked() {
 	retain := m.Retain
 	if retain <= 0 {
 		retain = defaultRetain
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	finished := 0
 	for _, id := range m.order {
 		if st := m.jobs[id].Status().State; st.Terminal() {

@@ -24,7 +24,7 @@ var (
 		"HTTP requests currently being served.")
 
 	mJobsSubmitted = obs.NewCounterVec("ohm_jobs_submitted_total",
-		"Jobs accepted by kind (sweep or experiment).", "kind")
+		"Jobs accepted by kind (sweep, experiment or optimize).", "kind")
 	mJobsFinished = obs.NewCounterVec("ohm_jobs_finished_total",
 		"Jobs reaching a terminal state, by state.", "state")
 	mJobsQueued = obs.NewGauge("ohm_jobs_queued",

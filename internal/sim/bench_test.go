@@ -2,24 +2,14 @@ package sim
 
 import "testing"
 
-type benchHandler struct{ eng *Engine }
-
-func (h *benchHandler) Handle(arg uint64) {
-	h.eng.ScheduleID(h.eng.Now()+Time(1+arg%61), h, arg+1)
-}
-
-// BenchmarkEngineChurn is the kernel's steady-state schedule->pop cycle at
-// a realistic queue population (one event per resident warp).
+// BenchmarkEngineChurn is the kernel's steady-state fire->reschedule cycle
+// at a realistic population (one slot per resident warp).
 func BenchmarkEngineChurn(b *testing.B) {
-	eng := NewEngine()
-	h := &benchHandler{eng: eng}
-	for i := 0; i < 128; i++ {
-		eng.ScheduleID(Time(i), h, uint64(i))
-	}
+	c := newChurn(NewEngine(), 128, 61)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Step()
+		c.step()
 	}
 }
 
@@ -58,13 +48,13 @@ func BenchmarkGapResourceBackfill(b *testing.B) {
 func BenchmarkGapResourceBackfillClocked(b *testing.B) {
 	pools := &Pools{}
 	r := pools.GapResource("bench")
-	clock := pools.Engine()
+	clock := startClock(pools)
 	at := Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at += 11
-		clock.RunUntil(at)
+		advance(clock, at)
 		if i%8 == 0 {
 			r.ReserveAt(at+10000, 50)
 		}

@@ -349,6 +349,22 @@ func TestGapResourceMatchesReference(t *testing.T) {
 	requireSameTable(t, "end", r, ref)
 }
 
+// startClock starts the pools' engine with one slot and fires it at time
+// zero, so advance can move the clock.
+func startClock(p *Pools) *Engine {
+	e := p.Engine()
+	e.Start(1)
+	e.Next()
+	return e
+}
+
+// advance moves a started one-slot clock to at, which must not be behind
+// it: the slot reschedules itself at at and fires again.
+func advance(e *Engine, at Time) {
+	e.Reschedule(at)
+	e.Next()
+}
+
 // TestGapResourceClockedMatchesReference drives a pooled, clocked
 // GapResource against the clockless reference while the engine clock
 // advances. Most reservations ask for at >= Now(), as the simulator's
@@ -361,7 +377,7 @@ func TestGapResourceClockedMatchesReference(t *testing.T) {
 	rng := NewRng(11)
 	pools := &Pools{}
 	r := pools.GapResource("clocked")
-	clock := pools.Engine()
+	clock := startClock(pools)
 	ref := &refGapResource{}
 	var now Time
 	var below, deadFits, fullWithDead int
@@ -371,7 +387,7 @@ func TestGapResourceClockedMatchesReference(t *testing.T) {
 		} else {
 			now += Time(rng.Intn(40))
 		}
-		clock.RunUntil(now)
+		advance(clock, now)
 		at := now + Time(rng.Intn(200))
 		if rng.Intn(25) == 0 {
 			at = now - Time(rng.Intn(3000)) // behind the clock
@@ -433,12 +449,12 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 		rng := NewRng(seed)
 		pools := &Pools{}
 		r := pools.GapResource("ties")
-		clock := pools.Engine()
+		clock := startClock(pools)
 		ref := &refGapResource{}
 		var now Time
 		for op := 0; op < 30000; op++ {
 			now += Time(rng.Intn(3))
-			clock.RunUntil(now)
+			advance(clock, now)
 			at, dur := now+Time(rng.Intn(3)), Time(rng.Intn(3))
 			var s1, e1, s2, e2 Time
 			if rng.Intn(2) == 0 {
@@ -466,11 +482,11 @@ func TestGapResourceSteadyStateAllocFree(t *testing.T) {
 		if pooled {
 			r = pools.GapResource("pooled")
 		}
-		clock := pools.Engine()
+		clock := startClock(pools)
 		var at Time
 		step := func() {
 			at += 11
-			clock.RunUntil(at)
+			advance(clock, at)
 			r.ReserveAt(at+10000, 50) // future booking leaves a gap behind
 			r.Reserve(at, 3)
 			r.Reserve(at+7, 0)

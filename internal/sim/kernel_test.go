@@ -8,8 +8,8 @@ import (
 )
 
 // refEvent / refHeap reimplement the pre-rewrite container/heap event queue
-// as the ordering oracle: the index-based 4-ary kernel must pop events in
-// exactly the (at, seq) order the pointer heap produced.
+// as the ordering oracle: the loser tree must fire slots in exactly the
+// (at, seq) order the pointer heap produced.
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -35,202 +35,114 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// orderRecorder collects the ids of fired closure-free events.
-type orderRecorder struct{ got []uint64 }
-
-func (r *orderRecorder) Handle(arg uint64) { r.got = append(r.got, arg) }
+// checkAgainstReference starts eng with n slots and drives it and the
+// reference heap side by side until both drain. Each fired slot retires
+// with probability 1/retireOneIn, or once the run has fired maxEvents,
+// and otherwise reschedules 0 to maxDelay-1 ps ahead. Every firing must
+// match the reference in slot, time and fired count.
+func checkAgainstReference(t *testing.T, eng *Engine, rng *Rng, n, maxDelay, retireOneIn, maxEvents int) {
+	t.Helper()
+	var ref refHeap
+	for i := 0; i < n; i++ {
+		heap.Push(&ref, &refEvent{at: 0, seq: uint64(i), id: i})
+	}
+	seq := uint64(n)
+	eng.Start(n)
+	for fired := uint64(1); ; fired++ {
+		slot, ok := eng.Next()
+		if !ok {
+			break
+		}
+		if ref.Len() == 0 {
+			t.Fatalf("n=%d: fired slot %d at %d after the reference drained", n, slot, eng.Now())
+		}
+		want := heap.Pop(&ref).(*refEvent)
+		if slot != want.id || eng.Now() != want.at || eng.Fired() != fired {
+			t.Fatalf("n=%d: firing %d (Fired()=%d) was slot %d at %d, reference heap says slot %d at %d",
+				n, fired, eng.Fired(), slot, eng.Now(), want.id, want.at)
+		}
+		if rng.Intn(retireOneIn) == 0 || fired >= uint64(maxEvents) {
+			continue
+		}
+		at := eng.Now() + Time(rng.Intn(maxDelay))
+		eng.Reschedule(at)
+		heap.Push(&ref, &refEvent{at: at, seq: seq, id: slot})
+		seq++
+	}
+	if ref.Len() != 0 {
+		t.Fatalf("n=%d: engine drained with %d events left in the reference", n, ref.Len())
+	}
+	if _, ok := eng.Next(); ok {
+		t.Fatalf("n=%d: Next fired a slot after the engine drained", n)
+	}
+}
 
 // TestKernelMatchesReferenceHeap drives the engine and the old-kernel
 // reference with an identical pseudo-random schedule — heavy time
-// collisions included — and requires the exact same firing order.
+// collisions included — over slot counts that are zero, one, powers of two
+// and not, on one engine reused across Starts of growing and shrinking
+// size.
 func TestKernelMatchesReferenceHeap(t *testing.T) {
-	const n = 5000
 	rng := NewRng(42)
 	eng := NewEngine()
-	rec := &orderRecorder{}
-	var ref refHeap
-	var seq uint64
-	for i := 0; i < n; i++ {
-		// Few distinct times => many (at) ties resolved by seq.
-		at := Time(rng.Intn(97))
-		eng.ScheduleID(at, rec, uint64(i))
-		heap.Push(&ref, &refEvent{at: at, seq: seq, id: i})
-		seq++
-	}
-	eng.Run()
-	if len(rec.got) != n {
-		t.Fatalf("fired %d events, want %d", len(rec.got), n)
-	}
-	for i := 0; i < n; i++ {
-		want := heap.Pop(&ref).(*refEvent)
-		if rec.got[i] != uint64(want.id) {
-			t.Fatalf("event %d fired id %d, reference heap says %d", i, rec.got[i], want.id)
-		}
+	for _, n := range []int{0, 1, 2, 3, 7, 128, 100, 129, 1, 0, 5} {
+		// Few distinct delays => many (at) ties resolved by seq.
+		checkAgainstReference(t, eng, rng, n, 97, 50, 20000)
 	}
 }
 
-// reschedulingHandler is a component that schedules zero, one or two
-// successors from each event, often at the current instant, and checks every
-// firing against the reference heap as it goes.
-type reschedulingHandler struct {
-	t    *testing.T
-	eng  *Engine
-	rng  *Rng
-	ref  refHeap
-	seq  uint64
-	next int
-}
-
-func (h *reschedulingHandler) schedule(at Time) {
-	h.eng.ScheduleID(at, h, uint64(h.next))
-	heap.Push(&h.ref, &refEvent{at: at, seq: h.seq, id: h.next})
-	h.seq++
-	h.next++
-}
-
-func (h *reschedulingHandler) Handle(arg uint64) {
-	want := heap.Pop(&h.ref).(*refEvent)
-	if arg != uint64(want.id) || h.eng.Now() != want.at {
-		h.t.Fatalf("fired id %d at %d, reference heap says id %d at %d", arg, h.eng.Now(), want.id, want.at)
-	}
-	if h.eng.Pending() != h.ref.Len() {
-		h.t.Fatalf("Pending() = %d inside a handler, reference has %d", h.eng.Pending(), h.ref.Len())
-	}
-	n := 1
-	switch h.rng.Intn(4) {
-	case 0:
-		n = 0
-	case 1:
-		n = 2
-	}
-	for ; n > 0 && h.next < 50000; n-- {
-		h.schedule(h.eng.Now() + Time(h.rng.Intn(4)))
-	}
-}
-
-// TestKernelReschedulingMatchesReferenceHeap covers the held root: a
-// handler's first Schedule replaces the fired entry, and a handler that
-// schedules nothing leaves it to be popped. Firing order must match the
-// reference heap event for event.
+// TestKernelReschedulingMatchesReferenceHeap stresses retirement: a fired
+// slot retires one time in four, and the rest reschedule at most 3 ps
+// ahead, so ties at the current instant are the rule and retired leaves
+// keep losing matches on paths the survivors replay.
 func TestKernelReschedulingMatchesReferenceHeap(t *testing.T) {
-	h := &reschedulingHandler{t: t, eng: NewEngine(), rng: NewRng(5)}
-	for i := 0; i < 300; i++ {
-		h.schedule(Time(h.rng.Intn(50)))
-	}
-	h.eng.Run()
-	if h.ref.Len() != 0 || h.eng.Pending() != 0 || h.eng.Fired() != uint64(h.next) {
-		t.Fatalf("fired %d of %d events; %d left in the reference, %d pending",
-			h.eng.Fired(), h.next, h.ref.Len(), h.eng.Pending())
-	}
-}
-
-// TestKernelStepFromHandler: a handler may drive the engine itself. The
-// fired entry it still holds at the root must be popped first, or a nested
-// Step would fire it again and a nested RunUntil would run past its
-// deadline.
-func TestKernelStepFromHandler(t *testing.T) {
+	rng := NewRng(5)
 	eng := NewEngine()
-	rec := &orderRecorder{}
-	eng.ScheduleID(0, handlerFunc(func(arg uint64) {
-		rec.Handle(arg)
-		eng.Step() // fires id 1 at t=2
-	}), 0)
-	eng.ScheduleID(2, rec, 1)
-	eng.ScheduleID(4, handlerFunc(func(arg uint64) {
-		rec.Handle(arg)
-		eng.RunUntil(5) // nothing else is due by t=5
-		if eng.Now() != 5 || len(rec.got) != 3 {
-			t.Fatalf("nested RunUntil(5) left the clock at %d having fired %v", eng.Now(), rec.got)
-		}
-	}), 2)
-	eng.ScheduleID(6, rec, 3)
-	eng.Run()
-	want := []uint64{0, 1, 2, 3}
-	if len(rec.got) != len(want) {
-		t.Fatalf("fired %v, want %v", rec.got, want)
-	}
-	for i := range want {
-		if rec.got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", rec.got, want)
-		}
+	for _, n := range []int{300, 64, 33} {
+		checkAgainstReference(t, eng, rng, n, 4, 4, 50000)
 	}
 }
 
-// TestScheduleAndScheduleIDInterleave proves the closure shim and the
-// closure-free path share one sequence ordering: alternating both forms at
-// one timestamp fires in exact submission order.
-func TestScheduleAndScheduleIDInterleave(t *testing.T) {
-	eng := NewEngine()
-	var got []int
-	rec := handlerFunc(func(arg uint64) { got = append(got, int(arg)) })
-	for i := 0; i < 20; i++ {
-		if i%2 == 0 {
-			i := i
-			eng.Schedule(5, func() { got = append(got, i) })
-		} else {
-			eng.ScheduleID(5, rec, uint64(i))
-		}
-	}
-	eng.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("position %d fired event %d; closure and ID events must share seq order", i, v)
-		}
-	}
+// churn reschedules the slot just fired: slot i's k-th event waits
+// 1+(i+k)%mod ps after its previous one, keeping the population constant
+// as every simulation's steady state does.
+type churn struct {
+	eng *Engine
+	arg []uint64
+	mod uint64
 }
 
-type handlerFunc func(arg uint64)
-
-func (f handlerFunc) Handle(arg uint64) { f(arg) }
-
-// churnHandler keeps a constant-population event queue: every fired event
-// schedules its successor, the steady state of every simulation.
-type churnHandler struct {
-	eng  *Engine
-	left int
-}
-
-func (h *churnHandler) Handle(arg uint64) {
-	if h.left <= 0 {
-		return
+func newChurn(eng *Engine, population int, mod uint64) *churn {
+	c := &churn{eng: eng, arg: make([]uint64, population), mod: mod}
+	for i := range c.arg {
+		c.arg[i] = uint64(i)
 	}
-	h.left--
-	h.eng.ScheduleID(h.eng.Now()+Time(1+arg%13), h, arg+1)
+	eng.Start(population)
+	return c
 }
 
-// TestSteadyStateLoopAllocFree is the tentpole guard: once the arena and
-// free-list are warm, the closure-free schedule->fire loop must not
-// allocate at all.
+func (c *churn) step() {
+	s, _ := c.eng.Next()
+	c.eng.Reschedule(c.eng.Now() + Time(1+c.arg[s]%c.mod))
+	c.arg[s]++
+}
+
+// TestSteadyStateLoopAllocFree is the tentpole guard: the fire->reschedule
+// loop must not allocate at all, and neither may a Start that needs no
+// more leaves than an earlier one did.
 func TestSteadyStateLoopAllocFree(t *testing.T) {
 	eng := NewEngine()
-	h := &churnHandler{eng: eng, left: 1 << 30}
-	const population = 32
-	for i := 0; i < population; i++ {
-		eng.ScheduleID(Time(i), h, uint64(i))
+	c := newChurn(eng, 32, 13)
+	for i := 0; i < 4*32; i++ {
+		c.step()
 	}
-	// Warm the arena, heap and free-list.
-	for i := 0; i < 4*population; i++ {
-		eng.Step()
-	}
-	allocs := testing.AllocsPerRun(2000, func() { eng.Step() })
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(2000, c.step); allocs != 0 {
 		t.Fatalf("steady-state event loop allocates %.1f objects/op, want 0", allocs)
 	}
-}
-
-func TestFreeListRecyclesArena(t *testing.T) {
-	eng := NewEngine()
-	rec := &orderRecorder{}
-	// Schedule and drain the same population repeatedly: the arena must not
-	// grow past the high-water mark of simultaneously pending events.
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 8; i++ {
-			eng.ScheduleID(eng.Now()+Time(i+1), rec, uint64(i))
+	for _, n := range []int{32, 5, 0, 17} {
+		if allocs := testing.AllocsPerRun(100, func() { eng.Start(n) }); allocs != 0 {
+			t.Fatalf("Start(%d) after Start(32) allocates %.1f objects/op, want 0", n, allocs)
 		}
-		eng.Run()
-	}
-	if got := len(eng.arena); got > 8 {
-		t.Fatalf("arena grew to %d slots for a max-8-pending workload", got)
 	}
 }
 

@@ -2,20 +2,6 @@ package sim
 
 import "repro/internal/slab"
 
-// Reset returns the engine to the zero state — time zero, empty queue,
-// fresh sequence numbers — while keeping the arena, heap, and free-list
-// capacity for the next run. Clearing the arena releases the Handler and
-// closure references of any events that never fired, so a pooled engine
-// does not pin a dead simulation's object graph.
-func (e *Engine) Reset() {
-	clear(e.arena)
-	e.arena = e.arena[:0]
-	e.heap = e.heap[:0]
-	e.free = e.free[:0]
-	e.now, e.seq, e.fired = 0, 0, 0
-	e.held = false
-}
-
 // Pools recycles the kernel's per-run state across simulation runs: the
 // event engine and the occupancy trackers. Components that model channels,
 // banks, and buses allocate dozens of GapResources and Resources per
@@ -48,7 +34,7 @@ func (p *Pools) Reset() {
 	if p == nil {
 		return
 	}
-	p.eng.Reset()
+	p.eng.Start(0)
 	p.gap.Reset()
 	p.res.Reset()
 }

@@ -1,12 +1,14 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// other component of the Ohm-GPU model: a picosecond-resolution clock, an
-// event queue with deterministic ordering, and helpers for modelling
-// occupancy of shared resources (channels, banks, buffers).
+// other component of the Ohm-GPU model: a picosecond-resolution clock, a
+// fixed-slot event scheduler with deterministic ordering (one slot per
+// resident warp), and helpers for modelling occupancy of shared resources
+// (channels, banks, buffers).
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is simulation time in picoseconds. Using integer picoseconds keeps
@@ -64,63 +66,50 @@ func FreqToPeriod(hz float64) Time {
 	return Time(1e12/hz + 0.5)
 }
 
-// Handler is the closure-free event callback: components implement it once
-// and pass a uint64 argument (a warp index, a request id) per event, so the
-// steady-state event loop allocates nothing. The hot schedulers (GPU warp
-// issue/retire) use this path; Schedule(at, func()) remains as a
-// compatibility shim for cold paths and tests.
-type Handler interface {
-	Handle(arg uint64)
-}
-
-// event is one scheduled callback's payload, stored by value in the
-// engine's arena. Exactly one of fn and h is set.
-type event struct {
-	arg uint64
-	h   Handler
-	fn  func()
-}
-
-// entry is one heap element: the event's ordering key, inline, and the
-// arena slot holding its payload. Events with equal time fire in the order
-// of their sequence numbers (i.e. scheduling order), which makes
-// simulations deterministic regardless of heap internals.
+// entry is one slot's pending event: its ordering key, inline, and the slot
+// it belongs to. Events with equal time fire in the order of their sequence
+// numbers (i.e. scheduling order), which makes simulations deterministic
+// regardless of the tree's internals.
 type entry struct {
 	at   Time
 	seq  uint64
-	slot int32
+	slot uint64
 }
 
-// Engine is a single-threaded discrete-event scheduler. The zero value is
-// ready to use.
+// idle is the key of a leaf with no pending event, a retired slot or the
+// padding past the last one. It loses every match.
+var idle = entry{at: math.MaxInt64, seq: math.MaxUint64}
+
+// Engine is a single-threaded discrete-event scheduler over a fixed set of
+// slots. A slot is one component's place in the queue and holds at most one
+// pending event; in the GPU model it is a resident warp. The zero value is
+// an engine with no slots at time zero; Start it before calling Next.
 //
-// The queue is a 4-ary min-heap of entries ordered by their inline (at,
-// seq) keys; the payloads live by value in an arena slice whose slots are
-// recycled through a free-list. Compared to the former container/heap of
-// *event this removes the per-event allocation and the interface{} boxing
-// on push/pop, and sift comparisons read the keys they move instead of
-// indirecting through the arena.
-//
-// A fired event's entry stays at the root while its handler runs, and the
-// handler's first Schedule replaces it: one sift-down from the root, which
-// stops early for the near-future successor a component usually schedules,
-// instead of a pop that sinks the last leaf and a push. Keys are unique, so
-// every valid heap fires events in the same order.
+// The queue is a loser tree: a tournament over the slots whose internal
+// nodes keep the loser of each match and whose root keeps the overall
+// winner, the earliest (at, seq) key. Only the slot that just fired changes
+// its key, and every match it played lies on its leaf-to-root path, so a
+// reschedule or a retirement replays that one path: log2 of the padded
+// slot count compare-and-swaps (7 for 128 warps), with no child selection.
+// Keys are unique and the minimum always fires, so events fire in the same
+// order as from any correct priority queue.
 type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
 
-	arena []event // event payloads, indexed by entry.slot
-	heap  []entry // 4-ary min-heap ordered by (at, seq)
-	free  []int32 // recycled arena slots
+	// tree[0] is the winner and tree[1:] the internal nodes: node p has
+	// children 2p and 2p+1, and slot s is the leaf at len(tree)+s. The
+	// leaf count, len(tree), is the slot count rounded up to a power of
+	// two.
+	tree []entry
 
-	// held is set while the root is a fired entry that no Schedule has
+	// held is set while tree[0] is a fired slot that no Reschedule has
 	// replaced yet.
 	held bool
 }
 
-// NewEngine returns an empty engine at time zero.
+// NewEngine returns an engine with no slots at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
@@ -129,191 +118,94 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int {
-	if e.held {
-		return len(e.heap) - 1
+// Start makes slots 0..n-1 pending at time zero, in slot order, and rewinds
+// the clock, the sequence numbers and the fired count. It allocates only
+// when n needs more leaves than every earlier Start did.
+func (e *Engine) Start(n int) {
+	size := 1
+	for size < n {
+		size <<= 1
 	}
-	return len(e.heap)
+	if cap(e.tree) < size {
+		e.tree = make([]entry, size)
+	}
+	e.tree = e.tree[:size]
+	// Every key is (0, slot), so the left side wins each match and node p
+	// keeps the winner of its right subtree: that subtree's leftmost slot.
+	for p := 1; p < size; p++ {
+		q := 2*p + 1
+		for q < size {
+			q <<= 1
+		}
+		e.tree[p] = startEntry(q-size, n)
+	}
+	e.tree[0] = startEntry(0, n)
+	e.now, e.seq, e.fired = 0, uint64(n), 0
+	e.held = false
 }
 
-// less orders heap entries by (at, seq).
-func less(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// startEntry is slot s's key at Start(n).
+func startEntry(s, n int) entry {
+	if s >= n {
+		return idle
 	}
-	return a.seq < b.seq
+	return entry{seq: uint64(s), slot: uint64(s)}
 }
 
-// push inserts an event, reusing a free arena slot when one exists.
-func (e *Engine) push(at Time, ev event) {
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-		e.arena[slot] = ev
-	} else {
-		slot = int32(len(e.arena))
-		e.arena = append(e.arena, ev)
-	}
-	ent := entry{at: at, seq: e.seq, slot: slot}
-	e.seq++
-	if e.held {
-		e.held = false
-		e.heap[0] = ent
-		e.siftDown(0)
-		return
-	}
-	e.heap = append(e.heap, ent)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// settle pops a fired root that no Schedule replaced.
-func (e *Engine) settle() {
+// Next fires the pending slot with the earliest (at, seq) key and advances
+// the clock to its time. The slot the previous Next fired retires first
+// unless it was rescheduled. ok is false once no slot is pending.
+func (e *Engine) Next() (slot int, ok bool) {
 	if e.held {
 		e.held = false
-		e.pop()
+		e.replay(idle)
 	}
-}
-
-// pop removes the earliest entry.
-func (e *Engine) pop() {
-	h := e.heap
-	n := len(h) - 1
-	h[0] = h[n]
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(0)
+	w := e.tree[0]
+	if w.seq == idle.seq {
+		return 0, false
 	}
-}
-
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	x := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !less(&x, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = x
-}
-
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	x := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if less(&h[c], &h[best]) {
-				best = c
-			}
-		}
-		if !less(&h[best], &x) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = x
-}
-
-// Schedule runs fn at absolute time at. Scheduling in the past panics: it is
-// always a model bug, and silently clamping would hide causality violations.
-//
-// This is the compatibility shim over the value-typed queue: the closure
-// itself is still one allocation at the call site. Hot paths should use
-// ScheduleID.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
-	}
-	e.push(at, event{fn: fn})
-}
-
-// ScheduleID runs h.Handle(arg) at absolute time at. It shares the sequence
-// counter with Schedule, so closure and closure-free events interleave in
-// exact scheduling order. The steady-state cost is zero allocations: the
-// Handler is an interface over a pre-existing pointer and the event is
-// stored by value in a recycled arena slot.
-func (e *Engine) ScheduleID(at Time, h Handler, arg uint64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
-	}
-	e.push(at, event{h: h, arg: arg})
-}
-
-// After runs fn delay picoseconds from now.
-func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %s", delay))
-	}
-	e.Schedule(e.now+delay, fn)
-}
-
-// AfterID runs h.Handle(arg) delay picoseconds from now on the closure-free
-// path.
-func (e *Engine) AfterID(delay Time, h Handler, arg uint64) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %s", delay))
-	}
-	e.ScheduleID(e.now+delay, h, arg)
-}
-
-// Step executes the next event, advancing the clock. It reports whether an
-// event was executed.
-func (e *Engine) Step() bool {
-	e.settle() // a handler stepping the engine itself
-	if len(e.heap) == 0 {
-		return false
-	}
-	top := e.heap[0]
-	ev := &e.arena[top.slot]
-	h, arg, fn := ev.h, ev.arg, ev.fn
-	// Clear the slot's references before recycling so the arena does not
-	// pin dead closures or handlers for the GC.
-	ev.h, ev.fn = nil, nil
-	e.free = append(e.free, top.slot)
-	e.now = top.at
+	e.now = w.at
 	e.fired++
 	e.held = true
-	if h != nil {
-		h.Handle(arg)
-	} else {
-		fn()
-	}
-	e.settle()
-	return true
+	return int(w.slot), true
 }
 
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
+// Reschedule gives the slot the last Next fired its next event, at absolute
+// time at. Rescheduling in the past panics: it is always a model bug, and
+// silently clamping would hide causality violations. So does rescheduling
+// when no fired slot is waiting for it.
+func (e *Engine) Reschedule(at Time) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
 	}
+	if !e.held {
+		panic("sim: reschedule with no fired slot")
+	}
+	e.held = false
+	e.replay(entry{at: at, seq: e.seq, slot: e.tree[0].slot})
+	e.seq++
 }
 
-// RunUntil executes events with time <= deadline. The clock is left at the
-// later of its current value and deadline.
-func (e *Engine) RunUntil(deadline Time) {
-	e.settle()
-	for len(e.heap) > 0 && e.heap[0].at <= deadline {
-		e.Step()
+// replay gives the fired slot in tree[0] the key x and replays its matches
+// from its leaf to the root; x ends as the new winner. Each match is
+// branch-free: the borrow of the 128-bit subtraction node - x says whether
+// the node's key is the smaller, and masks then swap the two entries. The
+// winners of a tournament are hard to predict, so a compare-and-branch
+// here mispredicts often. Keys compare as unsigned: a time is never
+// negative, since nothing is scheduled before the clock, which starts at 0.
+func (e *Engine) replay(x entry) {
+	t := e.tree
+	for p := (len(t) + int(t[0].slot)) >> 1; p > 0; p >>= 1 {
+		n := &t[p]
+		_, b := bits.Sub64(n.seq, x.seq, 0)
+		_, b = bits.Sub64(uint64(n.at), uint64(x.at), b)
+		m := -b // all ones when the node's key is the smaller: it moves up
+		at := (uint64(n.at) ^ uint64(x.at)) & m
+		seq := (n.seq ^ x.seq) & m
+		slot := (n.slot ^ x.slot) & m
+		n.at, x.at = Time(uint64(n.at)^at), Time(uint64(x.at)^at)
+		n.seq, x.seq = n.seq^seq, x.seq^seq
+		n.slot, x.slot = n.slot^slot, x.slot^slot
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	t[0] = x
 }
-
-// RunFor executes events for d picoseconds of simulated time from now.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }

@@ -53,115 +53,135 @@ func TestFreqToPeriodPanicsOnNonPositive(t *testing.T) {
 	FreqToPeriod(0)
 }
 
+// fire calls Next and requires it to fire slot want at time at.
+func fire(t *testing.T, e *Engine, want int, at Time) {
+	t.Helper()
+	slot, ok := e.Next()
+	if !ok || slot != want || e.Now() != at {
+		t.Fatalf("Next() = slot %d (ok=%v) at %s, want slot %d at %s", slot, ok, e.Now(), want, at)
+	}
+}
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events fired out of order: %v", order)
+	e.Start(3)
+	for slot, at := range []Time{30, 10, 20} {
+		fire(t, e, slot, 0)
+		e.Reschedule(at)
+	}
+	fire(t, e, 1, 10)
+	fire(t, e, 2, 20)
+	fire(t, e, 0, 30)
+	if slot, ok := e.Next(); ok {
+		t.Fatalf("slot %d fired after every slot retired", slot)
 	}
 	if e.Now() != 30 {
 		t.Fatalf("clock = %s, want 30ps", e.Now())
 	}
 }
 
+// Same-time events fire in scheduling order, not slot order: slots reach
+// t=100 in reverse order and must fire there in reverse.
 func TestEngineTieBreakBySequence(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	e.Start(10)
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { order = append(order, i) })
+		fire(t, e, i, 0) // Start's ties fire in slot order
+		e.Reschedule(Time(10 - i))
 	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events fired out of scheduling order: %v", order)
-		}
+	for i := 9; i >= 0; i-- {
+		fire(t, e, i, Time(10-i))
+		e.Reschedule(100)
+	}
+	for i := 9; i >= 0; i-- {
+		fire(t, e, i, 100)
 	}
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
-	var hits []Time
-	e.Schedule(10, func() {
-		hits = append(hits, e.Now())
-		e.After(5, func() { hits = append(hits, e.Now()) })
-	})
-	e.Run()
-	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
-		t.Fatalf("nested scheduling produced %v", hits)
+	e.Start(1)
+	fire(t, e, 0, 0)
+	e.Reschedule(10)
+	fire(t, e, 0, 10)
+	e.Reschedule(e.Now() + 5)
+	fire(t, e, 0, 15)
+	if _, ok := e.Next(); ok {
+		t.Fatal("a slot that did not reschedule fired again")
 	}
 }
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
-	e.Run()
+	e.Start(1)
+	e.Next()
+	e.Reschedule(10)
+	e.Next()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.Schedule(5, func() {})
+	e.Reschedule(5)
 }
 
+// A negative delay from time zero is a negative time, which must never
+// reach the tree: its keys compare as unsigned.
 func TestEngineNegativeDelayPanics(t *testing.T) {
 	e := NewEngine()
+	e.Start(1)
+	e.Next()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for negative delay")
 		}
 	}()
-	e.After(-1, func() {})
+	e.Reschedule(e.Now() - 1)
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(20, func() { fired++ })
-	e.Schedule(30, func() { fired++ })
-	e.RunUntil(20)
-	if fired != 2 {
-		t.Fatalf("RunUntil(20) fired %d events, want 2", fired)
+// Only the slot the last Next fired may reschedule, only once, and not
+// once Next has found nothing to fire.
+func TestEngineRescheduleWithoutFiredSlotPanics(t *testing.T) {
+	mustPanic := func(name string, f func(e *Engine)) {
+		t.Helper()
+		e := NewEngine()
+		e.Start(2)
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic rescheduling with no fired slot", name)
+			}
+		}()
+		f(e)
 	}
-	if e.Now() != 20 {
-		t.Fatalf("clock = %s, want 20ps", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(1000)
-	if e.Now() != 1000 {
-		t.Fatalf("idle RunUntil left clock at %s", e.Now())
-	}
-}
-
-func TestEngineRunFor(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(5, func() {})
-	e.Run()
-	e.RunFor(10)
-	if e.Now() != 15 {
-		t.Fatalf("RunFor: clock = %s, want 15ps", e.Now())
-	}
+	mustPanic("twice", func(e *Engine) {
+		e.Next()
+		e.Reschedule(10)
+		e.Reschedule(20)
+	})
+	mustPanic("drained", func(e *Engine) {
+		for _, ok := e.Next(); ok; _, ok = e.Next() {
+		}
+		e.Reschedule(20)
+	})
 }
 
 func TestEngineFiredCount(t *testing.T) {
 	e := NewEngine()
-	for i := Time(1); i <= 100; i++ {
-		e.Schedule(i, func() {})
+	e.Start(10)
+	for {
+		if _, ok := e.Next(); !ok {
+			break
+		}
+		if e.Now() < 9 {
+			e.Reschedule(e.Now() + 1)
+		}
 	}
-	e.Run()
 	if e.Fired() != 100 {
 		t.Fatalf("Fired = %d, want 100", e.Fired())
+	}
+	e.Start(3)
+	if e.Fired() != 0 || e.Now() != 0 {
+		t.Fatalf("Start left Fired = %d at %s, want 0 at 0ps", e.Fired(), e.Now())
 	}
 }
 

@@ -9,8 +9,13 @@
 # With no argument the snapshot goes to a fresh temp file, so a local run
 # never overwrites a committed baseline.
 #
-# The suite covers four layers:
-#   - kernel:   BenchmarkKernelSchedule* (steady-state event loop, allocs/op)
+# The snapshot is stamped with the host that produced it (CPU model, online
+# CPUs, GOMAXPROCS), the Go version and the commit it measured ("+dirty"
+# when tracked files differ from it).
+#
+# The suite covers five layers:
+#   - kernel:   BenchmarkKernelScheduleID (the slot scheduler's steady-state
+#               fire->reschedule loop over 128 warps, allocs/op)
 #   - cell:     BenchmarkKernelColdCell / BenchmarkKernelWarmCell and
 #               BenchmarkSingleRun/* (one end-to-end simulation)
 #   - sweep:    BenchmarkSweepCold / BenchmarkSweepWarm (a real grid through
@@ -51,7 +56,12 @@ go test -run='^$' -bench='.' -benchmem -benchtime=20x ./internal/trace | tee -a 
 # whole script with a non-zero exit — a partial or empty snapshot must
 # never be written, because benchcheck and the committed perf trajectory
 # both treat these files as complete.
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go version | awk '{print $3}')" '
+cpu="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\' || true)"
+ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+commit="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+git diff --quiet HEAD 2>/dev/null || commit="$commit+dirty"
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go version | awk '{print $3}')" \
+  -v cpu="${cpu:-unknown}" -v ncpu="$ncpu" -v procs="${GOMAXPROCS:-$ncpu}" -v commit="$commit" '
 BEGIN { n = 0; bad = 0 }
 /^Benchmark/ {
   name = $1; sub(/-[0-9]+$/, "", name)
@@ -76,7 +86,9 @@ END {
     print "bench.sh: no benchmark lines found in the test output" > "/dev/stderr"
     exit 1
   }
-  printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", date, gover
+  printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n", date, gover
+  printf "  \"cpu\": \"%s\",\n  \"nproc\": %s,\n  \"gomaxprocs\": %s,\n  \"commit\": \"%s\",\n", cpu, ncpu, procs, commit
+  printf "  \"benchmarks\": [\n"
   for (i = 0; i < n; i++) {
     printf "    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s", names[i], its[i], nss[i]
     if (bs[i] != "") printf ", \"b_per_op\": %s", bs[i]

@@ -33,7 +33,9 @@ import (
 	"strings"
 )
 
-// snapshot mirrors the JSON scripts/bench.sh emits.
+// snapshot is the part of scripts/bench.sh's JSON the gates read. The host
+// stamp (cpu, nproc, gomaxprocs, commit) is for readers, and older
+// snapshots such as BENCH_9.json predate it.
 type snapshot struct {
 	Date       string  `json:"date"`
 	Go         string  `json:"go"`
