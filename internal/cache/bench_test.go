@@ -2,8 +2,10 @@ package cache
 
 import "testing"
 
-// BenchmarkAccess measures the tag-array lookup on the pure hit path
-// (power-of-two sets: shift/mask indexing) at L1-like geometry.
+// BenchmarkAccess measures the pure hit path (power-of-two sets: shift/mask
+// indexing) at L1-like geometry. The loop cycles each set's six lines in
+// order, so every hit lands at the LRU end of its set: the worst case for
+// the move-to-front, which shifts all five more recent lines.
 func BenchmarkAccess(b *testing.B) {
 	c := MustNew("bench-l1", 3<<10, 6, 128)
 	b.ReportAllocs()

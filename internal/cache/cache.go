@@ -7,36 +7,27 @@ package cache
 
 import "fmt"
 
-// flags bits.
-const (
-	flagValid uint8 = 1 << iota
-	flagDirty
-)
-
 // Cache is a blocking set-associative write-back cache with LRU replacement.
-// Addresses are byte addresses; the cache operates on aligned lines.
+// Addresses are byte addresses below 2^62; the cache operates on aligned
+// lines.
 type Cache struct {
 	name      string
 	lineBytes int
 	sets      int
 	ways      int
-	stamp     uint64
 
-	// Per-line bookkeeping as parallel arrays (sets*ways, row-major by
-	// set): the hit path scans only tags and flags, so splitting the old
-	// 32-byte line struct keeps the scan inside one or two cache lines
-	// per set. flags packs validBit|dirtyBit.
-	tags  []uint64
-	flags []uint8
-	lru   []uint64 // last-touch stamp; larger = more recent
+	// lines holds each set as one run of ways entries (row-major by set)
+	// in recency order: the most recently used line first, the LRU victim
+	// last. An entry is (lineAddr+1)<<1 | dirty and 0 is an invalid way.
+	// Invalid ways always sit at the set's tail, so they fill before any
+	// valid line is evicted.
+	lines []uint64
 
 	// Index fast path: line size is always a power of two, so the line
-	// split is a shift; when the set count is also a power of two the
-	// set/tag split is a mask+shift instead of two integer divisions per
-	// access. (Non-power-of-two set counts — the scaled 6MB L2 — keep the
-	// modulo path; both compute identical indices.)
+	// split is a shift; when the set count is also a power of two the set
+	// is a mask instead of a modulo. (Non-power-of-two set counts — the
+	// scaled 6MB L2 — keep the modulo path; both pick the same set.)
 	lineShift uint
-	setShift  uint
 	setMask   uint64
 	setsPow2  bool
 
@@ -52,10 +43,10 @@ func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 	return NewIn(nil, name, sizeBytes, ways, lineBytes)
 }
 
-// NewIn is New rebuilding into a recycled cache: re's line arrays are kept
-// when their capacity covers the new geometry (cleared, so the rebuilt
-// cache is observationally identical to a fresh one) and the struct itself
-// is reinitialized in place. re == nil allocates fresh — New is exactly
+// NewIn is New rebuilding into a recycled cache: re's line array is kept
+// when its capacity covers the new geometry (cleared, so the rebuilt cache
+// is observationally identical to a fresh one) and the struct itself is
+// reinitialized in place. re == nil allocates fresh — New is exactly
 // NewIn(nil, ...), so pooled and fresh construction share one code path.
 func NewIn(re *Cache, name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
@@ -75,14 +66,19 @@ func NewIn(re *Cache, name string, sizeBytes, ways, lineBytes int) (*Cache, erro
 		re = &Cache{}
 	}
 	c := re
+	lines := c.lines
+	if cap(lines) < nLines {
+		lines = make([]uint64, nLines)
+	} else {
+		lines = lines[:nLines]
+		clear(lines)
+	}
 	*c = Cache{
 		name:      name,
 		lineBytes: lineBytes,
 		sets:      sets,
 		ways:      ways,
-		tags:      reuseCleared(c.tags, nLines),
-		flags:     reuseCleared(c.flags, nLines),
-		lru:       reuseCleared(c.lru, nLines),
+		lines:     lines,
 	}
 	for 1<<c.lineShift < lineBytes {
 		c.lineShift++
@@ -90,22 +86,8 @@ func NewIn(re *Cache, name string, sizeBytes, ways, lineBytes int) (*Cache, erro
 	if sets&(sets-1) == 0 {
 		c.setsPow2 = true
 		c.setMask = uint64(sets - 1)
-		for 1<<c.setShift < sets {
-			c.setShift++
-		}
 	}
 	return c, nil
-}
-
-// reuseCleared returns a zeroed slice of length n, reusing s's backing
-// array when it is large enough.
-func reuseCleared[T uint64 | uint8](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // MustNew is New that panics; used for configurations already validated by
@@ -130,12 +112,14 @@ func (c *Cache) Ways() int { return c.ways }
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.lineBytes }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr >> c.lineShift
-	if c.setsPow2 {
-		return int(lineAddr & c.setMask), lineAddr >> c.setShift
+// set returns the ways of the set lineAddr maps to, most recent first.
+func (c *Cache) set(lineAddr uint64) []uint64 {
+	s := lineAddr & c.setMask
+	if !c.setsPow2 {
+		s = lineAddr % uint64(c.sets)
 	}
-	return int(lineAddr % uint64(c.sets)), lineAddr / uint64(c.sets)
+	base := int(s) * c.ways
+	return c.lines[base : base+c.ways]
 }
 
 // Result describes the outcome of an access.
@@ -151,86 +135,49 @@ type Result struct {
 // containing addr, filling on miss. Dirty victims are reported, not
 // silently dropped — the caller owns the write-back traffic.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	c.stamp++
+	lineAddr := addr >> c.lineShift
+	set := c.set(lineAddr)
+	key := (lineAddr + 1) << 1
+	var dirty uint64
+	if write {
+		dirty = 1
+	}
 
-	// Hit path.
-	for i := base; i < base+c.ways; i++ {
-		if c.flags[i]&flagValid != 0 && c.tags[i] == tag {
-			c.lru[i] = c.stamp
-			if write {
-				c.flags[i] |= flagDirty
-			}
+	// One pass shifts the set down one way, front first, until it meets
+	// the line: a hit then puts the line at the front. A miss shifts the
+	// whole set, so the new line sits at the front and the entry pushed
+	// off the tail — the LRU line, or an invalid way — is the victim.
+	prev := key | dirty
+	for i, e := range set {
+		set[i] = prev
+		if e&^1 == key {
+			set[0] = e | dirty
 			c.Hits++
 			return Result{Hit: true}
 		}
+		prev = e
 	}
-
-	// Miss: choose victim = invalid way or LRU.
 	c.Misses++
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.flags[i]&flagValid == 0 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
-		}
-	}
-
 	var res Result
-	if c.flags[victim]&(flagValid|flagDirty) == flagValid|flagDirty {
+	if prev&1 != 0 {
 		res.WritebackValid = true
-		res.Writeback = c.victimAddr(set, c.tags[victim])
+		res.Writeback = (prev>>1 - 1) << c.lineShift
 		c.Evictions++
 	}
-	c.tags[victim] = tag
-	f := uint8(flagValid)
-	if write {
-		f |= flagDirty
-	}
-	c.flags[victim] = f
-	c.lru[victim] = c.stamp
 	return res
 }
 
 // Probe reports whether addr currently hits, without touching LRU state or
-// counters. Used by tests and by the two-level controller's tag check model.
+// counters; tests use it to check residency.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.flags[i]&flagValid != 0 && c.tags[i] == tag {
+	lineAddr := addr >> c.lineShift
+	key := (lineAddr + 1) << 1
+	for _, e := range c.set(lineAddr) {
+		if e&^1 == key {
 			return true
 		}
 	}
 	return false
-}
-
-// Invalidate drops the line containing addr if present, reporting whether it
-// was dirty (the caller must then write it back).
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.flags[i]&flagValid != 0 && c.tags[i] == tag {
-			d := c.flags[i]&flagDirty != 0
-			c.tags[i], c.flags[i], c.lru[i] = 0, 0, 0
-			return true, d
-		}
-	}
-	return false, false
-}
-
-// victimAddr reconstructs a victim's byte address from set and tag.
-func (c *Cache) victimAddr(set int, tag uint64) uint64 {
-	lineAddr := tag*uint64(c.sets) + uint64(set)
-	return lineAddr * uint64(c.lineBytes)
 }
 
 // HitRate returns hits/(hits+misses), or 0 when untouched.
@@ -240,13 +187,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.Hits) / float64(total)
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i], c.flags[i], c.lru[i] = 0, 0, 0
-	}
-	c.stamp = 0
-	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }

@@ -301,7 +301,7 @@ func (g *GPU) step(wi int) {
 // Stores resume at L1 commit (write-back caches absorb them); loads resume
 // when data returns.
 func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
-	gcfg := g.cfg.GPU
+	gcfg := &g.cfg.GPU
 
 	r1 := s.l1.Access(addr, write)
 	if r1.Hit {
@@ -315,7 +315,6 @@ func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
 	}
 
 	l2At := g.toL2(at+gcfg.L1Latency, addr, 16)
-	lineAddr := addr / uint64(gcfg.LineBytes) * uint64(gcfg.LineBytes)
 	r2 := g.l2.Access(addr, write)
 	if r2.Hit {
 		g.col.L2Hits++
@@ -324,6 +323,7 @@ func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
 			// The line may be resident but still in flight from memory:
 			// a hit on it merges onto the outstanding fill (MSHR
 			// semantics) instead of returning instantly.
+			lineAddr := addr / uint64(gcfg.LineBytes) * uint64(gcfg.LineBytes)
 			if fill, ok := g.mshr.lookup(lineAddr); ok && fill > done {
 				g.MSHRMerges++
 				done = fill
@@ -342,16 +342,17 @@ func (g *GPU) memAccess(s *sm, at sim.Time, addr uint64, write bool) sim.Time {
 		g.mem.Access(memAt, r2.Writeback, true)
 	}
 	if g.mshr.cap > 0 && !write {
+		lineAddr := addr / uint64(gcfg.LineBytes) * uint64(gcfg.LineBytes)
 		if done, ok := g.mshr.lookup(lineAddr); ok && done > memAt {
 			// Coalesce onto the in-flight miss.
 			g.MSHRMerges++
 			return done + gcfg.InterconnectL
 		}
+		done := g.mem.Access(memAt, addr, false)
+		g.mshr.insert(lineAddr, done, memAt)
+		return done + gcfg.InterconnectL
 	}
 	done := g.mem.Access(memAt, addr, write)
-	if g.mshr.cap > 0 && !write {
-		g.mshr.insert(lineAddr, done, memAt)
-	}
 	if write {
 		// Store: the warp resumes once the L1/L2 committed the line; the
 		// memory write completes in the background.

@@ -46,7 +46,9 @@ go test -run='^$' -bench='BenchmarkFig3$' -benchmem -benchtime=3x . | tee -a "$T
 echo "bench: analytical twin (one closed-form cell)" >&2
 go test -run='^$' -bench='BenchmarkTwinCell$' -benchmem -benchtime=10000x ./internal/twin | tee -a "$TMP" >&2
 echo "bench: micro (sim/cache/stats/dram/optical)" >&2
-go test -run='^$' -bench='.' -benchmem -benchtime=10000x \
+# 10^6 iterations keep the gated ns-scale benches running for milliseconds,
+# long enough that one preemption cannot double their ns/op.
+go test -run='^$' -bench='.' -benchmem -benchtime=1000000x \
   ./internal/sim ./internal/cache ./internal/stats ./internal/dram ./internal/optical | tee -a "$TMP" >&2
 echo "bench: trace generation and registry" >&2
 go test -run='^$' -bench='.' -benchmem -benchtime=20x ./internal/trace | tee -a "$TMP" >&2

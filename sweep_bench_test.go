@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -30,15 +31,15 @@ func sweepBenchCells(b *testing.B) []batch.Cell {
 }
 
 // reportSweepMetrics emits the two numbers the benchcheck gate watches:
-// sweep throughput in cells/sec and heap allocations per cell (from the
-// runtime's allocation counter, so it covers everything the grid does —
-// construction, event loop, reporting).
-func reportSweepMetrics(b *testing.B, cells int, elapsed time.Duration, m0, m1 *runtime.MemStats) {
-	total := float64(b.N * cells)
+// sweep throughput in cells/sec over the timed loop's b.N grid runs, and
+// heap allocations per cell over the grid runs between m0 and m1 (from
+// the runtime's allocation counter, so it covers everything the grid does
+// — construction, event loop, reporting).
+func reportSweepMetrics(b *testing.B, cells int, elapsed time.Duration, allocRuns int, m0, m1 *runtime.MemStats) {
 	if elapsed > 0 {
-		b.ReportMetric(total/elapsed.Seconds(), "cells/sec")
+		b.ReportMetric(float64(b.N*cells)/elapsed.Seconds(), "cells/sec")
 	}
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/total, "allocs/cell")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(allocRuns*cells), "allocs/cell")
 }
 
 // BenchmarkSweepCold runs the grid with no result cache: every cell
@@ -46,6 +47,11 @@ func reportSweepMetrics(b *testing.B, cells int, elapsed time.Duration, m0, m1 *
 // grid primes the trace registry and the pool, each cell rebuilds its
 // platform into recycled arrays instead of reallocating them. Serial
 // (Workers=1) so cells/sec and allocs/cell are stable across hosts.
+//
+// allocs/cell comes from one more, untimed grid run with the GC off: a GC
+// during the timed loop empties the run-state sync.Pool and the next cell
+// rebuilds from scratch, which would make the gated count depend on when
+// the GC happened to run.
 func BenchmarkSweepCold(b *testing.B) {
 	cells := sweepBenchCells(b)
 	r := batch.NewRunner(1, nil)
@@ -54,8 +60,6 @@ func BenchmarkSweepCold(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Run(cells); err != nil {
@@ -63,8 +67,16 @@ func BenchmarkSweepCold(b *testing.B) {
 		}
 	}
 	elapsed := time.Since(start)
+	b.StopTimer()
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := r.Run(cells); err != nil {
+		b.Fatal(err)
+	}
 	runtime.ReadMemStats(&m1)
-	reportSweepMetrics(b, len(cells), elapsed, &m0, &m1)
+	reportSweepMetrics(b, len(cells), elapsed, 1, &m0, &m1)
 }
 
 // BenchmarkSweepWarm runs the same grid against a warm content-addressed
@@ -88,5 +100,5 @@ func BenchmarkSweepWarm(b *testing.B) {
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
-	reportSweepMetrics(b, len(cells), elapsed, &m0, &m1)
+	reportSweepMetrics(b, len(cells), elapsed, b.N, &m0, &m1)
 }
