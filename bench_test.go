@@ -116,6 +116,10 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkSingleRun measures the cost of one end-to-end platform
 // simulation — the unit every experiment above is built from.
 func BenchmarkSingleRun(b *testing.B) {
+	w, ok := config.WorkloadByName("bfsdata")
+	if !ok {
+		b.Fatal("bfsdata missing")
+	}
 	for _, pm := range []struct {
 		p config.Platform
 		m config.MemMode
@@ -130,7 +134,7 @@ func BenchmarkSingleRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := config.Default(pm.p, pm.m)
 				cfg.MaxInstructions = 2000
-				if _, err := core.RunConfig(cfg, "bfsdata"); err != nil {
+				if _, _, err := core.Run(nil, cfg, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,7 +24,7 @@ func main() {
 		fmt.Println("== mode:", m, "workload:", wl)
 		for _, p := range config.AllPlatforms() {
 			cfg := config.Default(p, m)
-			sys, err := core.NewSystem(cfg)
+			sys, err := core.NewSystemIn(nil, cfg)
 			if err != nil {
 				panic(err)
 			}

@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/prof"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/twin"
 )
 
@@ -94,11 +95,11 @@ func main() {
 		}
 		sort.Strings(components)
 	} else {
-		sys, err := core.NewSystem(sc.Config)
+		sys, err := core.NewSystemIn(nil, sc.Config)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rep = sys.RunWorkloadDef(sc.Workload)
+		rep = sys.RunTrace(trace.Generate(sc.Workload, &sys.Cfg))
 		components = sys.Col.EnergyComponents()
 		devices = &deviceCounters{
 			MCReads:        sys.Col.Reads,

@@ -23,7 +23,7 @@ func main() {
 	for _, p := range []config.Platform{config.OhmBase, config.AutoRW, config.OhmWOM, config.OhmBW} {
 		cfg := config.Default(p, config.TwoLevel)
 		cfg.MaxInstructions = 6000
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystemIn(nil, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func main() {
 		cfg := config.Default(config.OhmBW, config.Planar)
 		cfg.XPoint.StartGapK = k
 		cfg.MaxInstructions = 6000
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystemIn(nil, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,13 +32,17 @@ func main() {
 	}
 	fmt.Println("  (IPC normalized to Hetero)")
 
-	for _, w := range graphs {
+	for _, name := range graphs {
+		w, ok := config.WorkloadByName(name)
+		if !ok {
+			log.Fatalf("unknown workload %q", name)
+		}
 		base := 0.0
-		fmt.Printf("%-10s", w)
+		fmt.Printf("%-10s", name)
 		for _, p := range ladder {
 			cfg := config.Default(p, config.Planar)
 			cfg.MaxInstructions = 6000
-			rep, err := core.RunConfig(cfg, w)
+			rep, _, err := core.Run(nil, cfg, w)
 			if err != nil {
 				log.Fatal(err)
 			}

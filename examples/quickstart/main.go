@@ -2,9 +2,10 @@
 // the pagerank workload, and print the headline numbers. This is the
 // smallest complete use of the library's public API:
 //
-//	config.Default  -> a Table I configuration for a platform + mode
-//	core.NewSystem  -> an assembled GPU + Ohm memory system
-//	RunWorkload     -> execute a Table II workload, get a stats.Report
+//	config.Default   -> a Table I configuration for a platform + mode
+//	core.NewSystemIn -> an assembled GPU + Ohm memory system (nil: a new run state)
+//	RunWorkload      -> execute a Table II workload, get a stats.Report
+//	core.Run         -> build and run in one call when only the report matters
 package main
 
 import (
@@ -19,7 +20,7 @@ func main() {
 	cfg := config.Default(config.OhmBW, config.Planar)
 	cfg.MaxInstructions = 8000 // shorten the default 20k-instruction run
 
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.NewSystemIn(nil, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,11 @@ func main() {
 	fmt.Printf("  channel copy     %.1f%% of data-route bandwidth\n", 100*rep.CopyFraction)
 
 	// Compare against the DRAM-only baseline in one call.
-	base, err := core.RunConfig(withInstr(config.Default(config.OhmBase, config.Planar), 8000), "pagerank")
+	pagerank, ok := config.WorkloadByName("pagerank")
+	if !ok {
+		log.Fatal("pagerank is not a Table II workload")
+	}
+	base, _, err := core.Run(nil, withInstr(config.Default(config.OhmBase, config.Planar), 8000), pagerank)
 	if err != nil {
 		log.Fatal(err)
 	}

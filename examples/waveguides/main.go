@@ -17,10 +17,14 @@ import (
 func main() {
 	const workload = "pagerank"
 	const instr = 6000
+	w, ok := config.WorkloadByName(workload)
+	if !ok {
+		log.Fatalf("unknown workload %q", workload)
+	}
 
 	hetCfg := config.Default(config.Hetero, config.Planar)
 	hetCfg.MaxInstructions = instr
-	het, err := core.RunConfig(hetCfg, workload)
+	het, _, err := core.Run(nil, hetCfg, w)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +37,7 @@ func main() {
 			cfg := config.Default(p, config.Planar)
 			cfg.Optical.Waveguides = wg
 			cfg.MaxInstructions = instr
-			rep, err := core.RunConfig(cfg, workload)
+			rep, _, err := core.Run(nil, cfg, w)
 			if err != nil {
 				log.Fatal(err)
 			}

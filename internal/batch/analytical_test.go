@@ -120,11 +120,16 @@ func TestAnalyticalRejectsClosures(t *testing.T) {
 	}
 }
 
+// TestAnalyticalUnknownWorkloadErrors: a cell naming no Table II workload
+// fails in both exec modes. The runner, not the simulator, resolves the
+// name, so DES mode must report it the same way.
 func TestAnalyticalUnknownWorkloadErrors(t *testing.T) {
-	r := &Runner{Workers: 1, Cache: NewMemCache()}
-	cell := Cell{Config: config.Default(config.Oracle, config.Planar), Workload: "no-such-kernel", Exec: config.ExecAnalytical}
-	if _, err := r.Run([]Cell{cell}); err == nil || !strings.Contains(err.Error(), "unknown workload") {
-		t.Fatalf("want unknown-workload error, got %v", err)
+	for _, exec := range []config.ExecMode{config.ExecAnalytical, config.ExecDES} {
+		r := &Runner{Workers: 1, Cache: NewMemCache()}
+		cell := Cell{Config: config.Default(config.Oracle, config.Planar), Workload: "no-such-kernel", Exec: exec}
+		if _, err := r.Run([]Cell{cell}); err == nil || !strings.Contains(err.Error(), "unknown workload") {
+			t.Fatalf("exec %v: want unknown-workload error, got %v", exec, err)
+		}
 	}
 }
 

@@ -203,7 +203,7 @@ func TestParallelMatchesSerialRealSim(t *testing.T) {
 		MaxInstructions: 400,
 	}
 	cells := mustCells(t, spec)
-	serial := runAll(t, 1, nil, nil, cells) // nil RunFn = core.RunConfig
+	serial := runAll(t, 1, nil, nil, cells) // nil RunFn = core.Run
 	parallel := runAll(t, 4, nil, nil, cells)
 	if string(serial) != string(parallel) {
 		t.Fatal("parallel real-sim sweep output differs from serial")

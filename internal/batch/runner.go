@@ -38,9 +38,9 @@ type Runner struct {
 	// stored report and stores fresh results.
 	Cache Cache
 	// RunFn executes a name-resolved cell without its own RunFn; nil means
-	// core.RunConfig. Cells carrying an inline WorkloadDef bypass it and
-	// always simulate their definition. Tests inject counters here to
-	// prove warm-cache runs never simulate.
+	// core.Run on the Table II workload the name selects. Cells carrying an
+	// inline WorkloadDef bypass it and always simulate their definition.
+	// Tests inject counters here to prove warm-cache runs never simulate.
 	RunFn RunFunc
 
 	hits       atomic.Uint64
@@ -171,13 +171,11 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 			// the twin evaluates the trace's distribution in closed form.
 			continue
 		}
-		switch {
-		case c.WorkloadDef != nil:
-			pins.Add(*c.WorkloadDef, &c.Config)
-		case r.RunFn == nil:
-			if w, ok := config.WorkloadByName(c.Workload); ok {
-				pins.Add(w, &c.Config)
-			}
+		if c.WorkloadDef == nil && r.RunFn != nil {
+			continue // Runner.RunFn is opaque too
+		}
+		if w, ok := c.definition(); ok {
+			pins.Add(w, &c.Config)
 		}
 	}
 
@@ -403,7 +401,8 @@ joinFlight:
 // and arenas instead of reallocating them. Reports are value snapshots,
 // so releasing the state after the run never aliases a returned report.
 // RunFn cells bypass the pool: a closure's construction is opaque, so
-// there is nothing to rebuild in place (see docs/reference/pooling.md).
+// there is nothing to rebuild in place; the experiment closures build into
+// a new RunState through the same code (see docs/reference/pooling.md).
 func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
 	if c.Exec == config.ExecAnalytical {
 		return r.estimate(ctx, c)
@@ -415,26 +414,26 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	r.misses.Add(1)
 	mCacheMisses.Inc()
 	run := c.RunFn
-	if run == nil && c.WorkloadDef != nil {
+	if run == nil && c.WorkloadDef == nil {
 		// A cell carrying an inline workload definition is self-describing:
 		// it always simulates from that definition. Routing it through
 		// Runner.RunFn — which only sees the workload *name* — would run
 		// the Table II namesake (or fail on an unknown name) while the
 		// cache keyed on the custom definition.
-		st := core.AcquireRunState()
-		defer core.ReleaseRunState(st)
-		return core.RunWorkloadDefTimedIn(st, c.Config, *c.WorkloadDef)
-	}
-	if run == nil {
 		run = r.RunFn
 	}
-	if run == nil {
-		st := core.AcquireRunState()
-		defer core.ReleaseRunState(st)
-		return core.RunConfigTimedIn(st, c.Config, c.Workload)
+	if run != nil {
+		rep, err := run(c.Config, c.Workload)
+		return rep, obs.Phases{}, err
 	}
-	rep, err := run(c.Config, c.Workload)
-	return rep, obs.Phases{}, err
+	w, ok := c.definition()
+	if !ok {
+		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: unknown workload %q (Table II names: %v)",
+			c.Workload, config.WorkloadNames())
+	}
+	st := core.AcquireRunState()
+	defer core.ReleaseRunState(st)
+	return core.Run(st, c.Config, w)
 }
 
 // estimate resolves an analytical cell through the closed-form twin. The
@@ -448,14 +447,9 @@ func (r *Runner) estimate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	if c.RunFn != nil {
 		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode cannot evaluate a custom RunFn closure; use a workload name or inline definition")
 	}
-	w := config.Workload{}
-	if c.WorkloadDef != nil {
-		w = *c.WorkloadDef
-	} else {
-		var ok bool
-		if w, ok = config.WorkloadByName(c.Workload); !ok {
-			return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q (custom runners are DES-only)", c.Workload)
-		}
+	w, ok := c.definition()
+	if !ok {
+		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q (custom runners are DES-only)", c.Workload)
 	}
 	if err := r.acquire(ctx); err != nil {
 		return stats.Report{}, obs.Phases{}, err

@@ -22,11 +22,12 @@ import (
 )
 
 // Cell is one fully-resolved simulation to run: a complete config plus a
-// workload. The zero RunFn means core.RunConfig (or, when WorkloadDef is
-// set, a run of that inline workload definition); experiments install
-// closures when a cell needs a custom host model or trace, in which case
-// Salt must name the variant for the result cache (an empty Salt disables
-// caching for that cell, since the key cannot see inside a closure).
+// workload. The zero RunFn means core.Run on the Table II workload the
+// name selects (or, when WorkloadDef is set, on that inline workload
+// definition); experiments install closures when a cell needs a custom
+// host model or trace, in which case Salt must name the variant for the
+// result cache (an empty Salt disables caching for that cell, since the
+// key cannot see inside a closure).
 type Cell struct {
 	Index    int             `json:"index"`
 	Platform config.Platform `json:"-"`
@@ -52,6 +53,16 @@ type Cell struct {
 
 // RunFunc executes one cell and returns its report.
 type RunFunc func(cfg config.Config, workload string) (stats.Report, error)
+
+// definition returns the workload the cell runs: its inline definition,
+// else the Table II entry its name selects (ok is false for an unknown
+// name).
+func (c *Cell) definition() (w config.Workload, ok bool) {
+	if c.WorkloadDef != nil {
+		return *c.WorkloadDef, true
+	}
+	return config.WorkloadByName(c.Workload)
+}
 
 // String identifies the cell in errors and logs, including any override
 // patch so two cells of one sweep axis stay distinguishable.

@@ -4,15 +4,23 @@
 // producing the measurements the evaluation section reports (IPC, memory
 // latency, channel bandwidth split, energy breakdown).
 //
-// Typical use:
+// Every build goes through a RunState; nil means a new one. Typical use:
 //
-//	sys, err := core.NewSystem(config.Default(config.OhmBW, config.Planar))
+//	sys, err := core.NewSystemIn(nil, config.Default(config.OhmBW, config.Planar))
 //	rep, err := sys.RunWorkload("pagerank")
 //	fmt.Println(rep.IPC, rep.MeanLatency)
+//
+// A caller that needs only the report (and its phase timings) makes one
+// call, reusing a pooled state across cells:
+//
+//	st := core.AcquireRunState()
+//	defer core.ReleaseRunState(st)
+//	rep, phases, err := core.Run(st, cfg, w)
 package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/energy"
@@ -25,8 +33,8 @@ import (
 
 // System is one fully-assembled platform instance. A System is single-use
 // per workload run in the sense that caches and channel accounting carry
-// over between runs; construct a fresh System per experiment cell for
-// independent measurements (the experiment drivers do).
+// over between runs; build a System per experiment cell for independent
+// measurements (the figure and ablation experiments do).
 type System struct {
 	Cfg config.Config
 	Col *stats.Collector
@@ -36,28 +44,42 @@ type System struct {
 	model energy.Model
 }
 
-// NewSystem builds a platform from a configuration, using the default PCIe
-// host link for spill traffic.
-func NewSystem(cfg config.Config) (*System, error) {
-	return NewSystemWithHost(cfg, nil)
+// NewSystemIn builds a platform from a configuration into a run state,
+// using the default PCIe host link for spill traffic. A nil st means a new,
+// empty state.
+func NewSystemIn(st *RunState, cfg config.Config) (*System, error) {
+	return NewSystemWithHostIn(st, cfg, nil)
 }
 
-// NewSystemWithHost builds a platform with a custom host/storage link (the
-// Figure 3 experiment passes an SSD model here).
-func NewSystemWithHost(cfg config.Config, host hmem.HostLink) (*System, error) {
+// NewSystemWithHostIn is NewSystemIn with a custom host/storage link (the
+// Figure 3 experiments pass an SSD model and an instant link here). A new
+// state and a recycled one take the same path: the components are
+// reinitialized through their NewIn constructors from the state's pools,
+// which is what guarantees a pooled System produces byte-identical reports.
+func NewSystemWithHostIn(st *RunState, cfg config.Config, host hmem.HostLink) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	col := stats.NewCollector()
-	mem, err := hmem.New(&cfg, col, host)
+	if st == nil {
+		st = new(RunState)
+	}
+	if st.col == nil {
+		st.col = stats.NewCollector()
+	} else {
+		st.col.Reset()
+	}
+	st.pools.Reset()
+	mem, err := hmem.NewIn(st.mem, &st.pools, &cfg, st.col, host)
 	if err != nil {
 		return nil, fmt.Errorf("core: memory system: %w", err)
 	}
-	g, err := gpu.New(&cfg, col, mem)
+	st.mem = mem
+	g, err := gpu.NewIn(st.gpu, &st.pools, &cfg, st.col, mem)
 	if err != nil {
 		return nil, fmt.Errorf("core: gpu: %w", err)
 	}
-	return &System{Cfg: cfg, Col: col, Mem: mem, GPU: g, model: energy.Default()}, nil
+	st.gpu = g
+	return &System{Cfg: cfg, Col: st.col, Mem: mem, GPU: g, model: energy.Default()}, nil
 }
 
 // RunTrace executes a prepared trace and returns the run report.
@@ -87,50 +109,29 @@ func (s *System) RunWorkload(name string) (stats.Report, error) {
 	return s.RunTrace(tr), nil
 }
 
-// RunWorkloadDef runs an explicit workload definition — an inline custom
-// workload from a scenario spec, or a Table II struct. The trace registry
-// keys on the full definition, so two custom workloads sharing a name get
-// distinct traces, and a definition equal to a Table II entry shares that
-// entry's cached trace.
-func (s *System) RunWorkloadDef(w config.Workload) stats.Report {
-	return s.RunTrace(trace.Cached(w, &s.Cfg))
-}
-
-// Run builds a fresh system for (platform, mode) and runs one workload;
-// this is the one-call entry point used by experiments and benchmarks.
-func Run(p config.Platform, m config.MemMode, workload string) (stats.Report, error) {
-	sys, err := NewSystem(config.Default(p, m))
+// Run builds cfg's platform into st (nil means a new state) and runs the
+// workload definition w on it — a Table II entry or an inline custom
+// workload. The trace registry keys on the full definition, so two custom
+// workloads sharing a name get distinct traces, and a definition equal to
+// a Table II entry shares that entry's trace.
+//
+// Alongside the report, Run returns the wall-clock split of the cell's
+// three phases: platform construction, trace generation (near zero when
+// the registry already holds the trace) and the discrete-event loop.
+// Timing rides alongside, never inside, the pinned stats.Report.
+func Run(st *RunState, cfg config.Config, w config.Workload) (stats.Report, obs.Phases, error) {
+	var ph obs.Phases
+	t := time.Now()
+	sys, err := NewSystemIn(st, cfg)
+	ph.PlatformBuild = time.Since(t)
 	if err != nil {
-		return stats.Report{}, err
+		return stats.Report{}, ph, err
 	}
-	return sys.RunWorkload(workload)
-}
-
-// RunConfig builds a system from an explicit config and runs one workload.
-func RunConfig(cfg config.Config, workload string) (stats.Report, error) {
-	rep, _, err := RunConfigTimed(cfg, workload)
-	return rep, err
-}
-
-// RunConfigTimed is RunConfig with a wall-clock split of the three
-// per-cell phases: platform construction, trace generation (near zero
-// when the in-process registry already holds the trace) and the
-// discrete-event loop. The report is identical to RunConfig's — timing
-// rides alongside, never inside, the pinned stats.Report.
-func RunConfigTimed(cfg config.Config, workload string) (stats.Report, obs.Phases, error) {
-	return RunConfigTimedIn(nil, cfg, workload)
-}
-
-// RunWorkloadDef builds a system from an explicit config and runs an
-// explicit workload definition (the custom-workload counterpart of
-// RunConfig, used by the batch engine for spec-defined workloads).
-func RunWorkloadDef(cfg config.Config, w config.Workload) (stats.Report, error) {
-	rep, _, err := RunWorkloadDefTimed(cfg, w)
-	return rep, err
-}
-
-// RunWorkloadDefTimed is RunWorkloadDef with the same phase split as
-// RunConfigTimed.
-func RunWorkloadDefTimed(cfg config.Config, w config.Workload) (stats.Report, obs.Phases, error) {
-	return RunWorkloadDefTimedIn(nil, cfg, w)
+	t = time.Now()
+	tr := trace.Cached(w, &sys.Cfg)
+	ph.TraceGen = time.Since(t)
+	t = time.Now()
+	rep := sys.RunTrace(tr)
+	ph.EventLoop = time.Since(t)
+	return rep, ph, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/config"
@@ -16,7 +18,12 @@ func fastCfg(p config.Platform, m config.MemMode) config.Config {
 
 func runFast(t *testing.T, p config.Platform, m config.MemMode, w string) stats.Report {
 	t.Helper()
-	sys, err := NewSystem(fastCfg(p, m))
+	return runCfg(t, fastCfg(p, m), w)
+}
+
+func runCfg(t *testing.T, cfg config.Config, w string) stats.Report {
+	t.Helper()
+	sys, err := NewSystemIn(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +37,16 @@ func runFast(t *testing.T, p config.Platform, m config.MemMode, w string) stats.
 func TestNewSystemRejectsBadConfig(t *testing.T) {
 	cfg := config.Default(config.OhmBase, config.Planar)
 	cfg.GPU.MemCtrls = 0
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSystemIn(nil, cfg); err == nil {
 		t.Fatal("accepted invalid config")
+	}
+	if _, _, err := Run(nil, cfg, config.Workloads()[0]); err == nil {
+		t.Fatal("Run accepted invalid config")
 	}
 }
 
 func TestRunWorkloadUnknownName(t *testing.T) {
-	sys, err := NewSystem(fastCfg(config.OhmBase, config.Planar))
+	sys, err := NewSystemIn(nil, fastCfg(config.OhmBase, config.Planar))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +147,45 @@ func TestTwoLevelMigrationEliminated(t *testing.T) {
 	}
 }
 
-func TestRunHelpers(t *testing.T) {
-	rep, err := Run(config.OhmBase, config.TwoLevel, "lud")
-	if err != nil || rep.Instructions == 0 {
-		t.Fatalf("Run: %v %+v", err, rep)
+// TestRun runs a Table II definition and an inline one through Run, on a
+// new state and on a recycled one. A Table II definition must report
+// exactly what running its name on a System does, and every run must time
+// its build and event loop.
+func TestRun(t *testing.T) {
+	lud, ok := config.WorkloadByName("lud")
+	if !ok {
+		t.Fatal("lud missing")
 	}
-	cfg := fastCfg(config.OhmBase, config.Planar)
-	rep2, err := RunConfig(cfg, "lud")
-	if err != nil || rep2.Instructions == 0 {
-		t.Fatalf("RunConfig: %v", err)
+	inline := config.Workload{Name: "run-inline", APKI: 80, ReadRatio: 0.6, FootprintScale: 1.2, HotSkew: 0.9}
+	st := AcquireRunState()
+	defer ReleaseRunState(st)
+	for _, m := range config.AllModes() {
+		cfg := fastCfg(config.OhmBase, m)
+		byName, err := json.Marshal(runCfg(t, cfg, "lud"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []config.Workload{lud, inline} {
+			for _, s := range []*RunState{nil, st} {
+				rep, ph, err := Run(s, cfg, w)
+				if err != nil || rep.Instructions == 0 {
+					t.Fatalf("%s/%s: Run: %v %+v", m, w.Name, err, rep)
+				}
+				if ph.PlatformBuild <= 0 || ph.EventLoop <= 0 {
+					t.Errorf("%s/%s: phases not timed: %+v", m, w.Name, ph)
+				}
+				if w != lud {
+					continue
+				}
+				got, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, byName) {
+					t.Errorf("%s: Run(lud) diverges from RunWorkload(\"lud\")\nrun:  %s\nname: %s", m, got, byName)
+				}
+			}
+		}
 	}
 }
 
@@ -207,14 +247,8 @@ func TestWaveguidesImproveOhmBase(t *testing.T) {
 	cfg1 := fastCfg(config.OhmBase, config.Planar)
 	cfg8 := fastCfg(config.OhmBase, config.Planar)
 	cfg8.Optical.Waveguides = 8
-	r1, err := RunConfig(cfg1, "betw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := RunConfig(cfg8, "betw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runCfg(t, cfg1, "betw")
+	r8 := runCfg(t, cfg8, "betw")
 	if r8.IPC < r1.IPC {
 		t.Fatalf("8 waveguides (%.3f) should not trail 1 (%.3f)", r8.IPC, r1.IPC)
 	}

@@ -11,20 +11,25 @@ import (
 )
 
 // TestPooledRunsByteIdentical is the pooling correctness gate: a shuffled
-// grid of cells runs twice, once with fresh per-cell construction and once
-// through a single reused RunState, and every report — including the Extra
-// map — must be byte-identical between the two. The shuffle makes each CI
-// run exercise a different platform/mode adjacency (the spare-stash and
-// scrub paths depend on what the previous cell left behind); the seed is
-// logged so a failure reproduces.
+// grid of cells runs twice, once into a new RunState per cell (what a nil
+// state means) and once into a single RunState recycled across the grid,
+// and every report — including the Extra map — must be byte-identical
+// between the two. The shuffle makes each CI run exercise a different
+// platform/mode adjacency (the spare-stash and scrub paths depend on what
+// the previous cell left behind); the seed is logged so a failure
+// reproduces.
 func TestPooledRunsByteIdentical(t *testing.T) {
 	type cell struct {
 		p config.Platform
 		m config.MemMode
-		w string
-		// def, when non-nil, runs the inline-definition path instead of a
-		// Table II name.
-		def *config.Workload
+		w config.Workload
+	}
+	table := func(name string) config.Workload {
+		w, ok := config.WorkloadByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		return w
 	}
 	custom := config.Workload{
 		Name: "pooled-custom", APKI: 60, ReadRatio: 0.7,
@@ -33,15 +38,15 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	var cells []cell
 	for _, p := range config.AllPlatforms() {
 		for _, m := range config.AllModes() {
-			cells = append(cells, cell{p: p, m: m, w: "bfstopo"})
+			cells = append(cells, cell{p: p, m: m, w: table("bfstopo")})
 		}
 	}
 	cells = append(cells,
-		cell{p: config.OhmWOM, m: config.Planar, w: "pagerank"},
-		cell{p: config.OhmBW, m: config.TwoLevel, w: "sssp"},
-		cell{p: config.Origin, m: config.Planar, w: "backp"},
-		cell{p: config.Hetero, m: config.TwoLevel, w: "lud"},
-		cell{p: config.OhmBase, m: config.Planar, def: &custom},
+		cell{p: config.OhmWOM, m: config.Planar, w: table("pagerank")},
+		cell{p: config.OhmBW, m: config.TwoLevel, w: table("sssp")},
+		cell{p: config.Origin, m: config.Planar, w: table("backp")},
+		cell{p: config.Hetero, m: config.TwoLevel, w: table("lud")},
+		cell{p: config.OhmBase, m: config.Planar, w: custom},
 	)
 	seed := time.Now().UnixNano()
 	t.Logf("shuffle seed %d", seed)
@@ -52,36 +57,21 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	defer ReleaseRunState(st)
 	for _, c := range cells {
 		cfg := fastCfg(c.p, c.m)
-		var label string
-		runBoth := func(dst *RunState) ([]byte, error) {
-			if c.def != nil {
-				rep, _, err := RunWorkloadDefTimedIn(dst, cfg, *c.def)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(rep)
-			}
-			rep, _, err := RunConfigTimedIn(dst, cfg, c.w)
+		label := c.p.String() + "/" + c.m.String() + "/" + c.w.Name
+		run := func(dst *RunState) []byte {
+			rep, _, err := Run(dst, cfg, c.w)
 			if err != nil {
-				return nil, err
+				t.Fatalf("%s: %v", label, err)
 			}
-			return json.Marshal(rep)
+			out, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
-		if c.def != nil {
-			label = c.p.String() + "/" + c.m.String() + "/" + c.def.Name
-		} else {
-			label = c.p.String() + "/" + c.m.String() + "/" + c.w
-		}
-		fresh, err := runBoth(nil)
-		if err != nil {
-			t.Fatalf("%s fresh: %v", label, err)
-		}
-		pooled, err := runBoth(st)
-		if err != nil {
-			t.Fatalf("%s pooled: %v", label, err)
-		}
+		fresh, pooled := run(nil), run(st)
 		if !bytes.Equal(fresh, pooled) {
-			t.Errorf("%s: pooled report diverges from fresh\nfresh:  %s\npooled: %s",
+			t.Errorf("%s: recycled-state report diverges from new-state report\nnew:      %s\nrecycled: %s",
 				label, fresh, pooled)
 		}
 	}

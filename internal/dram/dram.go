@@ -40,14 +40,14 @@ type Device struct {
 
 // New builds a device from the DRAM configuration.
 func New(cfg config.DRAMConfig) *Device {
-	return NewIn(nil, nil, cfg)
+	return NewIn(nil, new(sim.Pools), cfg)
 }
 
 func bankName(_ string, i int) string { return fmt.Sprintf("bank%d", i) }
 
 // NewIn is New rebuilding into a recycled device: the bank slice keeps its
-// capacity and the per-bank gap resources come from pools. Both re and
-// pools may be nil (New is NewIn(nil, nil, cfg)), so fresh and pooled
+// capacity and the per-bank gap resources come from pools. re may be nil
+// (New is NewIn(nil, new(sim.Pools), cfg)), so fresh and pooled
 // construction share one code path.
 func NewIn(re *Device, pools *sim.Pools, cfg config.DRAMConfig) *Device {
 	if re == nil {

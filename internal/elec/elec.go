@@ -43,13 +43,13 @@ type Channel struct {
 
 // New builds the electrical channels. col may be nil.
 func New(cfg config.ElectricalConfig, col *stats.Collector) *Channel {
-	return NewIn(nil, nil, cfg, col)
+	return NewIn(nil, new(sim.Pools), cfg, col)
 }
 
 func laneName(_ string, i int) string { return fmt.Sprintf("elec%d", i) }
 
 // NewIn is New rebuilding into a recycled channel set with lane resources
-// drawn from pools; re and pools may both be nil (New is NewIn(nil, nil,
+// drawn from pools; re may be nil (New is NewIn(nil, new(sim.Pools),
 // ...)), so fresh and pooled construction share one code path.
 func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, col *stats.Collector) *Channel {
 	if cfg.Channels <= 0 {

@@ -132,7 +132,7 @@ func AblationPageSize(o Options, workload string) (*AblationResult, error) {
 // runMaxWear executes a cell's config and folds the worst per-line XPoint
 // wear across controllers into the report.
 func runMaxWear(cfg config.Config, workload string) (stats.Report, error) {
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.NewSystemIn(nil, cfg)
 	if err != nil {
 		return stats.Report{}, err
 	}
@@ -172,7 +172,7 @@ func AblationStartGap(o Options, workload string) (*AblationResult, error) {
 // AblationMSHR quantifies L2 miss coalescing.
 func AblationMSHR(o Options, workload string) (*AblationResult, error) {
 	runMerges := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystemIn(nil, cfg)
 		if err != nil {
 			return stats.Report{}, err
 		}
@@ -201,7 +201,7 @@ func AblationMSHR(o Options, workload string) (*AblationResult, error) {
 // default) against the dynamic borrowing strategy of [38].
 func AblationChannelDivision(o Options, workload string) (*AblationResult, error) {
 	runBorrows := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystemIn(nil, cfg)
 		if err != nil {
 			return stats.Report{}, err
 		}
@@ -254,7 +254,7 @@ func AblationPhases(o Options, workload string) (*AblationResult, error) {
 	}
 	phasedRun := func(phases int) batch.RunFunc {
 		return func(cfg config.Config, _ string) (stats.Report, error) {
-			sys, err := core.NewSystem(cfg)
+			sys, err := core.NewSystemIn(nil, cfg)
 			if err != nil {
 				return stats.Report{}, err
 			}

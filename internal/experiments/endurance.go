@@ -36,7 +36,7 @@ type EnduranceResult struct {
 // through the report's Extra map so the rows survive the batch boundary
 // (and the result cache).
 func runWear(cfg config.Config, workload string) (stats.Report, error) {
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.NewSystemIn(nil, cfg)
 	if err != nil {
 		return stats.Report{}, err
 	}

@@ -67,13 +67,13 @@ type Fig3aResult struct{ Rows []Fig3aRow }
 // DMA pipelines (they overlap each other, so the union is approximated by
 // the longer of the two plus the shorter's non-overlapped half).
 func Fig3a(o Options) (*Fig3aResult, error) {
-	// The SSD-staged system is not a plain core.RunConfig cell: the custom
+	// The SSD-staged system is not a plain core.Run cell: the custom
 	// RunFn attaches the ssd model as the host link and folds its pipeline
 	// occupancy into the report's Extra map. The salt names the variant so
 	// the cells stay cacheable (the config + salt fully determine the run).
 	runSSD := func(cfg config.Config, w string) (stats.Report, error) {
 		dev := ssd.New(fig3SSD(), nil)
-		sys, err := core.NewSystemWithHost(cfg, dev)
+		sys, err := core.NewSystemWithHostIn(nil, cfg, dev)
 		if err != nil {
 			return stats.Report{}, err
 		}
@@ -177,7 +177,7 @@ func Fig3b(o Options) (*Fig3bResult, error) {
 	// with any other figure that runs Origin/planar) and one counterfactual
 	// cell whose RunFn swaps in the instant host link.
 	runInstant := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystemWithHost(cfg, instantHost{})
+		sys, err := core.NewSystemWithHostIn(nil, cfg, instantHost{})
 		if err != nil {
 			return stats.Report{}, err
 		}

@@ -126,18 +126,18 @@ func (t *mshrTable) insert(line uint64, done, now sim.Time) {
 
 // New builds a GPU. The memory accessor must not be nil.
 func New(cfg *config.Config, col *stats.Collector, mem MemAccessor) (*GPU, error) {
-	return NewIn(nil, nil, cfg, col, mem)
+	return NewIn(nil, new(sim.Pools), cfg, col, mem)
 }
 
 func l1Name(_ string, i int) string { return fmt.Sprintf("l1-sm%d", i) }
 func smName(_ string, i int) string { return fmt.Sprintf("sm%d", i) }
 
 // NewIn is New rebuilding into a recycled GPU: the SM array, per-SM L1s,
-// the shared L2, the MSHR table, the warp state and the event engine all
-// keep their allocated capacity and are reinitialized in place. With
-// non-nil pools the GPU runs on the pools' engine, the clock behind their
-// gap tables. Both re and pools may be nil (New is NewIn(nil, nil, ...)),
-// so fresh and pooled construction share one code path.
+// the shared L2, the MSHR table and the warp state keep their allocated
+// capacity and are reinitialized in place. The GPU runs on the pools'
+// engine, the clock behind their gap tables. re may be nil (New is
+// NewIn(nil, new(sim.Pools), ...)), so fresh and pooled construction share
+// one code path.
 func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, mem MemAccessor) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,16 +159,11 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 		sms = sms[:cfg.GPU.SMs]
 	}
 	mshrEntries := g.mshr.entries
-	eng := g.eng
-	if pe := pools.Engine(); pe != nil {
-		// The pools' engine is the clock their gap tables read.
-		eng = pe
-	}
 	*g = GPU{
 		cfg:   cfg,
 		col:   col,
 		mem:   mem,
-		eng:   eng,
+		eng:   pools.Engine(),
 		cycle: sim.FreqToPeriod(cfg.GPU.CoreFreqHz),
 		sms:   sms,
 		l2:    g.l2,
@@ -228,9 +223,6 @@ func (g *GPU) toL2(at sim.Time, addr uint64, n int) sim.Time {
 // Run executes one kernel (trace) to completion and returns the elapsed
 // simulated time. Warps are assigned to SMs round-robin.
 func (g *GPU) Run(tr *trace.Trace) sim.Time {
-	if g.eng == nil {
-		g.eng = sim.NewEngine()
-	}
 	g.finish = 0
 	g.live = 0
 	g.warps = g.warps[:0]

@@ -205,15 +205,15 @@ type Controller struct {
 // nil; it is only used by platforms that spill (Origin) — a nil host there
 // installs the default PCIe model.
 func New(cfg *config.Config, col *stats.Collector, host HostLink) (*Controller, error) {
-	return NewIn(nil, nil, cfg, col, host)
+	return NewIn(nil, new(sim.Pools), cfg, col, host)
 }
 
 // NewIn is New rebuilding into a recycled controller: device structures,
 // per-MC state and channel models are reinitialized in place, and
 // platform-dependent components the new configuration does not need move
-// to the spare stashes for a later cell. Both re and pools may be nil —
-// New is exactly NewIn(nil, nil, ...) — so fresh and pooled construction
-// share one code path, which is what keeps pooled results byte-identical.
+// to the spare stashes for a later cell. re may be nil — New is exactly
+// NewIn(nil, new(sim.Pools), ...) — so fresh and pooled construction share
+// one code path, which is what keeps pooled results byte-identical.
 func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Collector, host HostLink) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -7,25 +7,16 @@ import (
 // pcieHost is the default host link for Origin's spill path: host-DRAM
 // staging over PCIe. A single shared DMA engine serializes transfers,
 // which is what makes Origin's frequent host copies so expensive
-// (Section VI-A: Origin degrades 42% versus Hetero).
+// (Section VI-A: Origin degrades 42% versus Hetero). The controller's
+// accessOrigin charges the staging energy, for this link and any other.
 type pcieHost struct {
-	dma      *sim.Resource
-	setup    sim.Time
-	bwBps    float64
-	pjPerBit float64
-	col      energySink
+	dma   *sim.Resource
+	setup sim.Time
+	bwBps float64
 }
 
-type energySink interface {
-	AddEnergy(component string, pj float64)
-}
-
-func defaultHostLink() *pcieHost {
-	return defaultHostLinkIn(nil, nil)
-}
-
-// defaultHostLinkIn is defaultHostLink rebuilding into a recycled link with
-// the DMA resource drawn from pools; re and pools may both be nil.
+// defaultHostLinkIn builds the default link into a recycled one (re may be
+// nil) with the DMA resource drawn from pools.
 func defaultHostLinkIn(re *pcieHost, pools *sim.Pools) *pcieHost {
 	if re == nil {
 		re = &pcieHost{}
@@ -44,8 +35,5 @@ func defaultHostLinkIn(re *pcieHost, pools *sim.Pools) *pcieHost {
 func (h *pcieHost) Stage(at sim.Time, n int64, write bool) sim.Time {
 	wire := sim.Time(float64(n) / h.bwBps * 1e12)
 	_, end := h.dma.Reserve(at, wire)
-	if h.col != nil {
-		h.col.AddEnergy("dma", float64(n)*8*h.pjPerBit)
-	}
 	return end + h.setup
 }

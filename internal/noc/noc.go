@@ -43,13 +43,13 @@ type Crossbar struct {
 
 // New builds the crossbar.
 func New(cfg Config) (*Crossbar, error) {
-	return NewIn(nil, nil, cfg)
+	return NewIn(nil, new(sim.Pools), cfg)
 }
 
 func portName(_ string, i int) string { return fmt.Sprintf("noc-port%d", i) }
 
 // NewIn is New rebuilding into a recycled crossbar with port resources
-// drawn from pools; re and pools may both be nil (New is NewIn(nil, nil,
+// drawn from pools; re may be nil (New is NewIn(nil, new(sim.Pools),
 // cfg)), so fresh and pooled construction share one code path.
 func NewIn(re *Crossbar, pools *sim.Pools, cfg Config) (*Crossbar, error) {
 	if cfg.Ports <= 0 {

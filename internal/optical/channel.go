@@ -61,7 +61,7 @@ type Channel struct {
 // NewChannel builds the optical channel. The collector may be nil when the
 // caller does its own accounting (unit tests).
 func NewChannel(cfg config.OpticalConfig, col *stats.Collector) *Channel {
-	return NewChannelIn(nil, nil, cfg, col)
+	return NewChannelIn(nil, new(sim.Pools), cfg, col)
 }
 
 func dataName(_ string, i int) string { return fmt.Sprintf("vc%d-data%d", i/2, i%2) }
@@ -69,8 +69,8 @@ func memName(_ string, i int) string  { return fmt.Sprintf("vc%d-mem", i) }
 
 // NewChannelIn is NewChannel rebuilding into a recycled channel: the
 // per-VC slices keep their capacity and the route resources come from
-// pools. Both re and pools may be nil (NewChannel is NewChannelIn(nil,
-// nil, ...)), so fresh and pooled construction share one code path.
+// pools. re may be nil (NewChannel is NewChannelIn(nil, new(sim.Pools),
+// ...)), so fresh and pooled construction share one code path.
 func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *stats.Collector) *Channel {
 	if cfg.VirtualChannels <= 0 {
 		panic("optical: need at least one virtual channel")

@@ -230,7 +230,11 @@ func TestRecoverGoldenByteIdentity(t *testing.T) {
 		if calls.Add(1) > 3 {
 			<-gate
 		}
-		return core.RunConfig(cfg, w)
+		sys, err := core.NewSystemIn(nil, cfg)
+		if err != nil {
+			return stats.Report{}, err
+		}
+		return sys.RunWorkload(w)
 	}
 	j1, _, err := OpenJournal(jpath)
 	if err != nil {

@@ -16,7 +16,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 // BenchmarkGapResourceFrontier is the common fast path: reservations past
 // every remembered gap append at the frontier without scanning.
 func BenchmarkGapResourceFrontier(b *testing.B) {
-	r := NewGapResource("bench")
+	r := newTable("bench")
 	at := Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -29,7 +29,7 @@ func BenchmarkGapResourceFrontier(b *testing.B) {
 // BenchmarkGapResourceBackfill keeps live gaps around the request time so
 // the first-fit scan actually runs (future bookings create the gaps).
 func BenchmarkGapResourceBackfill(b *testing.B) {
-	r := NewGapResource("bench")
+	r := newTable("bench")
 	at := Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()

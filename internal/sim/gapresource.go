@@ -11,7 +11,8 @@ import "math"
 // a bounded table of recent idle windows and first-fitting new reservations
 // into them.
 //
-// The table is split by the run's clock. Request times move forward with
+// Tables come only from Pools.GapResource, and the table is split by the
+// clock that hands it: the run's engine. Request times move forward with
 // the engine, so a gap that ended before the clock's Now() cannot fit any
 // reservation made at or after that instant: such dead gaps sit in a
 // (size, key) min-heap that only eviction reads, and first-fit scans the
@@ -25,9 +26,8 @@ type GapResource struct {
 	freeAt Time
 	busy   Time
 
-	// clock is the run's engine for resources handed out by Pools; gaps
-	// ending before its Now() retire to dead. Nil (NewGapResource) keeps
-	// every gap live.
+	// clock is the engine of the Pools that handed the table out; gaps
+	// ending before its Now() retire to dead.
 	clock *Engine
 
 	// The remembered idle windows, at most maxGaps in total. live holds,
@@ -80,10 +80,6 @@ func (g *gap) size() Time { return g.end - g.start }
 // capacity: which windows survive eviction decides which later requests
 // can backfill, so changing it changes grants and the golden reports.
 const maxGaps = 256
-
-// NewGapResource names a gap-filling resource. It has no clock, so every
-// remembered gap stays live.
-func NewGapResource(name string) *GapResource { return &GapResource{name: name} }
 
 // Name returns the diagnostic name.
 func (r *GapResource) Name() string { return r.name }
@@ -287,7 +283,7 @@ func (r *GapResource) evict(g gap) {
 // dead heap: none can fit a reservation made at or after it. It scans only
 // once the clock has passed liveMinEnd.
 func (r *GapResource) retire() {
-	if r.clock == nil || r.clock.now <= r.liveMinEnd {
+	if r.clock.now <= r.liveMinEnd {
 		return
 	}
 	now := r.clock.now
@@ -339,8 +335,8 @@ func (r *GapResource) pushDead(g gap) {
 		r.deadMaxEnd = g.end
 	}
 	if r.dead == nil {
-		// Only a clocked table retires gaps, so only it pays for the
-		// heap, sized once like live.
+		// Only a table whose clock passes its gaps pays for the heap,
+		// sized once like live.
 		r.dead = make([]gap, 0, maxGaps)
 	}
 	r.dead = append(r.dead, g)

@@ -7,8 +7,12 @@ import (
 	"testing/quick"
 )
 
+// newTable returns a gap table from pools of its own whose engine never
+// advances: its clock stays at zero, so every remembered gap stays live.
+func newTable(name string) *GapResource { return (&Pools{}).GapResource(name) }
+
 func TestGapResourceFrontier(t *testing.T) {
-	r := NewGapResource("g")
+	r := newTable("g")
 	s, e := r.Reserve(0, 10)
 	if s != 0 || e != 10 {
 		t.Fatalf("first reservation [%d,%d)", s, e)
@@ -23,7 +27,7 @@ func TestGapResourceFrontier(t *testing.T) {
 }
 
 func TestGapResourceBackfill(t *testing.T) {
-	r := NewGapResource("g")
+	r := newTable("g")
 	// A future booking leaves an idle gap behind it...
 	s, _ := r.Reserve(1000, 50)
 	if s != 1000 {
@@ -47,7 +51,7 @@ func TestGapResourceBackfill(t *testing.T) {
 }
 
 func TestGapResourceEarliestGapWins(t *testing.T) {
-	r := NewGapResource("g")
+	r := newTable("g")
 	r.Reserve(100, 10) // gap [0,100)
 	r.Reserve(300, 10) // gap [110,300)
 	s, _ := r.Reserve(0, 50)
@@ -57,7 +61,7 @@ func TestGapResourceEarliestGapWins(t *testing.T) {
 }
 
 func TestGapResourceReserveAt(t *testing.T) {
-	r := NewGapResource("g")
+	r := newTable("g")
 	r.Reserve(0, 100)
 	// Interior scheduled window: no frontier movement.
 	s, e := r.ReserveAt(50, 10)
@@ -76,7 +80,7 @@ func TestGapResourceReserveAt(t *testing.T) {
 }
 
 func TestGapResourceReset(t *testing.T) {
-	r := NewGapResource("g")
+	r := newTable("g")
 	r.Reserve(100, 10)
 	r.Reset()
 	if r.FreeAt() != 0 || r.Busy() != 0 {
@@ -88,7 +92,7 @@ func TestGapResourceReset(t *testing.T) {
 }
 
 func TestGapResourceUtilization(t *testing.T) {
-	r := NewGapResource("g")
+	r := newTable("g")
 	r.Reserve(0, 50)
 	if got := r.Utilization(100); got != 0.5 {
 		t.Fatalf("utilization %v", got)
@@ -106,7 +110,7 @@ func TestGapResourceUtilization(t *testing.T) {
 func TestGapResourceNoOverlapProperty(t *testing.T) {
 	type window struct{ s, e Time }
 	f := func(ops []uint32) bool {
-		r := NewGapResource("p")
+		r := newTable("p")
 		var reserved []window
 		at := Time(0)
 		for _, op := range ops {
@@ -139,7 +143,7 @@ func TestGapResourceNoOverlapProperty(t *testing.T) {
 // Property: total busy time equals the sum of requested durations.
 func TestGapResourceBusyAccountingProperty(t *testing.T) {
 	f := func(durs []uint16) bool {
-		r := NewGapResource("p")
+		r := newTable("p")
 		var want Time
 		for i, d := range durs {
 			dur := Time(d%1000) + 1
@@ -161,7 +165,7 @@ func TestGapResourceBusyAccountingProperty(t *testing.T) {
 // still never returns a start before the request time.
 func TestGapResourceEvictionPressureProperty(t *testing.T) {
 	f := func(seeds []uint32) bool {
-		r := NewGapResource("p")
+		r := newTable("p")
 		for i, s := range seeds {
 			// Create far-flung scheduled windows to force gap eviction.
 			r.ReserveAt(Time(s%1_000_000)+Time(i)*10_000, Time(s%50)+1)
@@ -298,16 +302,16 @@ func requireSameTable(t *testing.T, when string, r *GapResource, ref *refGapReso
 	}
 }
 
-// TestGapResourceMatchesReference hammers the optimized GapResource and the
-// reference with an identical random operation stream — bursty times, zero
-// and large durations, future ReserveAt bookings — and requires identical
-// grants, frontiers and busy accounting at every step, plus identical gap
-// tables at the end. This pins the fast-path invariants: maxGapEnd is an
-// upper bound, minGapSize a lower bound, and the scan break preserves the
-// first-fit tie-break.
+// TestGapResourceMatchesReference hammers the optimized GapResource, on a
+// clock that stays at zero, and the reference with an identical random
+// operation stream — bursty times, zero and large durations, future
+// ReserveAt bookings — and requires identical grants, frontiers and busy
+// accounting at every step, plus identical gap tables at the end. This
+// pins the fast-path invariants: maxGapEnd is an upper bound, minGapSize a
+// lower bound, and the scan break preserves the first-fit tie-break.
 func TestGapResourceMatchesReference(t *testing.T) {
 	rng := NewRng(7)
-	r := NewGapResource("opt")
+	r := newTable("opt")
 	ref := &refGapResource{}
 	var base Time
 	for op := 0; op < 200000; op++ {
@@ -474,13 +478,14 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 }
 
 // TestGapResourceSteadyStateAllocFree: once a table is full, Reserve and
-// ReserveAt allocate nothing, with or without a clock.
+// ReserveAt allocate nothing, whether its clock stays at zero or follows
+// the requests.
 func TestGapResourceSteadyStateAllocFree(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
+	for _, clocked := range []bool{false, true} {
 		pools := &Pools{}
-		r := NewGapResource("fresh")
-		if pooled {
-			r = pools.GapResource("pooled")
+		r := newTable("idle-clock")
+		if clocked {
+			r = pools.GapResource("clocked")
 		}
 		clock := startClock(pools)
 		var at Time

@@ -10,10 +10,9 @@ import "repro/internal/slab"
 // reset to empty.
 //
 // The pools own the run's Engine, and every GapResource they hand out reads
-// its clock, so gap tables retire windows the run has moved past.
-//
-// A nil *Pools is valid everywhere and means "allocate fresh", so
-// construction code takes a single path whether or not it is pooled.
+// its clock, so gap tables retire windows the run has moved past. Every
+// construction goes through a Pools: a fresh build passes a new one, a
+// pooled rebuild its recycled one. The zero value is ready to use.
 type Pools struct {
 	eng Engine
 	gap slab.Pool[GapResource]
@@ -31,9 +30,6 @@ type Pools struct {
 // caller must no longer touch them through old references once a new run
 // starts (the core.RunState ownership discipline guarantees this).
 func (p *Pools) Reset() {
-	if p == nil {
-		return
-	}
 	p.eng.Start(0)
 	p.gap.Reset()
 	p.res.Reset()
@@ -42,12 +38,8 @@ func (p *Pools) Reset() {
 // Name returns the diagnostic name for index i of a kind, formatting with
 // f on first use and serving the cached string afterwards. f must be a
 // pure function of i — the cache assumes kind+index fully determines the
-// name. A nil receiver formats directly, so fresh and pooled construction
-// produce identical strings.
+// name.
 func (p *Pools) Name(kind string, i int, f func(kind string, i int) string) string {
-	if p == nil {
-		return f(kind, i)
-	}
 	tab := p.names[kind]
 	for len(tab) <= i {
 		tab = append(tab, f(kind, len(tab)))
@@ -59,21 +51,12 @@ func (p *Pools) Name(kind string, i int, f func(kind string, i int) string) stri
 	return tab[i]
 }
 
-// Engine returns the run's event engine, or nil for a nil receiver (the
-// caller then makes its own).
-func (p *Pools) Engine() *Engine {
-	if p == nil {
-		return nil
-	}
-	return &p.eng
-}
+// Engine returns the run's event engine.
+func (p *Pools) Engine() *Engine { return &p.eng }
 
 // GapResource returns an empty gap-filling resource with the given
 // diagnostic name, clocked by the pools' engine and recycled when possible.
 func (p *Pools) GapResource(name string) *GapResource {
-	if p == nil {
-		return NewGapResource(name)
-	}
 	r, recycled := p.gap.Get()
 	if recycled {
 		r.Reset()
@@ -86,9 +69,6 @@ func (p *Pools) GapResource(name string) *GapResource {
 // Resource returns an empty serially-occupied resource with the given
 // diagnostic name, recycled when possible.
 func (p *Pools) Resource(name string) *Resource {
-	if p == nil {
-		return NewResource(name)
-	}
 	r, _ := p.res.Get()
 	r.Reset()
 	r.name = name

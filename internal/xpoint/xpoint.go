@@ -31,13 +31,13 @@ type Device struct {
 // NewDevice builds a device; partitions is the internal parallelism (a
 // device property, 8 matches contemporary Optane-class media).
 func NewDevice(cfg config.XPointConfig, lineBytes, partitions int) *Device {
-	return newDeviceIn(nil, nil, cfg, lineBytes, partitions)
+	return newDeviceIn(nil, new(sim.Pools), cfg, lineBytes, partitions)
 }
 
 func partName(_ string, i int) string { return fmt.Sprintf("xp-part%d", i) }
 
-// newDeviceIn is NewDevice rebuilding into a recycled device; re and pools
-// may both be nil, so fresh and pooled construction share one code path.
+// newDeviceIn is NewDevice rebuilding into a recycled device; re may be
+// nil, so fresh and pooled construction share one code path.
 func newDeviceIn(re *Device, pools *sim.Pools, cfg config.XPointConfig, lineBytes, partitions int) *Device {
 	if partitions <= 0 {
 		partitions = 1
@@ -184,15 +184,15 @@ type Controller struct {
 
 // NewController assembles a controller over capacityBytes of media.
 func NewController(cfg config.XPointConfig, capacityBytes int64, lineBytes int) *Controller {
-	return NewControllerIn(nil, nil, cfg, capacityBytes, lineBytes)
+	return NewControllerIn(nil, new(sim.Pools), cfg, capacityBytes, lineBytes)
 }
 
 // NewControllerIn is NewController rebuilding into a recycled controller:
 // the wear array, write/read buffers, device partitions and Start-Gap state
 // are reinitialized in place. The recycled wear array is scrubbed through
 // the wearTouched journal rather than wholesale, so reuse costs time
-// proportional to the previous run's writes, not the media capacity. Both
-// re and pools may be nil; New is exactly NewControllerIn(nil, nil, ...).
+// proportional to the previous run's writes, not the media capacity. re may
+// be nil; NewController is exactly NewControllerIn(nil, new(sim.Pools), ...).
 func NewControllerIn(re *Controller, pools *sim.Pools, cfg config.XPointConfig, capacityBytes int64, lineBytes int) *Controller {
 	lines := capacityBytes / int64(lineBytes)
 	if lines < 1 {

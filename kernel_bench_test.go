@@ -47,7 +47,7 @@ func BenchmarkKernelColdCell(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr := trace.Generate(w, &cfg)
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystemIn(nil, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkKernelWarmCell(b *testing.B) {
 	cfg.MaxInstructions = 2000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystemIn(nil, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
