@@ -134,7 +134,7 @@ func BenchmarkSingleRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := config.Default(pm.p, pm.m)
 				cfg.MaxInstructions = 2000
-				if _, _, err := core.Run(nil, cfg, w); err != nil {
+				if _, _, err := core.Run(nil, cfg, w, core.DefaultRun); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -270,9 +270,6 @@ func dryRun(cells []batch.Cell) error {
 	seen := make(map[string]struct{}, len(cells))
 	custom := 0
 	for _, c := range cells {
-		if c.Exec == config.ExecAnalytical && c.RunFn != nil {
-			return fmt.Errorf("cell %d (%s): analytical mode cannot evaluate a custom RunFn closure; drop +analytical or the closure", c.Index, c)
-		}
 		if err := c.Config.Validate(); err != nil {
 			return fmt.Errorf("cell %d (%s): %w", c.Index, c, err)
 		}
@@ -294,9 +291,6 @@ func dryRun(cells []batch.Cell) error {
 	fmt.Printf("estimated cost: ~%s cold (%d des", cost.Estimated.Round(time.Millisecond), cost.DESCells)
 	if cost.AnalyticalCells > 0 {
 		fmt.Printf(" + %d analytical", cost.AnalyticalCells)
-	}
-	if cost.ClosureCells > 0 {
-		fmt.Printf(" + %d closure (excluded from the estimate)", cost.ClosureCells)
 	}
 	fmt.Println(" cells; cache hits are free)")
 	for i, c := range cells {
@@ -347,15 +341,19 @@ func buildSpec(path, platforms, modes, workloads, waveguides string, sets []stri
 			spec.Workloads = append(spec.Workloads, strings.TrimSpace(w))
 		}
 	}
+	if spec.Overrides == nil {
+		spec.Overrides = batch.Overrides{}
+	}
 	if waveguides != "" {
-		spec.Waveguides = spec.Waveguides[:0]
+		var axis batch.Axis
 		for _, s := range strings.Split(waveguides, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n <= 0 {
 				return spec, fmt.Errorf("bad waveguide count %q", s)
 			}
-			spec.Waveguides = append(spec.Waveguides, n)
+			axis = append(axis, n)
 		}
+		spec.Overrides["optical.waveguides"] = axis
 	}
 	for _, kv := range sets {
 		path, vals, ok := strings.Cut(kv, "=")
@@ -365,9 +363,6 @@ func buildSpec(path, platforms, modes, workloads, waveguides string, sets []stri
 		var axis batch.Axis
 		for _, v := range strings.Split(vals, ",") {
 			axis = append(axis, strings.TrimSpace(v))
-		}
-		if spec.Overrides == nil {
-			spec.Overrides = batch.Overrides{}
 		}
 		spec.Overrides[strings.TrimSpace(path)] = axis
 	}

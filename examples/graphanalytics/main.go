@@ -42,7 +42,7 @@ func main() {
 		for _, p := range ladder {
 			cfg := config.Default(p, config.Planar)
 			cfg.MaxInstructions = 6000
-			rep, _, err := core.Run(nil, cfg, w)
+			rep, _, err := core.Run(nil, cfg, w, core.DefaultRun)
 			if err != nil {
 				log.Fatal(err)
 			}

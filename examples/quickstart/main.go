@@ -41,7 +41,7 @@ func main() {
 	if !ok {
 		log.Fatal("pagerank is not a Table II workload")
 	}
-	base, _, err := core.Run(nil, withInstr(config.Default(config.OhmBase, config.Planar), 8000), pagerank)
+	base, _, err := core.Run(nil, withInstr(config.Default(config.OhmBase, config.Planar), 8000), pagerank, core.DefaultRun)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func main() {
 
 	hetCfg := config.Default(config.Hetero, config.Planar)
 	hetCfg.MaxInstructions = instr
-	het, _, err := core.Run(nil, hetCfg, w)
+	het, _, err := core.Run(nil, hetCfg, w, core.DefaultRun)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func main() {
 			cfg := config.Default(p, config.Planar)
 			cfg.Optical.Waveguides = wg
 			cfg.MaxInstructions = instr
-			rep, _, err := core.Run(nil, cfg, w)
+			rep, _, err := core.Run(nil, cfg, w, core.DefaultRun)
 			if err != nil {
 				log.Fatal(err)
 			}

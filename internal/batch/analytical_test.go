@@ -1,12 +1,11 @@
 package batch
 
 import (
-	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/stats"
+	"repro/internal/core"
 	"repro/internal/twin"
 )
 
@@ -84,39 +83,18 @@ func TestRunnerAnalyticalCellMatchesTwin(t *testing.T) {
 	}
 }
 
-func TestAnalyticalExecutorCoercesCells(t *testing.T) {
-	r := &Runner{Workers: 2, Cache: NewMemCache()}
-	cfg := config.Default(config.Oracle, config.Planar)
-	cells := []Cell{{Config: cfg, Workload: "lud"}} // authored as DES
-	exec := AnalyticalExecutor{r}
-	reps, err := exec.RunContext(context.Background(), cells, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _ := config.WorkloadByName("lud")
-	want := twin.Estimate(&cfg, w)
-	if len(reps) != 1 || reps[0].Elapsed != want.Elapsed {
-		t.Fatalf("coerced cell did not run analytically: %+v vs %+v", reps[0], want)
-	}
-	if st := r.Stats(); st.Analytical != 1 {
-		t.Fatalf("Stats.Analytical = %d, want 1", st.Analytical)
-	}
-}
-
-func TestAnalyticalRejectsClosures(t *testing.T) {
-	stub := func(config.Config, string) (stats.Report, error) { return stats.Report{}, nil }
+// TestAnalyticalRejectsVariants: the twin models none of the run
+// variants, so an analytical variant cell fails instead of answering with
+// the default run's estimate under the variant's key.
+func TestAnalyticalRejectsVariants(t *testing.T) {
 	r := &Runner{Workers: 1, Cache: NewMemCache()}
-	cell := Cell{Config: config.Default(config.Oracle, config.Planar), Workload: "custom", RunFn: stub, Salt: "s"}
-
-	exec := AnalyticalExecutor{r}
-	if _, err := exec.RunContext(context.Background(), []Cell{cell}, nil); err == nil ||
-		!strings.Contains(err.Error(), "RunFn closure") {
-		t.Fatalf("AnalyticalExecutor accepted a closure cell: %v", err)
+	cell := Cell{Config: config.Default(config.Origin, config.Planar), Workload: "lud",
+		Exec: config.ExecAnalytical, Variant: core.InstantHost}
+	if _, err := r.Run([]Cell{cell}); err == nil || !strings.Contains(err.Error(), "run variant") {
+		t.Fatalf("Runner accepted an analytical variant cell: %v", err)
 	}
-
-	cell.Exec = config.ExecAnalytical
-	if _, err := r.Run([]Cell{cell}); err == nil || !strings.Contains(err.Error(), "RunFn closure") {
-		t.Fatalf("Runner accepted an analytical closure cell: %v", err)
+	if st := r.Stats(); st.Misses != 0 {
+		t.Fatalf("rejected cell counted as computed: %+v", st)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -45,7 +46,7 @@ func TestSpecCellsDeterministicOrder(t *testing.T) {
 		Platforms:       []config.Platform{config.OhmBase, config.OhmBW},
 		Modes:           []config.MemMode{config.Planar, config.TwoLevel},
 		Workloads:       []string{"lud", "sssp"},
-		Waveguides:      []int{1, 4},
+		Overrides:       Overrides{"optical.waveguides": {1, 4}},
 		MaxInstructions: 500,
 	}
 	cells := mustCells(t, spec)
@@ -98,7 +99,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Platforms:       []config.Platform{config.Origin, config.OhmWOM},
 		Modes:           []config.MemMode{config.TwoLevel},
 		Workloads:       []string{"pagerank"},
-		Waveguides:      []int{2, 8},
+		Overrides:       Overrides{"optical.waveguides": {2.0, 8.0}},
 		MaxInstructions: 1234,
 	}
 	data, err := json.Marshal(spec)
@@ -129,8 +130,8 @@ func TestCellKeyDiscriminates(t *testing.T) {
 	}
 	workload := base
 	workload.Workload = "sssp"
-	salt := base
-	salt.Salt = "variant"
+	variant := base
+	variant.Variant = core.SSDHost
 	knob := base
 	knob.Config.Optical.Waveguides = 3
 	instr := base
@@ -139,7 +140,7 @@ func TestCellKeyDiscriminates(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cell Cell
-	}{{"workload", workload}, {"salt", salt}, {"knob", knob}, {"instr", instr}} {
+	}{{"workload", workload}, {"variant", variant}, {"knob", knob}, {"instr", instr}} {
 		k, err := c.cell.Key()
 		if err != nil {
 			t.Fatal(err)
@@ -169,10 +170,10 @@ func runAll(t *testing.T, workers int, cache Cache, run RunFunc, cells []Cell) [
 
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	spec := SweepSpec{
-		Platforms:  []config.Platform{config.Origin, config.Hetero, config.OhmBW},
-		Modes:      config.AllModes(),
-		Workloads:  []string{"lud", "sssp", "pagerank"},
-		Waveguides: []int{1, 2},
+		Platforms: []config.Platform{config.Origin, config.Hetero, config.OhmBW},
+		Modes:     config.AllModes(),
+		Workloads: []string{"lud", "sssp", "pagerank"},
+		Overrides: Overrides{"optical.waveguides": {1, 2}},
 	}
 	cells := mustCells(t, spec)
 	serial := runAll(t, 1, nil, fakeRun, cells)
@@ -260,26 +261,38 @@ func TestWarmCacheSkipsSimulation(t *testing.T) {
 	}
 }
 
-func TestCustomRunFnCaching(t *testing.T) {
+// TestVariantCellsCache: a variant cell is an ordinary cached cell keyed
+// apart from its default sibling, and a fake RunFn never stands in for it
+// (RunFn cannot see the variant), so the variant runs core.Run once and
+// answers from the cache after that.
+func TestVariantCellsCache(t *testing.T) {
 	var calls atomic.Int64
-	custom := func(cfg config.Config, w string) (stats.Report, error) {
+	counting := func(cfg config.Config, w string) (stats.Report, error) {
 		calls.Add(1)
 		return fakeRun(cfg, w)
 	}
 	cfg := config.Default(config.OhmBW, config.Planar)
-	unsalted := Cell{Config: cfg, Workload: "lud", RunFn: custom}
-	salted := Cell{Config: cfg, Workload: "lud", Salt: "variant", RunFn: custom}
+	cfg.MaxInstructions = 300
+	plain := Cell{Config: cfg, Workload: "lud"}
+	probe := plain
+	probe.Variant = core.MergesProbe
 
-	r := &Runner{Workers: 1, Cache: NewMemCache()}
+	r := &Runner{Workers: 1, Cache: NewMemCache(), RunFn: counting}
+	var reps []stats.Report
 	for i := 0; i < 2; i++ {
-		if _, err := r.Run([]Cell{unsalted, salted}); err != nil {
+		var err error
+		if reps, err = r.Run([]Cell{plain, probe}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Unsalted closures are opaque: never cached, so they ran twice. The
-	// salted variant cached after its first run.
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("calls = %d, want 3 (2 unsalted + 1 salted)", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("RunFn calls = %d, want 1 (the plain cell only)", got)
+	}
+	if st := r.Stats(); st.Misses != 2 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 2 misses then 2 hits", st)
+	}
+	if _, ok := reps[1].Extra[core.ProbePrefix+"merges"]; !ok {
+		t.Fatalf("variant cell did not run its probe: %v", reps[1].Extra)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 const keyVersion = "ohm-batch-v1"
 
 // Key returns the cell's content address: a hash of the fully-resolved
-// configuration, the workload name and the variant salt — plus, for inline
+// configuration, the workload name and the run variant — plus, for inline
 // custom workloads, the full workload definition, so two custom workloads
 // sharing a name never collide. Table II cells hash exactly as they always
 // have, keeping caches warm across the spec redesign. Two cells with equal
@@ -44,7 +44,7 @@ func (c Cell) Key() (string, error) {
 	h.Write([]byte{0})
 	h.Write([]byte(c.Workload))
 	h.Write([]byte{0})
-	h.Write([]byte(c.Salt))
+	h.Write([]byte(c.Variant))
 	if c.Exec == config.ExecAnalytical {
 		// Salt analytical keys with the execution mode AND the twin's model
 		// version: estimates must never answer for simulations (or vice
@@ -63,13 +63,6 @@ func (c Cell) Key() (string, error) {
 		h.Write(def)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// cacheable reports whether the cell's key fully determines its result: a
-// default-run cell always is; a custom RunFn is opaque, so it must declare
-// a Salt naming its variant to opt in.
-func (c Cell) cacheable() bool {
-	return c.RunFn == nil || c.Salt != ""
 }
 
 // Cache stores marshaled stats.Report values under content-address keys.

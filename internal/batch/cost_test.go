@@ -5,53 +5,29 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/stats"
+	"repro/internal/core"
 )
 
-// TestEstimateCostClosureCells is the regression for the dry-run
-// mispricing bug: a closure (RunFn) cell used to be priced as a default
-// DES cell, so an experiment-driver batch dry-ran as if it were tens of
-// milliseconds of event loop per cell when the estimator has no idea what
-// the closure costs. Closures are now counted separately and excluded
-// from the estimate — the same stance the analytical executor takes when
-// it rejects closures outright.
-func TestEstimateCostClosureCells(t *testing.T) {
-	cfg := config.Default(config.OhmBase, config.Planar)
-	des := Cell{Config: cfg, Workload: "lud"}
-	ana := des
-	ana.Exec = config.ExecAnalytical
-	closure := Cell{RunFn: func(config.Config, string) (stats.Report, error) { return stats.Report{}, nil }}
-
-	ce := EstimateCost([]Cell{des, ana, closure})
-	if ce.Cells != 3 {
-		t.Fatalf("Cells = %d, want 3", ce.Cells)
+// TestEstimateCostVariantCells: a variant cell is a DES cell like any
+// other, so the dry run prices it as one.
+func TestEstimateCostVariantCells(t *testing.T) {
+	cfg := config.Default(config.Origin, config.Planar)
+	cells := []Cell{
+		{Config: cfg, Workload: "lud"},
+		{Config: cfg, Workload: "lud", Variant: core.SSDHost},
+		{Config: cfg, Workload: "lud", Variant: core.Phased(4)},
 	}
-	if ce.DESCells != 1 || ce.AnalyticalCells != 1 || ce.ClosureCells != 1 {
-		t.Fatalf("split = %d des / %d analytical / %d closure, want 1/1/1",
-			ce.DESCells, ce.AnalyticalCells, ce.ClosureCells)
+	ce := EstimateCost(cells)
+	if ce.Cells != 3 || ce.DESCells != 3 || ce.AnalyticalCells != 0 {
+		t.Fatalf("split = %+v, want 3 DES cells", ce)
 	}
-	want := DESCellCost + AnalyticalCellCost
-	if ce.Estimated != want {
-		t.Fatalf("Estimated = %v includes closure cells, want %v", ce.Estimated, want)
-	}
-
-	// A closure marked analytical is still a closure: the analytical
-	// executor rejects it before running, and the estimator must not
-	// price it as closed-form arithmetic either.
-	anaClosure := closure
-	anaClosure.Exec = config.ExecAnalytical
-	ce = EstimateCost([]Cell{anaClosure})
-	if ce.ClosureCells != 1 || ce.AnalyticalCells != 0 {
-		t.Fatalf("analytical closure counted as %d analytical / %d closure, want 0/1",
-			ce.AnalyticalCells, ce.ClosureCells)
-	}
-	if ce.Estimated != 0 {
-		t.Fatalf("Estimated = %v for a pure-closure list, want 0", ce.Estimated)
+	if want := 3 * DESCellCost; ce.Estimated != want {
+		t.Fatalf("Estimated = %v, want %v", ce.Estimated, want)
 	}
 }
 
-// TestEstimateCostPureSweep pins the ordinary path: no closures, the
-// split prices both tiers.
+// TestEstimateCostPureSweep pins the ordinary path: the split prices both
+// tiers.
 func TestEstimateCostPureSweep(t *testing.T) {
 	cfg := config.Default(config.OhmBase, config.Planar)
 	cells := []Cell{
@@ -60,9 +36,6 @@ func TestEstimateCostPureSweep(t *testing.T) {
 		{Config: cfg, Workload: "lud", Exec: config.ExecAnalytical},
 	}
 	ce := EstimateCost(cells)
-	if ce.ClosureCells != 0 {
-		t.Fatalf("ClosureCells = %d on a closure-free sweep", ce.ClosureCells)
-	}
 	if want := 2*DESCellCost + 1*AnalyticalCellCost; ce.Estimated != want {
 		t.Fatalf("Estimated = %v, want %v", ce.Estimated, want)
 	}

@@ -2,9 +2,7 @@ package batch
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -30,49 +28,20 @@ type LocalExecutor struct {
 
 var _ Executor = LocalExecutor{}
 
-// AnalyticalExecutor forces every cell through the closed-form analytical
-// twin regardless of the mode the cell was authored with: it is the "give
-// me the whole sweep as estimates" switch for design-space exploration,
-// where a 10^3x cheaper answer per cell is worth a ~10% error bar.
-// Coerced cells keep the Runner's cache (analytical keys are salted with
-// the twin's model version, so estimates and simulations never collide).
-// Closure-carrying cells have no config/workload for the twin to evaluate
-// and are rejected up front, before any cell runs.
-type AnalyticalExecutor struct {
-	*Runner
-}
-
-var _ Executor = AnalyticalExecutor{}
-
-// RunContext coerces the cells to analytical execution and runs them on
-// the wrapped Runner.
-func (a AnalyticalExecutor) RunContext(ctx context.Context, cells []Cell, progress Progress) ([]stats.Report, error) {
-	coerced := make([]Cell, len(cells))
-	for i, c := range cells {
-		if c.RunFn != nil {
-			return nil, fmt.Errorf("batch: cell %d (%s): analytical mode cannot evaluate a custom RunFn closure", i, c)
-		}
-		c.Exec = config.ExecAnalytical
-		coerced[i] = c
-	}
-	return a.Runner.RunContext(ctx, coerced, progress)
-}
-
 // RunCell resolves a single cell through the Runner's full machinery —
 // cache lookup, single-flight, the process-wide simulation semaphore —
 // and reports whether it was served without simulating here. It is the
-// per-cell entry point the distributed dispatcher uses for cells it
-// executes locally (closure-carrying cells can't be shipped, and the
-// coordinator may run cells itself alongside remote workers).
+// per-cell entry point the distributed dispatcher uses for the analytical
+// cells it resolves locally.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, bool, error) {
 	rep, hit, _, err := r.runCell(ctx, c)
 	return rep, hit, err
 }
 
 // RunCellTimed is RunCell plus the cell's phase split — zero when the
-// cell was served from cache, joined an in-flight simulation or ran an
-// opaque custom RunFn. Remote workers use it to ship the breakdown back
-// to the coordinator with the result.
+// cell was served from cache, joined an in-flight simulation, was
+// estimated by the twin or ran under Runner.RunFn. Remote workers use it
+// to ship the breakdown back to the coordinator with the result.
 func (r *Runner) RunCellTimed(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
 	return r.runCell(ctx, c)
 }

@@ -45,10 +45,8 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		// Every expanded cell must be keyable (the cache depends on it).
 		for i := range cells {
-			if cells[i].RunFn == nil {
-				if _, err := cells[i].Key(); err != nil {
-					t.Fatalf("cell %d unkeyable: %v", i, err)
-				}
+			if _, err := cells[i].Key(); err != nil {
+				t.Fatalf("cell %d unkeyable: %v", i, err)
 			}
 		}
 	})

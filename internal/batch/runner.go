@@ -37,10 +37,11 @@ type Runner struct {
 	// Cache, when non-nil, short-circuits cells whose content address has a
 	// stored report and stores fresh results.
 	Cache Cache
-	// RunFn executes a name-resolved cell without its own RunFn; nil means
-	// core.Run on the Table II workload the name selects. Cells carrying an
-	// inline WorkloadDef bypass it and always simulate their definition.
-	// Tests inject counters here to prove warm-cache runs never simulate.
+	// RunFn, when non-nil, replaces the simulation of every cell its
+	// (config, name) arguments describe whole: a named workload run as the
+	// default variant. Cells carrying an inline WorkloadDef or a Variant
+	// bypass it and always run core.Run. Tests inject fakes and counters
+	// here to prove warm-cache runs never simulate.
 	RunFn RunFunc
 
 	hits       atomic.Uint64
@@ -160,19 +161,16 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 	// cells then borrow the one resident trace from the registry, and its
 	// LRU bound cannot evict a sweep's trace between two cells that share
 	// it (which would generate it twice). Pinning is an upper bound — a
-	// cell served from the result cache never touches its trace — and
-	// RunFn cells are opaque, so they are not pinned.
+	// cell served from the result cache, or running a phased trace, never
+	// touches the registry.
 	var pins trace.Pins
 	defer pins.Release()
 	for i := range cells {
 		c := &cells[i]
-		if c.RunFn != nil || c.Exec == config.ExecAnalytical {
-			// RunFn cells are opaque; analytical cells never read a trace —
-			// the twin evaluates the trace's distribution in closed form.
+		if c.Exec == config.ExecAnalytical || r.fakes(c) {
+			// Analytical cells never read a trace — the twin evaluates the
+			// trace's distribution in closed form — and RunFn is opaque.
 			continue
-		}
-		if c.WorkloadDef == nil && r.RunFn != nil {
-			continue // Runner.RunFn is opaque too
 		}
 		if w, ok := c.definition(); ok {
 			pins.Add(w, &c.Config)
@@ -292,7 +290,7 @@ func (r *Runner) NoteExternalResolve(exec config.ExecMode, shared bool) {
 // served without simulating here (cache hit or shared in-flight result).
 func (r *Runner) resolveCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
 	var key string
-	if r.Cache != nil && c.cacheable() {
+	if r.Cache != nil {
 		k, err := c.Key()
 		if err != nil {
 			return stats.Report{}, false, obs.Phases{}, err
@@ -393,16 +391,13 @@ joinFlight:
 // miss counter is bumped only once a slot is held: a cell abandoned by
 // cancellation while queued for a slot never simulated, and Stats.Misses
 // documents "misses that ran a simulation". The phase split is measured
-// for the default simulation paths; a custom RunFn is opaque, so its
-// phases stay zero and only the cell's wall time is observable.
+// by core.Run; a fake RunFn is opaque, so its phases stay zero and only
+// the cell's wall time is observable.
 //
-// The default paths build the platform into a pooled core.RunState, so
+// core.Run builds the platform into a pooled core.RunState, so
 // consecutive cells on one worker reuse the previous cell's device arrays
 // and arenas instead of reallocating them. Reports are value snapshots,
 // so releasing the state after the run never aliases a returned report.
-// RunFn cells bypass the pool: a closure's construction is opaque, so
-// there is nothing to rebuild in place; the experiment closures build into
-// a new RunState through the same code (see docs/reference/pooling.md).
 func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
 	if c.Exec == config.ExecAnalytical {
 		return r.estimate(ctx, c)
@@ -413,17 +408,8 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	defer r.release()
 	r.misses.Add(1)
 	mCacheMisses.Inc()
-	run := c.RunFn
-	if run == nil && c.WorkloadDef == nil {
-		// A cell carrying an inline workload definition is self-describing:
-		// it always simulates from that definition. Routing it through
-		// Runner.RunFn — which only sees the workload *name* — would run
-		// the Table II namesake (or fail on an unknown name) while the
-		// cache keyed on the custom definition.
-		run = r.RunFn
-	}
-	if run != nil {
-		rep, err := run(c.Config, c.Workload)
+	if r.fakes(&c) {
+		rep, err := r.RunFn(c.Config, c.Workload)
 		return rep, obs.Phases{}, err
 	}
 	w, ok := c.definition()
@@ -433,23 +419,31 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	}
 	st := core.AcquireRunState()
 	defer core.ReleaseRunState(st)
-	return core.Run(st, c.Config, w)
+	return core.Run(st, c.Config, w, c.Variant)
+}
+
+// fakes reports whether RunFn runs the cell. A cell with an inline
+// definition or a variant always simulates: RunFn sees only the workload
+// *name*, so it would run the Table II namesake's default cell while the
+// cache keyed on what the cell actually says.
+func (r *Runner) fakes(c *Cell) bool {
+	return r.RunFn != nil && c.WorkloadDef == nil && c.Variant == core.DefaultRun
 }
 
 // estimate resolves an analytical cell through the closed-form twin. The
 // twin takes the same inputs a simulation would — resolved config plus a
-// workload definition — so a closure-valued RunFn has nothing to hand it
-// and is rejected rather than silently simulated under an analytical
-// label. Estimates still take a simulation slot and count as misses: the
-// accounting invariant is "misses computed a result here", not "misses
-// ran the event loop", and a slot held for ~20µs costs nothing.
+// workload definition — and models none of the run variants, so a variant
+// cell is rejected rather than estimated as the default run under its
+// variant's key. Estimates still take a simulation slot and count as
+// misses: the accounting invariant is "misses computed a result here", not
+// "misses ran the event loop", and a slot held for ~20µs costs nothing.
 func (r *Runner) estimate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
-	if c.RunFn != nil {
-		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode cannot evaluate a custom RunFn closure; use a workload name or inline definition")
+	if c.Variant != core.DefaultRun {
+		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode cannot evaluate run variant %q; variants are DES-only", c.Variant)
 	}
 	w, ok := c.definition()
 	if !ok {
-		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q (custom runners are DES-only)", c.Workload)
+		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: analytical mode: unknown workload %q", c.Workload)
 	}
 	if err := r.acquire(ctx); err != nil {
 		return stats.Report{}, obs.Phases{}, err

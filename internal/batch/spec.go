@@ -18,16 +18,14 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
 // Cell is one fully-resolved simulation to run: a complete config plus a
-// workload. The zero RunFn means core.Run on the Table II workload the
-// name selects (or, when WorkloadDef is set, on that inline workload
-// definition); experiments install closures when a cell needs a custom
-// host model or trace, in which case Salt must name the variant for the
-// result cache (an empty Salt disables caching for that cell, since the
-// key cannot see inside a closure).
+// workload, run by core.Run on the Table II workload the name selects (or,
+// when WorkloadDef is set, on that inline workload definition) as the
+// cell's Variant.
 type Cell struct {
 	Index    int             `json:"index"`
 	Platform config.Platform `json:"-"`
@@ -47,11 +45,14 @@ type Cell struct {
 	// applied (the Config already reflects them); it labels result rows and
 	// never contributes to the cache key.
 	Overrides map[string]interface{} `json:"overrides,omitempty"`
-	Salt      string                 `json:"salt,omitempty"`
-	RunFn     RunFunc                `json:"-"`
+	// Variant selects a figure or ablation run (another host link, a
+	// phased trace, a probe counter); the zero value is the default run.
+	// The cache key covers it. Its JSON name is "salt", the name the dist
+	// wire has always used for it.
+	Variant core.Variant `json:"salt,omitempty"`
 }
 
-// RunFunc executes one cell and returns its report.
+// RunFunc executes one cell and returns its report (see Runner.RunFn).
 type RunFunc func(cfg config.Config, workload string) (stats.Report, error)
 
 // definition returns the workload the cell runs: its inline definition,
@@ -71,8 +72,8 @@ func (c Cell) String() string {
 	if len(c.Overrides) > 0 {
 		s += "@" + overridesLabel(c.Overrides)
 	}
-	if c.Salt != "" {
-		s += "#" + c.Salt
+	if c.Variant != core.DefaultRun {
+		s += "#" + string(c.Variant)
 	}
 	return s
 }
@@ -141,12 +142,6 @@ type SweepSpec struct {
 	// {"optical.waveguides": [1,2,4], "xpoint.write_latency_ns": 900}.
 	Overrides Overrides `json:"overrides,omitempty"`
 
-	// Waveguides sweeps the optical waveguide count (Figure 20a's axis).
-	//
-	// Deprecated: alias for Overrides["optical.waveguides"]; kept for
-	// existing spec files and callers.
-	Waveguides []int `json:"waveguides,omitempty"`
-
 	// MaxInstructions overrides the per-warp instruction budget on every
 	// cell; 0 keeps the config default. (Equivalent to a single-valued
 	// "max_instructions" override axis.)
@@ -160,7 +155,6 @@ type specJSON struct {
 	Workloads       []string          `json:"workloads,omitempty"`
 	CustomWorkloads []config.Workload `json:"custom_workloads,omitempty"`
 	Overrides       Overrides         `json:"overrides,omitempty"`
-	Waveguides      []int             `json:"waveguides,omitempty"`
 	MaxInstructions int               `json:"max_instructions,omitempty"`
 }
 
@@ -170,7 +164,6 @@ func (s SweepSpec) MarshalJSON() ([]byte, error) {
 		Workloads:       s.Workloads,
 		CustomWorkloads: s.CustomWorkloads,
 		Overrides:       s.Overrides,
-		Waveguides:      s.Waveguides,
 		MaxInstructions: s.MaxInstructions,
 	}
 	for _, p := range s.Platforms {
@@ -200,7 +193,6 @@ func (s *SweepSpec) UnmarshalJSON(data []byte) error {
 		Workloads:       w.Workloads,
 		CustomWorkloads: w.CustomWorkloads,
 		Overrides:       w.Overrides,
-		Waveguides:      w.Waveguides,
 		MaxInstructions: w.MaxInstructions,
 	}
 	for _, name := range w.Platforms {
@@ -262,14 +254,13 @@ func ParseSpec(data []byte) (SweepSpec, error) {
 		Modes           json.RawMessage `json:"modes"`
 		Workloads       json.RawMessage `json:"workloads"`
 		CustomWorkloads json.RawMessage `json:"custom_workloads"`
-		Waveguides      json.RawMessage `json:"waveguides"`
 
 		Overrides json.RawMessage `json:"overrides"`
 	}
 	if err := json.Unmarshal(data, &probe); err == nil {
 		scenario := probe.Preset != nil || probe.Mode != nil || probe.Workload != nil
 		sweep := probe.Platforms != nil || probe.Modes != nil || probe.Workloads != nil ||
-			probe.CustomWorkloads != nil || probe.Waveguides != nil
+			probe.CustomWorkloads != nil
 		switch {
 		case scenario:
 			var sc config.Spec
@@ -345,14 +336,13 @@ func (s SweepSpec) withDefaults() SweepSpec {
 // expands untrusted specs at submission).
 const MaxCells = 1 << 18
 
-// overrideCombos expands the override axes (deprecated Waveguides folded
-// in) into the deterministic list of per-cell patches: paths sorted, the
-// first path's axis outermost. A spec with no overrides yields one empty
-// combo. Paths are normalized (lower-case, trimmed) the same way
-// config.Set resolves them, so two spellings of one path are a loud
-// conflict instead of a silent clobber.
+// overrideCombos expands the override axes into the deterministic list of
+// per-cell patches: paths sorted, the first path's axis outermost. A spec
+// with no overrides yields one empty combo. Paths are normalized
+// (lower-case, trimmed) the same way config.Set resolves them, so two
+// spellings of one path are a loud conflict instead of a silent clobber.
 func (s SweepSpec) overrideCombos() ([]map[string]interface{}, error) {
-	ov := make(Overrides, len(s.Overrides)+1)
+	ov := make(Overrides, len(s.Overrides))
 	for p, a := range s.Overrides {
 		key := strings.ToLower(strings.TrimSpace(p))
 		if len(a) == 0 {
@@ -362,16 +352,6 @@ func (s SweepSpec) overrideCombos() ([]map[string]interface{}, error) {
 			return nil, fmt.Errorf("batch: override path %q given twice (spellings are case-insensitive)", key)
 		}
 		ov[key] = a
-	}
-	if len(s.Waveguides) > 0 {
-		if _, dup := ov["optical.waveguides"]; dup {
-			return nil, fmt.Errorf("batch: both the deprecated waveguides field and overrides[%q] are set", "optical.waveguides")
-		}
-		ax := make(Axis, len(s.Waveguides))
-		for i, wg := range s.Waveguides {
-			ax[i] = wg
-		}
-		ov["optical.waveguides"] = ax
 	}
 	if s.MaxInstructions > 0 {
 		if _, dup := ov["max_instructions"]; dup {
@@ -522,15 +502,10 @@ const (
 // CostEstimate is a dry-run's view of what a spec will cost to execute
 // cold: the per-mode cell split and the serial compute estimate (divide by
 // the worker count for wall clock; cache hits make real runs cheaper).
-// Closure cells (experiment-driver RunFn) run arbitrary code the estimator
-// cannot price: they are counted and loudly excluded from Estimated rather
-// than silently mispriced as standard DES cells — the same honesty the
-// analytical executor applies when it rejects closures outright.
 type CostEstimate struct {
 	Cells           int           `json:"cells"`
 	DESCells        int           `json:"des_cells"`
 	AnalyticalCells int           `json:"analytical_cells"`
-	ClosureCells    int           `json:"closure_cells,omitempty"`
 	Estimated       time.Duration `json:"estimated_cost_ns"`
 }
 
@@ -539,12 +514,9 @@ func EstimateCost(cells []Cell) CostEstimate {
 	var ce CostEstimate
 	ce.Cells = len(cells)
 	for _, c := range cells {
-		switch {
-		case c.RunFn != nil:
-			ce.ClosureCells++
-		case c.Exec == config.ExecAnalytical:
+		if c.Exec == config.ExecAnalytical {
 			ce.AnalyticalCells++
-		default:
+		} else {
 			ce.DESCells++
 		}
 	}

@@ -11,11 +11,13 @@
 //	fmt.Println(rep.IPC, rep.MeanLatency)
 //
 // A caller that needs only the report (and its phase timings) makes one
-// call, reusing a pooled state across cells:
+// call, reusing a pooled state across cells. The Variant picks one of the
+// figure and ablation runs — another host link, a phased trace, a probe
+// counter — or, as DefaultRun, the plain cell:
 //
 //	st := core.AcquireRunState()
 //	defer core.ReleaseRunState(st)
-//	rep, phases, err := core.Run(st, cfg, w)
+//	rep, phases, err := core.Run(st, cfg, w, core.DefaultRun)
 package core
 
 import (
@@ -27,6 +29,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/hmem"
 	"repro/internal/obs"
+	"repro/internal/ssd"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -48,15 +51,15 @@ type System struct {
 // using the default PCIe host link for spill traffic. A nil st means a new,
 // empty state.
 func NewSystemIn(st *RunState, cfg config.Config) (*System, error) {
-	return NewSystemWithHostIn(st, cfg, nil)
+	return newSystem(st, cfg, nil)
 }
 
-// NewSystemWithHostIn is NewSystemIn with a custom host/storage link (the
-// Figure 3 experiments pass an SSD model and an instant link here). A new
-// state and a recycled one take the same path: the components are
-// reinitialized through their NewIn constructors from the state's pools,
-// which is what guarantees a pooled System produces byte-identical reports.
-func NewSystemWithHostIn(st *RunState, cfg config.Config, host hmem.HostLink) (*System, error) {
+// newSystem is NewSystemIn with a host/storage link for Origin's spill
+// path (nil means the default PCIe model). A new state and a recycled one
+// take the same path: the components are reinitialized through their NewIn
+// constructors from the state's pools, which is what guarantees a pooled
+// System produces byte-identical reports.
+func newSystem(st *RunState, cfg config.Config, host hmem.HostLink) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -111,27 +114,49 @@ func (s *System) RunWorkload(name string) (stats.Report, error) {
 
 // Run builds cfg's platform into st (nil means a new state) and runs the
 // workload definition w on it — a Table II entry or an inline custom
-// workload. The trace registry keys on the full definition, so two custom
-// workloads sharing a name get distinct traces, and a definition equal to
-// a Table II entry shares that entry's trace.
+// workload — as variant v. The variant picks the host link (default PCIe,
+// the scaled SSD or a zero-cost link), the trace (the registry's shared
+// one, or a private phased one) and the counters folded into Extra; an
+// unknown variant is an error. The trace registry keys on the full
+// definition, so two custom workloads sharing a name get distinct traces,
+// and a definition equal to a Table II entry shares that entry's trace.
 //
 // Alongside the report, Run returns the wall-clock split of the cell's
 // three phases: platform construction, trace generation (near zero when
 // the registry already holds the trace) and the discrete-event loop.
 // Timing rides alongside, never inside, the pinned stats.Report.
-func Run(st *RunState, cfg config.Config, w config.Workload) (stats.Report, obs.Phases, error) {
+func Run(st *RunState, cfg config.Config, w config.Workload, v Variant) (stats.Report, obs.Phases, error) {
 	var ph obs.Phases
+	phases, err := v.phases()
+	if err != nil {
+		return stats.Report{}, ph, err
+	}
 	t := time.Now()
-	sys, err := NewSystemIn(st, cfg)
+	var host hmem.HostLink
+	var dev *ssd.Device
+	switch v {
+	case SSDHost:
+		dev = ssd.New(fig3SSD())
+		host = dev
+	case InstantHost:
+		host = instantHost{}
+	}
+	sys, err := newSystem(st, cfg, host)
 	ph.PlatformBuild = time.Since(t)
 	if err != nil {
 		return stats.Report{}, ph, err
 	}
 	t = time.Now()
-	tr := trace.Cached(w, &sys.Cfg)
+	var tr *trace.Trace
+	if phases > 0 {
+		tr = trace.GeneratePhased(w, &sys.Cfg, phases)
+	} else {
+		tr = trace.Cached(w, &sys.Cfg)
+	}
 	ph.TraceGen = time.Since(t)
 	t = time.Now()
 	rep := sys.RunTrace(tr)
 	ph.EventLoop = time.Since(t)
+	sys.fold(v, dev, rep.Extra)
 	return rep, ph, nil
 }

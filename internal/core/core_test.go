@@ -40,7 +40,7 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 	if _, err := NewSystemIn(nil, cfg); err == nil {
 		t.Fatal("accepted invalid config")
 	}
-	if _, _, err := Run(nil, cfg, config.Workloads()[0]); err == nil {
+	if _, _, err := Run(nil, cfg, config.Workloads()[0], DefaultRun); err == nil {
 		t.Fatal("Run accepted invalid config")
 	}
 }
@@ -167,7 +167,7 @@ func TestRun(t *testing.T) {
 		}
 		for _, w := range []config.Workload{lud, inline} {
 			for _, s := range []*RunState{nil, st} {
-				rep, ph, err := Run(s, cfg, w)
+				rep, ph, err := Run(s, cfg, w, DefaultRun)
 				if err != nil || rep.Instructions == 0 {
 					t.Fatalf("%s/%s: Run: %v %+v", m, w.Name, err, rep)
 				}

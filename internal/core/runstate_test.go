@@ -17,12 +17,17 @@ import (
 // between the two. The shuffle makes each CI run exercise a different
 // platform/mode adjacency (the spare-stash and scrub paths depend on what
 // the previous cell left behind); the seed is logged so a failure
-// reproduces.
+// reproduces. One cell per run variant covers what default reports cannot
+// see: a recycled state after a non-default host link, XPoint wear read
+// back after the scrub, and a probe of a component the platform lacks.
 func TestPooledRunsByteIdentical(t *testing.T) {
 	type cell struct {
 		p config.Platform
 		m config.MemMode
 		w config.Workload
+		v Variant
+		// knob, when set, turns on what the cell's probe counts.
+		knob func(*config.Config)
 	}
 	table := func(name string) config.Workload {
 		w, ok := config.WorkloadByName(name)
@@ -47,6 +52,16 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 		cell{p: config.Origin, m: config.Planar, w: table("backp")},
 		cell{p: config.Hetero, m: config.TwoLevel, w: table("lud")},
 		cell{p: config.OhmBase, m: config.Planar, w: custom},
+		cell{p: config.Origin, m: config.Planar, w: table("backp"), v: SSDHost},
+		cell{p: config.Origin, m: config.Planar, w: table("bfstopo"), v: InstantHost},
+		cell{p: config.OhmBW, m: config.Planar, w: table("backp"), v: WearProbe},
+		cell{p: config.OhmBW, m: config.Planar, w: table("lud"), v: MaxWearProbe},
+		cell{p: config.OhmBW, m: config.Planar, w: table("sssp"), v: MergesProbe,
+			knob: func(c *config.Config) { c.GPU.MSHREntries = 64 }},
+		cell{p: config.OhmBW, m: config.Planar, w: table("pagerank"), v: BorrowsProbe,
+			knob: func(c *config.Config) { c.Optical.DynamicDivision = true }},
+		cell{p: config.Hetero, m: config.Planar, w: table("pagerank"), v: BorrowsProbe},
+		cell{p: config.OhmBase, m: config.Planar, w: table("bfstopo"), v: Phased(4)},
 	)
 	seed := time.Now().UnixNano()
 	t.Logf("shuffle seed %d", seed)
@@ -57,9 +72,12 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 	defer ReleaseRunState(st)
 	for _, c := range cells {
 		cfg := fastCfg(c.p, c.m)
-		label := c.p.String() + "/" + c.m.String() + "/" + c.w.Name
+		if c.knob != nil {
+			c.knob(&cfg)
+		}
+		label := c.p.String() + "/" + c.m.String() + "/" + c.w.Name + "#" + string(c.v)
 		run := func(dst *RunState) []byte {
-			rep, _, err := Run(dst, cfg, c.w)
+			rep, _, err := Run(dst, cfg, c.w, c.v)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -101,5 +119,35 @@ func TestPooledRebuildAllocs(t *testing.T) {
 	// real regression hide.
 	if warm > 8 {
 		t.Fatalf("warm NewSystemIn allocates %.0f objects per rebuild, want <= 8", warm)
+	}
+}
+
+// TestPooledHostLinkRecycling pins an adjacency the shuffled grid above
+// only sometimes draws: a default Origin cell built into a state whose
+// previous cell staged over the SSD or the zero-cost link must stage over
+// PCIe again, exactly as a new state does.
+func TestPooledHostLinkRecycling(t *testing.T) {
+	w, _ := config.WorkloadByName("backp")
+	cfg := fastCfg(config.Origin, config.Planar)
+	report := func(st *RunState, v Variant) []byte {
+		t.Helper()
+		rep, _, err := Run(st, cfg, w, v)
+		if err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+		out, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fresh := report(nil, DefaultRun)
+	st := AcquireRunState()
+	defer ReleaseRunState(st)
+	for _, v := range []Variant{SSDHost, InstantHost} {
+		report(st, v)
+		if got := report(st, DefaultRun); !bytes.Equal(got, fresh) {
+			t.Errorf("default Origin cell after a %q cell diverges from a new state\nnew:      %s\nrecycled: %s", v, fresh, got)
+		}
 	}
 }

@@ -44,7 +44,7 @@ const localHolder = "local"
 // key share one task, one lease, one simulation.
 type Dispatcher struct {
 	// Runner supplies the shared result cache, the local execution slots
-	// and the closure fallback (cells carrying a RunFn cannot travel).
+	// and the analytical cells' local path.
 	Runner *batch.Runner
 	// LeaseTTL is how long a lease survives without a heartbeat; 0 means
 	// DefaultLeaseTTL. Set before the first use.
@@ -305,10 +305,9 @@ var _ batch.Executor = (*Dispatcher)(nil)
 
 // RunContext executes cells with Runner.RunContext's contract: reports
 // positionally aligned, progress serialized, the error of the
-// lowest-indexed failing cell, drain-on-cancel. Cacheable closure-free
-// cells go through the distributed queue (local consumers and remote
-// workers race for them); cells carrying a RunFn closure execute on the
-// local runner, which is the only place the closure exists.
+// lowest-indexed failing cell, drain-on-cancel. Simulated cells go
+// through the distributed queue (local consumers and remote workers race
+// for them); analytical cells resolve on the local runner.
 func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progress batch.Progress) ([]stats.Report, error) {
 	d.start()
 	call := &callState{
@@ -326,12 +325,10 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 			call.resolveSkip(i, err)
 			continue
 		}
-		if c.RunFn != nil || c.Exec == config.ExecAnalytical {
-			// Closure cells can't be serialized; run them on the local
-			// runner, which still gives them the cache and single-flight
-			// (salted cells) or direct execution (unsalted). Analytical
-			// cells short-circuit to local execution too: a ~20us estimate
-			// costs less than one round trip of lease-queue transport.
+		if c.Exec == config.ExecAnalytical {
+			// A ~20us estimate costs less than one round trip of
+			// lease-queue transport, so analytical cells run on the local
+			// runner, which still gives them the cache and single-flight.
 			go func(i int, c batch.Cell) {
 				rep, hit, err := d.Runner.RunCell(ctx, c)
 				call.resolve(i, rep, hit, err)

@@ -298,28 +298,39 @@ func TestDistributedSweepMatchesSingleProcess(t *testing.T) {
 }
 
 // TestDistributedFig16MatchesGolden runs the acceptance scenario with
-// real simulations: a fig16 -quick experiment dispatched to two workers
-// must be byte-identical to the committed golden report (which the
-// single-process golden test also pins).
+// real simulations: an experiment at -quick dispatched to two workers must
+// be byte-identical to its committed golden report (which the
+// single-process golden test also pins). Besides fig16, every driver whose
+// cells run a core.Variant — another host link, a phased trace, a probe —
+// goes through the pure dispatcher too, and the coordinator's own runner
+// must simulate nothing: every variant cell travels.
 func TestDistributedFig16MatchesGolden(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "fig16.json"))
-	if err != nil {
-		t.Skipf("golden corpus not built yet: %v", err)
-	}
-	c := newCluster(t, -1, func(d *dist.Dispatcher) {
-		d.LeaseTTL = 10 * time.Second // real cells can take a while under -race
-	})
-	c.runner.RunFn = nil // real simulations end to end
-	startWorker(t, c.ts.URL, nil, 2)
-	startWorker(t, c.ts.URL, nil, 2)
+	for _, id := range []string{"fig16", "fig3a", "fig3b", "endurance",
+		"abl-startgap", "abl-mshr", "abl-division", "abl-phases"} {
+		t.Run(id, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", id+".json"))
+			if err != nil {
+				t.Skipf("golden corpus not built yet: %v", err)
+			}
+			c := newCluster(t, -1, func(d *dist.Dispatcher) {
+				d.LeaseTTL = 10 * time.Second // real cells can take a while under -race
+			})
+			c.runner.RunFn = nil // real simulations end to end
+			startWorker(t, c.ts.URL, nil, 2)
+			startWorker(t, c.ts.URL, nil, 2)
 
-	id := c.submit(`{"experiment":"fig16","params":{"quick":true}}`)
-	st := c.wait(id, 5*time.Minute)
-	if st.State != serve.StateDone {
-		t.Fatalf("job: %s (%s)", st.State, st.Error)
-	}
-	if got := c.result(id); !bytes.Equal(got, golden) {
-		t.Fatalf("distributed fig16 differs from golden (%d vs %d bytes)", len(got), len(golden))
+			jobID := c.submit(`{"experiment":"` + id + `","params":{"quick":true}}`)
+			st := c.wait(jobID, 5*time.Minute)
+			if st.State != serve.StateDone {
+				t.Fatalf("job: %s (%s)", st.State, st.Error)
+			}
+			if got := c.result(jobID); !bytes.Equal(got, golden) {
+				t.Fatalf("distributed %s differs from golden (%d vs %d bytes)", id, len(got), len(golden))
+			}
+			if rs := c.runner.Stats(); rs.Misses != 0 {
+				t.Fatalf("pure dispatcher simulated %d cells on the coordinator, want 0", rs.Misses)
+			}
+		})
 	}
 }
 
@@ -444,7 +455,7 @@ func TestWireCellRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		wire, err := json.Marshal(dist.WireCell{TaskID: "x", Key: key, Workload: cell.Workload,
-			WorkloadDef: cell.WorkloadDef, Salt: cell.Salt, Config: cell.Config})
+			WorkloadDef: cell.WorkloadDef, Variant: cell.Variant, Config: cell.Config})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -55,10 +56,9 @@ type LeaseResponse struct {
 }
 
 // WireCell is one leased cell on the wire: the fully-resolved
-// configuration plus workload identity — everything a worker needs to
-// reconstruct the exact batch.Cell and reproduce its cache key. Cells
-// carrying Go closures (experiment RunFn variants) never travel; the
-// dispatcher runs those locally.
+// configuration plus workload identity and run variant — everything a
+// worker needs to reconstruct the exact batch.Cell and reproduce its
+// cache key.
 type WireCell struct {
 	// TaskID names the lease; Complete echoes it.
 	TaskID string `json:"task_id"`
@@ -69,8 +69,9 @@ type WireCell struct {
 	Workload string `json:"workload"`
 	// WorkloadDef is the inline definition for custom workloads.
 	WorkloadDef *config.Workload `json:"workload_def,omitempty"`
-	// Salt is the cell's variant salt (empty for plain cells).
-	Salt string `json:"salt,omitempty"`
+	// Variant is the cell's run variant (empty for the default run). A
+	// worker that does not know it fails the cell rather than run it.
+	Variant core.Variant `json:"salt,omitempty"`
 	// Config is the fully-resolved configuration (it JSON round-trips
 	// losslessly, which is also what the cache key hashes).
 	Config config.Config `json:"config"`
@@ -83,7 +84,7 @@ func (w WireCell) Cell() batch.Cell {
 		Mode:        w.Config.Mode,
 		Workload:    w.Workload,
 		WorkloadDef: w.WorkloadDef,
-		Salt:        w.Salt,
+		Variant:     w.Variant,
 		Config:      w.Config,
 	}
 }
@@ -95,7 +96,7 @@ func wireCell(taskID, key string, c batch.Cell) WireCell {
 		Key:         key,
 		Workload:    c.Workload,
 		WorkloadDef: c.WorkloadDef,
-		Salt:        c.Salt,
+		Variant:     c.Variant,
 		Config:      c.Config,
 	}
 }

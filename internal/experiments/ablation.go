@@ -8,8 +8,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: design choices
@@ -17,13 +15,9 @@ import (
 // runs the Ohm-BW planar platform with one knob varied and reports the IPC
 // and wear/latency consequences. Every ablation submits its settings to the
 // batch runner as one parallel sweep; settings that need simulator
-// internals (wear counters, MSHR merges, VC borrows) export them through
-// the report's Extra map under the ablExtraPrefix namespace.
-
-// ablExtraPrefix namespaces ablation metrics inside stats.Report.Extra so
-// they survive the result cache and are separable from the run-wide extras
-// (cache hit rates) every report carries.
-const ablExtraPrefix = "abl:"
+// internals (wear counters, MSHR merges, VC borrows) run as core probe
+// variants, which export them through the report's Extra map under
+// core.ProbePrefix so they survive the result cache.
 
 // AblationRow is one knob setting's outcome.
 type AblationRow struct {
@@ -77,8 +71,8 @@ func ablationResult(o Options, title string, acs []ablationCell) (*AblationResul
 	for i, rep := range reps {
 		extra := map[string]float64{}
 		for k, v := range rep.Extra {
-			if strings.HasPrefix(k, ablExtraPrefix) {
-				extra[strings.TrimPrefix(k, ablExtraPrefix)] = v
+			if name, ok := strings.CutPrefix(k, core.ProbePrefix); ok {
+				extra[name] = v
 			}
 		}
 		res.Rows = append(res.Rows, AblationRow{
@@ -129,29 +123,6 @@ func AblationPageSize(o Options, workload string) (*AblationResult, error) {
 	return ablationResult(o, "Ablation — migration page size (Ohm-BW, planar, "+workload+")", acs)
 }
 
-// runMaxWear executes a cell's config and folds the worst per-line XPoint
-// wear across controllers into the report.
-func runMaxWear(cfg config.Config, workload string) (stats.Report, error) {
-	sys, err := core.NewSystemIn(nil, cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	rep, err := sys.RunWorkload(workload)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	var maxWear uint64
-	for mc := 0; mc < cfg.GPU.MemCtrls; mc++ {
-		if xc := sys.Mem.XPointAt(mc); xc != nil {
-			if w := xc.Wear().Max; w > maxWear {
-				maxWear = w
-			}
-		}
-	}
-	rep.Extra[ablExtraPrefix+"max-wear"] = float64(maxWear)
-	return rep, nil
-}
-
 // AblationStartGap compares Start-Gap wear levelling against a static
 // layout: performance cost vs maximum wear.
 func AblationStartGap(o Options, workload string) (*AblationResult, error) {
@@ -163,7 +134,7 @@ func AblationStartGap(o Options, workload string) (*AblationResult, error) {
 			setting = "disabled"
 		}
 		cell := ohmBWCell(o, workload, func(c *config.Config) { c.XPoint.StartGapK = k })
-		cell.Salt, cell.RunFn = "abl-max-wear", runMaxWear
+		cell.Variant = core.MaxWearProbe
 		acs = append(acs, ablationCell{setting: setting, cell: cell})
 	}
 	return ablationResult(o, "Ablation — Start-Gap wear levelling (Ohm-BW, planar, "+workload+")", acs)
@@ -171,18 +142,6 @@ func AblationStartGap(o Options, workload string) (*AblationResult, error) {
 
 // AblationMSHR quantifies L2 miss coalescing.
 func AblationMSHR(o Options, workload string) (*AblationResult, error) {
-	runMerges := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystemIn(nil, cfg)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep, err := sys.RunWorkload(w)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep.Extra[ablExtraPrefix+"merges"] = float64(sys.GPU.MSHRMerges)
-		return rep, nil
-	}
 	var acs []ablationCell
 	for _, entries := range []int{0, 16, 64, 256} {
 		entries := entries
@@ -191,7 +150,7 @@ func AblationMSHR(o Options, workload string) (*AblationResult, error) {
 			setting = "disabled"
 		}
 		cell := ohmBWCell(o, workload, func(c *config.Config) { c.GPU.MSHREntries = entries })
-		cell.Salt, cell.RunFn = "abl-mshr-merges", runMerges
+		cell.Variant = core.MergesProbe
 		acs = append(acs, ablationCell{setting: setting, cell: cell})
 	}
 	return ablationResult(o, "Ablation — L2 MSHR coalescing (Ohm-BW, planar, "+workload+")", acs)
@@ -200,18 +159,6 @@ func AblationMSHR(o Options, workload string) (*AblationResult, error) {
 // AblationChannelDivision compares static wavelength division (Table I's
 // default) against the dynamic borrowing strategy of [38].
 func AblationChannelDivision(o Options, workload string) (*AblationResult, error) {
-	runBorrows := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystemIn(nil, cfg)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep, err := sys.RunWorkload(w)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep.Extra[ablExtraPrefix+"borrows"] = float64(sys.Mem.Opt.Borrows)
-		return rep, nil
-	}
 	var acs []ablationCell
 	for _, dyn := range []bool{false, true} {
 		dyn := dyn
@@ -219,7 +166,7 @@ func AblationChannelDivision(o Options, workload string) (*AblationResult, error
 		cell := ohmBWCell(o, workload, func(c *config.Config) { c.Optical.DynamicDivision = dyn })
 		if dyn {
 			setting = "dynamic"
-			cell.Salt, cell.RunFn = "abl-vc-borrows", runBorrows
+			cell.Variant = core.BorrowsProbe
 		}
 		acs = append(acs, ablationCell{setting: setting, cell: cell})
 	}
@@ -248,19 +195,6 @@ func AblationNoC(o Options, workload string) (*AblationResult, error) {
 // paper's workloads have static hot sets; iterative algorithms rotate
 // theirs every superstep, keeping migration active in steady state.
 func AblationPhases(o Options, workload string) (*AblationResult, error) {
-	w, ok := config.WorkloadByName(workload)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q", workload)
-	}
-	phasedRun := func(phases int) batch.RunFunc {
-		return func(cfg config.Config, _ string) (stats.Report, error) {
-			sys, err := core.NewSystemIn(nil, cfg)
-			if err != nil {
-				return stats.Report{}, err
-			}
-			return sys.RunTrace(trace.GeneratePhased(w, &cfg, phases)), nil
-		}
-	}
 	var acs []ablationCell
 	for _, phases := range []int{1, 2, 4, 8} {
 		for _, p := range []config.Platform{config.OhmBase, config.OhmBW} {
@@ -270,8 +204,7 @@ func AblationPhases(o Options, workload string) (*AblationResult, error) {
 				setting: fmt.Sprintf("phases=%d/%s", phases, p),
 				cell: batch.Cell{
 					Platform: p, Mode: config.Planar, Workload: workload, Config: cfg,
-					Salt:  fmt.Sprintf("abl-phased-%d", phases),
-					RunFn: phasedRun(phases),
+					Variant: core.Phased(phases),
 				},
 			})
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // EnduranceRow is one platform's XPoint lifetime projection.
@@ -32,47 +31,17 @@ type EnduranceResult struct {
 	Rows     []EnduranceRow
 }
 
-// runWear executes one cell and exports the per-line XPoint wear summary
-// through the report's Extra map so the rows survive the batch boundary
-// (and the result cache).
-func runWear(cfg config.Config, workload string) (stats.Report, error) {
-	sys, err := core.NewSystemIn(nil, cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	rep, err := sys.RunWorkload(workload)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	var maxWear, total uint64
-	var lines int
-	for mc := 0; mc < cfg.GPU.MemCtrls; mc++ {
-		xc := sys.Mem.XPointAt(mc)
-		if xc == nil {
-			continue
-		}
-		ws := xc.Wear()
-		if ws.Max > maxWear {
-			maxWear = ws.Max
-		}
-		total += ws.Total
-		lines += ws.Lines
-	}
-	rep.Extra[ablExtraPrefix+"max-wear"] = float64(maxWear)
-	rep.Extra[ablExtraPrefix+"total-writes"] = float64(total)
-	rep.Extra[ablExtraPrefix+"wear-lines"] = float64(lines)
-	return rep, nil
-}
-
 // Endurance measures per-line wear across the heterogeneous platforms —
-// one parallel batch — and projects lifetime: endurance budget /
-// worst-line write rate.
+// one parallel batch of core.WearProbe cells, which export the wear
+// summary through the report's Extra map so the rows survive the batch
+// boundary and the result cache — and projects lifetime: endurance
+// budget / worst-line write rate.
 func Endurance(o Options, workload string) (*EnduranceResult, error) {
 	platforms := []config.Platform{config.Hetero, config.OhmBase, config.OhmBW}
 	var cells []batch.Cell
 	for _, p := range platforms {
 		c := o.cell(p, config.Planar, workload)
-		c.Salt, c.RunFn = "endurance-wear", runWear
+		c.Variant = core.WearProbe
 		cells = append(cells, c)
 	}
 	reps, err := o.exec(cells)
@@ -82,9 +51,9 @@ func Endurance(o Options, workload string) (*EnduranceResult, error) {
 	res := &EnduranceResult{Workload: workload}
 	for i, p := range platforms {
 		rep := reps[i]
-		maxWear := uint64(rep.Extra[ablExtraPrefix+"max-wear"])
-		total := uint64(rep.Extra[ablExtraPrefix+"total-writes"])
-		lines := rep.Extra[ablExtraPrefix+"wear-lines"]
+		maxWear := uint64(rep.Extra[core.ProbePrefix+"max-wear"])
+		total := uint64(rep.Extra[core.ProbePrefix+"total-writes"])
+		lines := rep.Extra[core.ProbePrefix+"wear-lines"]
 		mean := 0.0
 		if lines > 0 {
 			mean = float64(total) / lines

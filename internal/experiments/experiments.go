@@ -43,8 +43,7 @@ type Engine struct {
 	Runner *batch.Runner
 	// Executor, when non-nil, runs cells instead of Runner.RunContext —
 	// the seam the ohmserve coordinator uses to fan experiment cells out
-	// to remote workers. Closure-carrying cells still execute wherever
-	// the executor keeps its local runner.
+	// to remote workers.
 	Executor batch.Executor
 	// Ctx cancels cell scheduling; nil means context.Background().
 	Ctx context.Context

@@ -7,28 +7,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/sim"
-	"repro/internal/ssd"
-	"repro/internal/stats"
 )
-
-// fig3SSD returns the SSD configuration for the motivation study. The
-// device's latencies and bandwidths are scaled up by the footprint
-// scale-down (~150x): compute time does not shrink with MemScale (the GPU
-// clock is unscaled), so an unscaled SSD would swamp compute entirely and
-// the breakdown would degenerate to 100% staging. Scaling the staging path
-// by the same factor as the footprints preserves the testbed's
-// staging:compute proportions, which is what Figure 3a reports.
-func fig3SSD() ssd.Config {
-	return ssd.Config{
-		ReadLatency:     500 * sim.Nanosecond,
-		WriteLatency:    800 * sim.Nanosecond,
-		BandwidthBps:    480e9,
-		DMABandwidthBps: 240e9,
-		DMASetup:        200 * sim.Nanosecond,
-		PJPerBit:        50,
-	}
-}
 
 // fig3Config is the Origin-style configuration for the GPU-SSD system:
 // buffer-granularity staging (256 KiB chunks) from the SSD, as applications
@@ -62,34 +41,17 @@ type Fig3aResult struct{ Rows []Fig3aRow }
 
 // Fig3a reproduces the motivation study: a DRAM-only GPU whose working sets
 // stage from an SSD over DMA. The paper measured a real GPU+Z-NAND testbed;
-// we attach the ssd package's model as the host link of the Origin
-// platform. GPU time is the execution time not covered by the storage and
-// DMA pipelines (they overlap each other, so the union is approximated by
-// the longer of the two plus the shorter's non-overlapped half).
+// the core.SSDHost variant attaches the ssd package's model as the host
+// link of the Origin platform and reports its flash and DMA occupancy.
+// GPU time is the execution time not covered by the storage and DMA
+// pipelines (they overlap each other, so the union is approximated by the
+// longer of the two plus the shorter's non-overlapped half).
 func Fig3a(o Options) (*Fig3aResult, error) {
-	// The SSD-staged system is not a plain core.Run cell: the custom
-	// RunFn attaches the ssd model as the host link and folds its pipeline
-	// occupancy into the report's Extra map. The salt names the variant so
-	// the cells stay cacheable (the config + salt fully determine the run).
-	runSSD := func(cfg config.Config, w string) (stats.Report, error) {
-		dev := ssd.New(fig3SSD(), nil)
-		sys, err := core.NewSystemWithHostIn(nil, cfg, dev)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep, err := sys.RunWorkload(w)
-		if err != nil {
-			return stats.Report{}, err
-		}
-		rep.Extra["ssd-storage-s"] = dev.FlashBusy().Seconds()
-		rep.Extra["ssd-dma-s"] = dev.DMABusy().Seconds()
-		return rep, nil
-	}
 	var cells []batch.Cell
 	for _, w := range o.workloads() {
 		cells = append(cells, batch.Cell{
 			Platform: config.Origin, Mode: config.Planar, Workload: w,
-			Config: fig3Config(o), Salt: "fig3a-ssd", RunFn: runSSD,
+			Config: fig3Config(o), Variant: core.SSDHost,
 		})
 	}
 	reps, err := o.exec(cells)
@@ -161,33 +123,19 @@ type Fig3bRow struct {
 // Fig3bResult is Figure 3b.
 type Fig3bResult struct{ Rows []Fig3bRow }
 
-// instantHost is a zero-cost host link: the counterfactual "no DMA"
-// system Figure 3b compares against.
-type instantHost struct{}
-
-func (instantHost) Stage(at sim.Time, n int64, write bool) sim.Time { return at }
-
 // Fig3b measures DMA's execution-time degradation by running the Origin
 // platform twice — once with its standard PCIe staging link and once with
 // an instant one — the counterfactual the paper's 31% refers to. Unlike
 // Figure 3a this uses the main evaluation's capacity-starved Origin, whose
 // working sets spill continuously.
 func Fig3b(o Options) (*Fig3bResult, error) {
-	// Per workload: one standard-PCIe cell (a plain cacheable cell, shared
-	// with any other figure that runs Origin/planar) and one counterfactual
-	// cell whose RunFn swaps in the instant host link.
-	runInstant := func(cfg config.Config, w string) (stats.Report, error) {
-		sys, err := core.NewSystemWithHostIn(nil, cfg, instantHost{})
-		if err != nil {
-			return stats.Report{}, err
-		}
-		return sys.RunWorkload(w)
-	}
+	// Per workload: one standard-PCIe cell (shared with any other figure
+	// that runs Origin/planar) and its core.InstantHost counterfactual.
 	var cells []batch.Cell
 	for _, w := range o.workloads() {
 		real := o.cell(config.Origin, config.Planar, w)
 		instant := real
-		instant.Salt, instant.RunFn = "fig3b-instant-host", runInstant
+		instant.Variant = core.InstantHost
 		cells = append(cells, real, instant)
 	}
 	reps, err := o.exec(cells)

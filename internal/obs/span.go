@@ -31,12 +31,12 @@ func (p Phases) Total() time.Duration {
 }
 
 // IsZero reports whether no phase was measured (cache hits, shared
-// single-flight results, opaque closure cells).
+// single-flight results, analytical estimates).
 func (p Phases) IsZero() bool { return p == Phases{} }
 
 // JobSpan aggregates the cells of one job into a timing breakdown. The
 // executor records each resolved cell (the runner for in-process and
-// closure cells, the dispatcher for distributed ones, via the job's
+// analytical cells, the dispatcher for distributed ones, via the job's
 // context); the serving layer snapshots the span into the job status, so
 // a slow sweep is diagnosable from GET /v1/jobs/{id} alone: is the time
 // in trace generation, platform setup, the event loop, cache churn or

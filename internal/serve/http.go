@@ -28,7 +28,6 @@ import (
 //	GET    /v1/platforms        list the platform presets (discovery)
 //	GET    /v1/workloads        list the Table II workload definitions (discovery)
 //	GET    /v1/healthz          liveness: uptime, queue depth, jobs running, cache stats
-//	GET    /healthz             legacy liveness plus shared-cache counters
 //	GET    /metrics             Prometheus text exposition of every registered metric
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
@@ -114,18 +113,6 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, m.Health())
 	})
 	mux.Handle("GET /metrics", obs.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := m.Runner().Stats()
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"status": "ok",
-			"cache": map[string]uint64{
-				"hits":       st.Hits,
-				"misses":     st.Misses,
-				"shared":     st.Shared,
-				"put_errors": st.PutErrors,
-			},
-		})
-	})
 	return mux
 }
 

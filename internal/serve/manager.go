@@ -376,9 +376,6 @@ func NewManager(runner *batch.Runner, workers, queueDepth int) *Manager {
 	return m
 }
 
-// Runner returns the shared engine (for surfacing cache stats).
-func (m *Manager) Runner() *batch.Runner { return m.runner }
-
 // executor resolves the cell executor, defaulting to in-process.
 func (m *Manager) executor() batch.Executor {
 	if m.Executor != nil {

@@ -70,7 +70,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func routeLabel(path string) string {
 	switch path {
 	case "/v1/sweeps", "/v1/jobs", "/v1/experiments", "/v1/platforms",
-		"/v1/workloads", "/v1/healthz", "/healthz", "/metrics",
+		"/v1/workloads", "/v1/healthz", "/metrics",
 		"/v1/workers/register":
 		return path
 	}
@@ -125,7 +125,7 @@ func Instrument(logger *slog.Logger, next http.Handler) http.Handler {
 		lvl := slog.LevelInfo
 		switch route {
 		case "/v1/workers/{id}/lease", "/v1/workers/{id}/heartbeat",
-			"/v1/healthz", "/healthz", "/metrics":
+			"/v1/healthz", "/metrics":
 			lvl = slog.LevelDebug
 		}
 		logger.Log(r.Context(), lvl, "http request",

@@ -251,6 +251,7 @@ func TestRouteLabelCardinality(t *testing.T) {
 		"/v1/workers/w-0001/steal":     "other",
 		"/metrics":                     "/metrics",
 		"/v1/healthz":                  "/v1/healthz",
+		"/healthz":                     "other",
 		"/anything/else":               "other",
 		"/":                            "other",
 	}

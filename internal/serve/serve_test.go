@@ -445,9 +445,13 @@ func TestExperimentsListingAndHealth(t *testing.T) {
 		t.Fatalf("listing missing expected ids: %v", seen)
 	}
 
-	code, data = a.do("GET", "/healthz", "")
+	code, data = a.do("GET", "/v1/healthz", "")
 	if code != http.StatusOK || !strings.Contains(string(data), `"status": "ok"`) {
 		t.Fatalf("healthz = %d: %s", code, data)
+	}
+	// The API mux serves liveness under /v1 only.
+	if code, _ = a.do("GET", "/healthz", ""); code != http.StatusNotFound {
+		t.Fatalf("legacy /healthz = %d, want 404", code)
 	}
 }
 

@@ -5,10 +5,7 @@
 // behaviour, which is all the execution-time breakdown depends on.
 package ssd
 
-import (
-	"repro/internal/sim"
-	"repro/internal/stats"
-)
+import "repro/internal/sim"
 
 // Config parametrises the storage path.
 type Config struct {
@@ -23,8 +20,6 @@ type Config struct {
 	DMABandwidthBps float64
 	// DMASetup is per-transfer DMA programming overhead.
 	DMASetup sim.Time
-	// PJPerBit is the DMA transfer energy.
-	PJPerBit float64
 }
 
 // Default returns a Z-NAND + PCIe 3.0 x16 class configuration.
@@ -35,23 +30,22 @@ func Default() Config {
 		BandwidthBps:    3.2e9,  // 3.2 GB/s streaming
 		DMABandwidthBps: 12.8e9, // PCIe 3.0 x16 effective
 		DMASetup:        5 * sim.Microsecond,
-		PJPerBit:        50,
 	}
 }
 
-// Device is the SSD + DMA pipeline.
+// Device is the SSD + DMA pipeline. It keeps only its own occupancy: the
+// memory system that stages through it charges the host bytes, host time
+// and DMA energy of every transfer, whatever the link.
 type Device struct {
 	cfg   Config
-	col   *stats.Collector
 	flash *sim.Resource
 	dma   *sim.Resource
 }
 
-// New builds the device; col may be nil.
-func New(cfg Config, col *stats.Collector) *Device {
+// New builds the device.
+func New(cfg Config) *Device {
 	return &Device{
 		cfg:   cfg,
-		col:   col,
 		flash: sim.NewResource("ssd-flash"),
 		dma:   sim.NewResource("ssd-dma"),
 	}
@@ -59,8 +53,8 @@ func New(cfg Config, col *stats.Collector) *Device {
 
 // Stage moves n bytes between the SSD and GPU memory (direction only
 // affects latency). It returns when the data is resident on the other side,
-// and accounts the storage and DMA time separately, matching Figure 3a's
-// "Storage" and "Data move" bars.
+// and books the storage and DMA time on separate resources, matching Figure
+// 3a's "Storage" and "Data move" bars.
 func (d *Device) Stage(at sim.Time, n int64, write bool) (done sim.Time) {
 	lat := d.cfg.ReadLatency
 	if write {
@@ -71,13 +65,6 @@ func (d *Device) Stage(at sim.Time, n int64, write bool) (done sim.Time) {
 
 	dmaDur := d.cfg.DMASetup + sim.Time(float64(n)/d.cfg.DMABandwidthBps*1e12)
 	_, done = d.dma.Reserve(flashDone, dmaDur)
-
-	if d.col != nil {
-		d.col.StorageTime += flashDur
-		d.col.HostTime += dmaDur
-		d.col.HostBytes += uint64(n)
-		d.col.AddEnergy("dma", float64(n)*8*d.cfg.PJPerBit)
-	}
 	return done
 }
 

@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func TestStageLatencyFloor(t *testing.T) {
-	d := New(Default(), nil)
+	d := New(Default())
 	done := d.Stage(0, 4096, false)
 	cfg := Default()
 	if done < cfg.ReadLatency+cfg.DMASetup {
@@ -18,8 +17,8 @@ func TestStageLatencyFloor(t *testing.T) {
 
 func TestWriteSlowerThanRead(t *testing.T) {
 	cfg := Default()
-	r := New(cfg, nil).Stage(0, 1<<20, false)
-	w := New(cfg, nil).Stage(0, 1<<20, true)
+	r := New(cfg).Stage(0, 1<<20, false)
+	w := New(cfg).Stage(0, 1<<20, true)
 	if w <= r {
 		t.Fatalf("write (%s) should be slower than read (%s)", w, r)
 	}
@@ -27,7 +26,7 @@ func TestWriteSlowerThanRead(t *testing.T) {
 
 func TestBandwidthDominatesLargeTransfers(t *testing.T) {
 	cfg := Default()
-	d := New(cfg, nil)
+	d := New(cfg)
 	n := int64(64 << 20) // 64 MiB
 	done := d.Stage(0, n, false)
 	flashTime := sim.Time(float64(n) / cfg.BandwidthBps * 1e12)
@@ -37,7 +36,7 @@ func TestBandwidthDominatesLargeTransfers(t *testing.T) {
 }
 
 func TestPipelineSerializesOnFlash(t *testing.T) {
-	d := New(Default(), nil)
+	d := New(Default())
 	d1 := d.Stage(0, 1<<20, false)
 	d2 := d.Stage(0, 1<<20, false)
 	if d2 <= d1 {
@@ -46,18 +45,8 @@ func TestPipelineSerializesOnFlash(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	col := stats.NewCollector()
-	d := New(Default(), col)
+	d := New(Default())
 	d.Stage(0, 1000, false)
-	if col.HostBytes != 1000 {
-		t.Fatalf("host bytes = %d", col.HostBytes)
-	}
-	if col.StorageTime <= 0 || col.HostTime <= 0 {
-		t.Fatal("storage/DMA time not accounted")
-	}
-	if col.EnergyPJ["dma"] != 1000*8*Default().PJPerBit {
-		t.Fatalf("dma energy = %v", col.EnergyPJ["dma"])
-	}
 	if d.FlashBusy() <= 0 || d.DMABusy() <= 0 {
 		t.Fatal("busy accounting missing")
 	}

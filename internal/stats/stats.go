@@ -133,10 +133,8 @@ type Collector struct {
 	DualRouteBytes uint64 // migration bytes carried on the memory route
 
 	// Host transfer accounting (Origin spills, Fig. 3 SSD experiment).
-	HostBytes   uint64
-	HostTime    sim.Time
-	StorageTime sim.Time
-	ComputeTime sim.Time
+	HostBytes uint64
+	HostTime  sim.Time
 
 	// Energy in picojoules by component (Figure 19 breakdown).
 	EnergyPJ map[string]float64

@@ -110,7 +110,7 @@ func Run() ([]Pair, error) {
 			return nil, fmt.Errorf("calib: unknown workload %q", c.Workload)
 		}
 		cfg := pre.Build(mode)
-		des, _, err := core.Run(st, cfg, w)
+		des, _, err := core.Run(st, cfg, w, core.DefaultRun)
 		if err != nil {
 			return nil, fmt.Errorf("calib: %s/%s/%s: %w", c.Preset, c.Mode, c.Workload, err)
 		}

@@ -147,7 +147,7 @@ func TestHitRateEdgesAgainstDES(t *testing.T) {
 	defer core.ReleaseRunState(st)
 	cfg := config.Default(config.OhmBase, config.Planar)
 	for _, w := range cases {
-		rep, _, err := core.Run(st, cfg, w)
+		rep, _, err := core.Run(st, cfg, w, core.DefaultRun)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

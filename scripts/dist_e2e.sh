@@ -5,7 +5,9 @@
 # acceptance criteria end to end:
 #
 #   1. a fig16 -quick experiment dispatched across both workers returns
-#      bytes identical to `ohmfig -quick -json fig16`;
+#      bytes identical to `ohmfig -quick -json fig16`, and so do fig3a
+#      (SSD host link) and abl-phases (phased traces), whose run-variant
+#      cells travel like any other — the coordinator simulates nothing;
 #   2. a warm resubmit reports 0 fresh simulations;
 #   3. kill -9 on one worker mid-sweep still completes the job, with the
 #      result byte-identical to a single-process `ohmbatch` run;
@@ -158,13 +160,23 @@ wait_done() {
     return 1
 }
 
-echo "== 1. fig16 -quick across 2 workers vs ohmfig"
+echo "== 1. fig16, fig3a and abl-phases -quick across 2 workers vs ohmfig"
 job=$(submit '{"experiment":"fig16","params":{"quick":true}}')
 wait_done "$job" 300
 curl -fsS "$base/v1/jobs/$job/result" >"$work/fig16.dist.json"
 "$work/ohmfig" -quick -json fig16 >"$work/fig16.local.json"
 cmp "$work/fig16.dist.json" "$work/fig16.local.json"
 echo "   byte-identical ($(wc -c <"$work/fig16.dist.json") bytes)"
+for id in fig3a abl-phases; do
+    job=$(submit "{\"experiment\":\"$id\",\"params\":{\"quick\":true}}")
+    wait_done "$job" 300
+    curl -fsS "$base/v1/jobs/$job/result" >"$work/$id.dist.json"
+    "$work/ohmfig" -quick -json "$id" >"$work/$id.local.json"
+    cmp "$work/$id.dist.json" "$work/$id.local.json"
+    echo "   $id byte-identical ($(wc -c <"$work/$id.dist.json") bytes)"
+done
+# Pure dispatch: every cell above, variant cells included, ran on a worker.
+assert_eq "$(mval "$base" ohm_result_cache_misses_total)" 0 "coordinator fresh simulations"
 # Snapshot the coordinator's mode-split completion counter before the
 # warm rerun: the exactly-once assert below checks the delta.
 cold_cc=$(msum "$base" ohm_cells_completed_total)
