@@ -60,9 +60,9 @@ func main() {
 	// Page popularity histogram: how concentrated is the stream?
 	counts := map[uint64]int{}
 	for _, wt := range tr.Warps {
-		for _, in := range wt {
-			if in.Kind != trace.Compute {
-				counts[in.Addr/uint64(tr.PageBytes)]++
+		for _, op := range wt {
+			if op.Kind != trace.Compute {
+				counts[op.Addr/uint64(tr.PageBytes)]++
 			}
 		}
 	}

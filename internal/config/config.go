@@ -534,11 +534,13 @@ func (c *Config) Validate() error {
 	if c.MaxInstructions <= 0 {
 		return fmt.Errorf("config: MaxInstructions must be positive")
 	}
-	// Bound the total trace budget: every warp pre-allocates its
-	// instruction stream, and all three factors are override-reachable from
-	// untrusted specs, so an unbounded product would let a small document
-	// demand a terabyte-class allocation (the cap still allows >10,000x the
-	// default 16x8x20000 budget).
+	// Bound the total trace budget: trace generation draws for every
+	// instruction and keeps a record per memory instruction (up to 95% of
+	// them), and the simulator issues every instruction. All three factors
+	// are override-reachable from untrusted specs, so an unbounded product
+	// would let a small document demand unbounded work and a terabyte-class
+	// allocation (the cap still allows >10,000x the default 16x8x20000
+	// budget).
 	if c.GPU.SMs > MaxTraceInstructions ||
 		c.GPU.WarpsPerSM > MaxTraceInstructions/c.GPU.SMs ||
 		c.MaxInstructions > MaxTraceInstructions/(c.GPU.SMs*c.GPU.WarpsPerSM) {
@@ -549,7 +551,8 @@ func (c *Config) Validate() error {
 }
 
 // MaxTraceInstructions caps SMs x WarpsPerSM x MaxInstructions, the number
-// of trace instructions a single cell may allocate.
+// of trace instructions a single cell may generate and simulate. It also
+// keeps every compute run within a trace record's 32-bit run length.
 const MaxTraceInstructions = 1 << 28
 
 // OpticalChannelBandwidth returns bytes/second of the whole optical channel

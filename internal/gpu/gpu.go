@@ -40,8 +40,8 @@ type sm struct {
 type warpRun struct {
 	smIdx int
 	tr    trace.WarpTrace
-	pc    int
-	done  sim.Time
+	pc    int  // index of the record being executed
+	ran   bool // tr[pc]'s compute run has issued
 }
 
 // GPU executes traces against a memory system.
@@ -251,42 +251,39 @@ func (g *GPU) Run(tr *trace.Trace) sim.Time {
 }
 
 // step advances the warp the engine just fired from the current engine
-// time and reschedules it, or retires it once its trace is done.
+// time and reschedules it, or retires it once its trace is done. Each
+// record takes up to two events: its compute run, then its memory op.
 func (g *GPU) step(wi int) {
 	w := &g.warps[wi]
 	now := g.eng.Now()
-	if w.pc >= len(w.tr) {
-		g.live--
-		if now > g.finish {
-			g.finish = now
-		}
-		return
-	}
 	s := &g.sms[w.smIdx]
-
-	in := w.tr[w.pc]
-	if in.Kind == trace.Compute {
-		// Batch the run of consecutive compute instructions: k cycles on
-		// the issue port.
-		k := 0
-		for w.pc+k < len(w.tr) && w.tr[w.pc+k].Kind == trace.Compute {
-			k++
+	for w.pc < len(w.tr) {
+		op := &w.tr[w.pc]
+		if !w.ran && op.Run > 0 {
+			// The run of compute instructions before the op: Run cycles
+			// on the issue port.
+			w.ran = true
+			g.col.Instructions += uint64(op.Run)
+			_, end := s.issue.Reserve(now, sim.Time(op.Run)*g.cycle)
+			g.eng.Reschedule(end)
+			return
 		}
-		w.pc += k
-		g.col.Instructions += uint64(k)
-		_, end := s.issue.Reserve(now, sim.Time(k)*g.cycle)
-		g.eng.Reschedule(end)
+		w.pc++
+		w.ran = false
+		if op.Kind == trace.Compute {
+			continue // a trailing run has no op after it
+		}
+		// Memory instruction: one issue slot, then the memory hierarchy.
+		g.col.Instructions++
+		_, issued := s.issue.Reserve(now, g.cycle)
+		resume := g.memAccess(s, issued, op.Addr, op.Kind == trace.Store)
+		g.eng.Reschedule(resume)
 		return
 	}
-
-	// Memory instruction: one issue slot, then the memory hierarchy.
-	w.pc++
-	g.col.Instructions++
-	write := in.Kind == trace.Store
-	_, issued := s.issue.Reserve(now, g.cycle)
-
-	resume := g.memAccess(s, issued, in.Addr, write)
-	g.eng.Reschedule(resume)
+	g.live--
+	if now > g.finish {
+		g.finish = now
+	}
 }
 
 // memAccess walks L1 -> L2 -> memory and returns when the warp may resume.

@@ -40,15 +40,50 @@ func mkGPU(t *testing.T, c *config.Config, mem MemAccessor) *GPU {
 	return g
 }
 
+// instr is one instruction of a hand-written warp stream; the zero value
+// is a compute instruction.
+type instr struct {
+	kind trace.Kind
+	addr uint64
+}
+
+// compact turns an instruction stream into the records the GPU executes:
+// each memory op carries the compute run before it, and a trailing run
+// gets a Compute record of its own.
+func compact(ins []instr) trace.WarpTrace {
+	var wt trace.WarpTrace
+	var run uint32
+	for _, in := range ins {
+		if in.kind == trace.Compute {
+			run++
+			continue
+		}
+		wt = append(wt, trace.Op{Addr: in.addr, Run: run, Kind: in.kind})
+		run = 0
+	}
+	if run > 0 {
+		wt = append(wt, trace.Op{Run: run, Kind: trace.Compute})
+	}
+	return wt
+}
+
+// expand is the inverse of compact.
+func expand(wt trace.WarpTrace) []instr {
+	var ins []instr
+	for _, op := range wt {
+		ins = append(ins, make([]instr, op.Run)...)
+		if op.Kind != trace.Compute {
+			ins = append(ins, instr{kind: op.Kind, addr: op.Addr})
+		}
+	}
+	return ins
+}
+
 func computeTrace(c *config.Config, n int) *trace.Trace {
 	nw := c.GPU.SMs * c.GPU.WarpsPerSM
 	tr := &trace.Trace{Name: "compute", PageBytes: c.Memory.PageBytes}
 	for i := 0; i < nw; i++ {
-		wt := make(trace.WarpTrace, n)
-		for j := range wt {
-			wt[j] = trace.Instr{Kind: trace.Compute}
-		}
-		tr.Warps = append(tr.Warps, wt)
+		tr.Warps = append(tr.Warps, compact(make([]instr, n)))
 	}
 	return tr
 }
@@ -104,13 +139,13 @@ func TestMemoryLatencyHiding(t *testing.T) {
 	tr := &trace.Trace{Name: "mem", PageBytes: c.Memory.PageBytes}
 	perWarp := 20
 	for i := 0; i < nw; i++ {
-		wt := make(trace.WarpTrace, perWarp)
-		for j := range wt {
+		ins := make([]instr, perWarp)
+		for j := range ins {
 			// Distinct lines per warp and step: all L1/L2 misses.
 			addr := uint64(i*perWarp+j) * uint64(c.GPU.LineBytes) * 1024
-			wt[j] = trace.Instr{Kind: trace.Load, Addr: addr}
+			ins[j] = instr{kind: trace.Load, addr: addr}
 		}
-		tr.Warps = append(tr.Warps, wt)
+		tr.Warps = append(tr.Warps, compact(ins))
 	}
 	elapsed := g.Run(tr)
 	serial := sim.Time(perWarp) * mem.lat * sim.Time(c.GPU.WarpsPerSM)
@@ -129,11 +164,11 @@ func TestL1CapturesLocality(t *testing.T) {
 	g, _ := New(&c, col, mem)
 
 	tr := &trace.Trace{Name: "local", PageBytes: c.Memory.PageBytes}
-	wt := make(trace.WarpTrace, 100)
-	for j := range wt {
-		wt[j] = trace.Instr{Kind: trace.Load, Addr: 0} // same line forever
+	ins := make([]instr, 100)
+	for j := range ins {
+		ins[j] = instr{kind: trace.Load, addr: 0} // same line forever
 	}
-	tr.Warps = append(tr.Warps, wt)
+	tr.Warps = append(tr.Warps, compact(ins))
 	g.Run(tr)
 	if col.L1Hits != 99 || col.L1Misses != 1 {
 		t.Fatalf("L1 hits=%d misses=%d, want 99/1", col.L1Hits, col.L1Misses)
@@ -155,13 +190,13 @@ func TestL2CatchesL1Evictions(t *testing.T) {
 	// Stream a footprint larger than L1 but smaller than L2, twice: first
 	// pass misses everywhere, second pass hits in L2.
 	lines := (c.GPU.L1SizeBytes * 4) / c.GPU.LineBytes
-	wt := make(trace.WarpTrace, 0, 2*lines)
+	ins := make([]instr, 0, 2*lines)
 	for pass := 0; pass < 2; pass++ {
 		for j := 0; j < lines; j++ {
-			wt = append(wt, trace.Instr{Kind: trace.Load, Addr: uint64(j * c.GPU.LineBytes)})
+			ins = append(ins, instr{kind: trace.Load, addr: uint64(j * c.GPU.LineBytes)})
 		}
 	}
-	tr := &trace.Trace{Name: "l2", PageBytes: c.Memory.PageBytes, Warps: []trace.WarpTrace{wt}}
+	tr := &trace.Trace{Name: "l2", PageBytes: c.Memory.PageBytes, Warps: []trace.WarpTrace{compact(ins)}}
 	g.Run(tr)
 	if col.L2Hits == 0 {
 		t.Fatal("second pass should hit in L2")
@@ -177,11 +212,11 @@ func TestStoresDoNotBlockWarp(t *testing.T) {
 	c := cfg()
 	mem := &fixedMem{lat: 10 * sim.Microsecond}
 	g := mkGPU(t, &c, mem)
-	wt := make(trace.WarpTrace, 50)
-	for j := range wt {
-		wt[j] = trace.Instr{Kind: trace.Store, Addr: uint64(j) * uint64(c.GPU.LineBytes) * 512}
+	ins := make([]instr, 50)
+	for j := range ins {
+		ins[j] = instr{kind: trace.Store, addr: uint64(j) * uint64(c.GPU.LineBytes) * 512}
 	}
-	tr := &trace.Trace{Name: "st", PageBytes: c.Memory.PageBytes, Warps: []trace.WarpTrace{wt}}
+	tr := &trace.Trace{Name: "st", PageBytes: c.Memory.PageBytes, Warps: []trace.WarpTrace{compact(ins)}}
 	elapsed := g.Run(tr)
 	if elapsed > sim.Microsecond {
 		t.Fatalf("stores blocked the warp: %s", elapsed)
@@ -194,11 +229,11 @@ func TestDirtyL2EvictionsWriteBack(t *testing.T) {
 	g := mkGPU(t, &c, mem)
 	// Write a footprint far larger than L2 so dirty lines evict to memory.
 	lines := (c.GPU.L2SizeBytes * 2) / c.GPU.LineBytes
-	wt := make(trace.WarpTrace, 0, lines)
+	ins := make([]instr, 0, lines)
 	for j := 0; j < lines; j++ {
-		wt = append(wt, trace.Instr{Kind: trace.Store, Addr: uint64(j * c.GPU.LineBytes)})
+		ins = append(ins, instr{kind: trace.Store, addr: uint64(j * c.GPU.LineBytes)})
 	}
-	tr := &trace.Trace{Name: "wb", PageBytes: c.Memory.PageBytes, Warps: []trace.WarpTrace{wt}}
+	tr := &trace.Trace{Name: "wb", PageBytes: c.Memory.PageBytes, Warps: []trace.WarpTrace{compact(ins)}}
 	g.Run(tr)
 	if mem.writes <= uint64(lines) {
 		t.Fatalf("writes = %d, want demand (%d) plus write-backs", mem.writes, lines)
@@ -228,11 +263,12 @@ func TestFasterMemoryFasterKernel(t *testing.T) {
 	}
 }
 
-// TestEventCountLaw: a warp fires one event per compute run, one per
-// memory instruction and one to retire, and an empty warp fires none. The
-// engine's Fired count after Run on real traces must equal that sum, so the
-// scheduler neither drops nor duplicates a warp step. Cells share one
-// pooled engine, as a sweep's run state does.
+// TestEventCountLaw: a warp fires one event per maximal compute run, one
+// per memory instruction and one to retire, and an empty warp fires none.
+// The engine's Fired count after Run on real traces must equal that sum,
+// taken over the expanded instruction stream, so the scheduler neither
+// drops nor duplicates a warp step and no record layout splits a run.
+// Cells share one pooled engine, as a sweep's run state does.
 func TestEventCountLaw(t *testing.T) {
 	pools := &sim.Pools{}
 	var mem *hmem.Controller
@@ -249,12 +285,13 @@ func TestEventCountLaw(t *testing.T) {
 				tr := trace.Generate(w, &c)
 				var want uint64
 				for _, wt := range tr.Warps {
-					for i, in := range wt {
-						if in.Kind != trace.Compute || i == 0 || wt[i-1].Kind != trace.Compute {
+					ins := expand(wt)
+					for i, in := range ins {
+						if in.kind != trace.Compute || i == 0 || ins[i-1].kind != trace.Compute {
 							want++ // a memory op or the start of a compute run
 						}
 					}
-					if len(wt) > 0 {
+					if len(ins) > 0 {
 						want++ // retire
 					}
 				}
@@ -280,7 +317,7 @@ func TestEmptyWarpsSkipped(t *testing.T) {
 	c := cfg()
 	g := mkGPU(t, &c, &fixedMem{lat: sim.Nanosecond})
 	tr := &trace.Trace{Name: "empty", PageBytes: c.Memory.PageBytes,
-		Warps: []trace.WarpTrace{{}, {}, {trace.Instr{Kind: trace.Compute}}}}
+		Warps: []trace.WarpTrace{{}, {}, compact([]instr{{kind: trace.Compute}})}}
 	elapsed := g.Run(tr)
 	if elapsed <= 0 {
 		t.Fatal("single-instruction trace must advance time")
@@ -299,7 +336,7 @@ func TestMSHRCoalescesDuplicateMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wt := trace.WarpTrace{{Kind: trace.Load, Addr: 1 << 20}}
+		wt := compact([]instr{{kind: trace.Load, addr: 1 << 20}})
 		tr := &trace.Trace{Name: "dup", PageBytes: c.Memory.PageBytes,
 			Warps: []trace.WarpTrace{wt, wt, wt, wt}}
 		g.Run(tr)
@@ -329,7 +366,7 @@ func TestMSHRBoundedEntries(t *testing.T) {
 	// than grow unboundedly.
 	var warps []trace.WarpTrace
 	for i := 0; i < 16; i++ {
-		warps = append(warps, trace.WarpTrace{{Kind: trace.Load, Addr: uint64(i) << 20}})
+		warps = append(warps, compact([]instr{{kind: trace.Load, addr: uint64(i) << 20}}))
 	}
 	g.Run(&trace.Trace{Name: "many", PageBytes: c.Memory.PageBytes, Warps: warps})
 	if len(g.mshr.entries) > 2 {
@@ -348,12 +385,12 @@ func TestDetailedNoCContention(t *testing.T) {
 		var warps []trace.WarpTrace
 		for i := 0; i < 64; i++ {
 			// All warps hammer lines mapping to one L2 port.
-			wt := make(trace.WarpTrace, 10)
-			for j := range wt {
-				wt[j] = trace.Instr{Kind: trace.Load,
-					Addr: uint64((i*10+j)*c.GPU.LineBytes*c.GPU.MemCtrls) * 64}
+			ins := make([]instr, 10)
+			for j := range ins {
+				ins[j] = instr{kind: trace.Load,
+					addr: uint64((i*10+j)*c.GPU.LineBytes*c.GPU.MemCtrls) * 64}
 			}
-			warps = append(warps, wt)
+			warps = append(warps, compact(ins))
 		}
 		return g.Run(&trace.Trace{Name: "noc", PageBytes: c.Memory.PageBytes, Warps: warps})
 	}

@@ -6,8 +6,9 @@ import (
 	"repro/internal/config"
 )
 
-// BenchmarkGenerate is the cold trace-generation cost per cell (shared
-// Zipf CDF, per-warp streams).
+// BenchmarkGenerate is the cold trace-generation cost per cell: the shared
+// page permutation and Zipf CDF, one draw per instruction and one 16-byte
+// record per memory instruction, all in one backing array.
 func BenchmarkGenerate(b *testing.B) {
 	cfg := config.Default(config.OhmBW, config.Planar)
 	cfg.MaxInstructions = 2000

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/config"
@@ -43,10 +44,11 @@ type traceEntry struct {
 }
 
 // regCap bounds how many unpinned traces stay resident. Traces are the
-// largest single allocation a sweep makes (per-warp instruction streams),
-// so an unbounded registry would grow with every distinct geometry the
-// process ever saw; 64 comfortably covers the paper's largest grid while
-// keeping a long-lived daemon's footprint flat.
+// largest single allocation a sweep makes (16 bytes per memory
+// instruction: 0.8-25 MB for a default-length Table II trace), so an
+// unbounded registry would grow with every distinct geometry the process
+// ever saw; 64 comfortably covers the paper's largest grid while keeping a
+// long-lived daemon's footprint flat.
 const regCap = 64
 
 var (
@@ -172,11 +174,12 @@ func (p *Pins) Release() {
 }
 
 // CachedByName resolves a Table II workload name and returns its shared
-// trace; the drop-in cached variant of GenerateByName.
+// trace.
 func CachedByName(name string, c *config.Config) (*Trace, error) {
 	w, ok := config.WorkloadByName(name)
 	if !ok {
-		return nil, unknownWorkloadErr(name)
+		return nil, fmt.Errorf("trace: unknown workload %q (Table II names: %v)",
+			name, config.WorkloadNames())
 	}
 	return Cached(w, c), nil
 }

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -38,18 +39,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Instr is one warp-level instruction. Memory instructions carry the
-// (already coalesced) line-aligned address the warp accesses.
-type Instr struct {
-	Kind Kind
+// Op is one memory instruction of a warp, preceded by Run compute
+// instructions. Memory ops carry the (already coalesced) line-aligned
+// address the warp accesses. A warp that ends in compute instructions
+// closes with one record of Kind Compute that carries only that run; no
+// other record has Kind Compute.
+type Op struct {
 	Addr uint64
+	Run  uint32
+	Kind Kind
 }
 
-// WarpTrace is the instruction stream of one warp.
-type WarpTrace []Instr
+// WarpTrace is the instruction stream of one warp, one record per memory
+// instruction: compute instructions are stored only as run lengths.
+type WarpTrace []Op
 
 // Trace is a complete workload: one stream per resident warp plus the
-// footprint the streams touch.
+// footprint the streams touch. All of a trace's records share one backing
+// array.
 type Trace struct {
 	Name      string
 	Warps     []WarpTrace
@@ -73,18 +80,19 @@ func (t *Trace) Measure() Stats {
 	var s Stats
 	pages := make(map[uint64]struct{})
 	for _, w := range t.Warps {
-		for _, in := range w {
-			s.Instructions++
-			switch in.Kind {
-			case Load:
-				s.MemOps++
-				s.Loads++
-				pages[in.Addr/uint64(t.PageBytes)] = struct{}{}
-			case Store:
-				s.MemOps++
-				s.Stores++
-				pages[in.Addr/uint64(t.PageBytes)] = struct{}{}
+		for _, op := range w {
+			s.Instructions += int(op.Run)
+			if op.Kind == Compute {
+				continue
 			}
+			s.Instructions++
+			s.MemOps++
+			if op.Kind == Store {
+				s.Stores++
+			} else {
+				s.Loads++
+			}
+			pages[op.Addr/uint64(t.PageBytes)] = struct{}{}
 		}
 	}
 	s.UniquePages = len(pages)
@@ -113,24 +121,31 @@ func GeneratePhased(w config.Workload, c *config.Config, phases int) *Trace {
 	}
 	// Rotate each warp's pages by footprint/phases at each phase boundary:
 	// the popularity distribution is preserved but the hot identities move.
+	// Every warp issues MaxInstructions instructions. An op's index in its
+	// warp's instruction stream is the sum of the runs up to its own plus
+	// the number of ops before it.
 	shift := nPages / phases
+	per := c.MaxInstructions / phases
+	if per == 0 {
+		return base
+	}
 	for _, wt := range base.Warps {
-		per := len(wt) / phases
-		if per == 0 {
-			continue
-		}
-		for i, in := range wt {
-			if in.Kind == Compute {
+		i := 0
+		for j := range wt {
+			op := &wt[j]
+			i += int(op.Run)
+			if op.Kind == Compute {
 				continue
 			}
 			phase := i / per
 			if phase >= phases {
 				phase = phases - 1
 			}
-			page := int(in.Addr)/base.PageBytes + phase*shift
+			page := int(op.Addr)/base.PageBytes + phase*shift
 			page %= nPages
-			off := int(in.Addr) % base.PageBytes
-			wt[i].Addr = uint64(page*base.PageBytes + off)
+			off := int(op.Addr) % base.PageBytes
+			op.Addr = uint64(page*base.PageBytes + off)
+			i++
 		}
 	}
 	return base
@@ -199,17 +214,25 @@ func Generate(w config.Workload, c *config.Config) *Trace {
 	// nWarps times and dominated whole-cell profiles.
 	cdf := sim.ZipfCDF(w.HotSkew, nPages)
 
+	// One backing array holds every warp's records. It is sized for the
+	// expected op count, four times its square root (at least four standard
+	// deviations of the binomial count) and one trailing compute record per
+	// warp, so append rarely has to move it.
+	mean := float64(nWarps*c.MaxInstructions) * memProb
+	ops := make([]Op, 0, int(mean+4*math.Sqrt(mean))+nWarps)
+
 	for wi := 0; wi < nWarps; wi++ {
 		rng := sim.NewRng(c.Seed ^ uint64(wi)*0x9E3779B97F4A7C15 ^ hashName(w.Name))
 		zipf := sim.NewZipfCDF(rng, cdf)
-		tr := make(WarpTrace, 0, c.MaxInstructions)
+		start := len(ops)
 
 		curPage := int(perm[zipf.Next()])
 		curLine := rng.Intn(linesPerPage)
 		run := 0
-		for len(tr) < c.MaxInstructions {
+		var compute uint32 // compute instructions since the last memory op
+		for i := 0; i < c.MaxInstructions; i++ {
 			if rng.Float64() >= memProb {
-				tr = append(tr, Instr{Kind: Compute})
+				compute++
 				continue
 			}
 			// Memory op: continue the sequential run or pick a new page.
@@ -225,27 +248,22 @@ func Generate(w config.Workload, c *config.Config) *Trace {
 			if rng.Float64() < w.ReadRatio {
 				k = Load
 			}
-			tr = append(tr, Instr{Kind: k, Addr: addr})
+			ops = append(ops, Op{Addr: addr, Run: compute, Kind: k})
+			compute = 0
 		}
-		t.Warps[wi] = tr
+		if compute > 0 {
+			ops = append(ops, Op{Run: compute, Kind: Compute})
+		}
+		t.Warps[wi] = ops[start:]
+	}
+	// Point every warp at the final array, in case append moved it.
+	off := 0
+	for wi, wt := range t.Warps {
+		end := off + len(wt)
+		t.Warps[wi] = ops[off:end:end]
+		off = end
 	}
 	return t
-}
-
-// GenerateByName is a convenience wrapper resolving a Table II name. It
-// always generates a fresh private trace; use CachedByName on paths that
-// only read the trace.
-func GenerateByName(name string, c *config.Config) (*Trace, error) {
-	w, ok := config.WorkloadByName(name)
-	if !ok {
-		return nil, unknownWorkloadErr(name)
-	}
-	return Generate(w, c), nil
-}
-
-func unknownWorkloadErr(name string) error {
-	return fmt.Errorf("trace: unknown workload %q (Table II names: %v)",
-		name, config.WorkloadNames())
 }
 
 // hashName folds a workload name into the RNG seed so two workloads with the

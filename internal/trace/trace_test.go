@@ -31,8 +31,8 @@ func TestGenerateShape(t *testing.T) {
 		t.Fatalf("warps = %d, want %d", len(tr.Warps), c.GPU.SMs*c.GPU.WarpsPerSM)
 	}
 	for i, wt := range tr.Warps {
-		if len(wt) != c.MaxInstructions {
-			t.Fatalf("warp %d has %d instructions, want %d", i, len(wt), c.MaxInstructions)
+		if n := len(expand(wt)); n != c.MaxInstructions {
+			t.Fatalf("warp %d has %d instructions, want %d", i, n, c.MaxInstructions)
 		}
 	}
 	// The footprint must dwarf the L2 so the memory system under study stays
@@ -141,16 +141,6 @@ func TestGraphWorkloadsHotterThanDense(t *testing.T) {
 	}
 }
 
-func TestGenerateByName(t *testing.T) {
-	c := testConfig()
-	if _, err := GenerateByName("pagerank", &c); err != nil {
-		t.Fatalf("GenerateByName(pagerank): %v", err)
-	}
-	if _, err := GenerateByName("doesnotexist", &c); err == nil {
-		t.Fatal("GenerateByName accepted unknown workload")
-	}
-}
-
 func TestMeasureEmptyTrace(t *testing.T) {
 	tr := &Trace{Name: "empty", PageBytes: 4096}
 	s := tr.Measure()
@@ -207,8 +197,9 @@ func TestGeneratePhasedRotatesHotSet(t *testing.T) {
 	hot := func(fromFrac, toFrac float64) map[uint64]int {
 		counts := map[uint64]int{}
 		for _, wt := range tr.Warps {
-			lo, hi := int(fromFrac*float64(len(wt))), int(toFrac*float64(len(wt)))
-			for _, in := range wt[lo:hi] {
+			ins := expand(wt)
+			lo, hi := int(fromFrac*float64(len(ins))), int(toFrac*float64(len(ins)))
+			for _, in := range ins[lo:hi] {
 				if in.Kind != Compute {
 					counts[in.Addr/uint64(tr.PageBytes)]++
 				}
