@@ -61,15 +61,3 @@ func BenchmarkGapResourceBackfillClocked(b *testing.B) {
 		r.Reserve(at, 3)
 	}
 }
-
-// BenchmarkZipfSharedCDF draws from a generator over a pre-computed CDF —
-// the per-warp cost after the CDF hoist in trace generation.
-func BenchmarkZipfSharedCDF(b *testing.B) {
-	cdf := ZipfCDF(1.0, 4096)
-	z := NewZipfCDF(NewRng(1), cdf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Next()
-	}
-}

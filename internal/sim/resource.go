@@ -83,7 +83,11 @@ func NewRng(seed uint64) *Rng { return &Rng{state: seed} }
 // Uint64 returns the next 64 random bits.
 func (r *Rng) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return mix(r.state)
+}
+
+// mix is SplitMix64's output function of a state.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -102,25 +106,51 @@ func (r *Rng) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Zipf draws from a Zipf-like distribution over [0, n) with skew s > 0 using
-// inverse-CDF on a harmonic approximation. Higher s concentrates mass on
-// small indices; graph workloads (pagerank, sssp) use s≈0.8–1.2 to model hot
-// vertices, which is what drives migration in the paper's planar mode.
-type Zipf struct {
-	n   int
-	cdf []float64
-	rng *Rng
+// Prob is a probability p held as an integer bound on a draw: ceil(p·2^53),
+// clamped to [0, 2^53]. Float64 divides a draw's top 53 bits by 2^53, so
+// for any draw x, x>>11 < Prob(p) holds exactly when Float64 would return a
+// value below p. Hit and Misses test draws against it without converting
+// them to floats.
+type Prob uint64
+
+// NewProb converts p. p <= 0 (and NaN) never hits; p >= 1 always does.
+func NewProb(p float64) Prob {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return Prob(math.Ceil(p * (1 << 53)))
 }
 
-// NewZipf precomputes the CDF; n must be positive.
-func NewZipf(rng *Rng, s float64, n int) *Zipf {
-	return NewZipfCDF(rng, ZipfCDF(s, n))
+// Hit draws once and reports whether the draw falls below p: the same
+// draw and the same answer as r.Float64() < p.
+func (r *Rng) Hit(p Prob) bool { return r.Uint64()>>11 < uint64(p) }
+
+// Misses draws until one draw hits p or limit draws have missed, and
+// returns the number of misses. A result below limit means the draw after
+// the misses hit, and that draw has been consumed. It makes the same draws
+// as a loop of Hit calls, with the generator state in a register. It is
+// kept out of line: inlined into a caller with many live values, its loop
+// spilled the state and the count to the stack on every draw.
+//
+//go:noinline
+func (r *Rng) Misses(p Prob, limit int) int {
+	s := r.state
+	n := 0
+	for ; n < limit; n++ {
+		s += 0x9e3779b97f4a7c15
+		if mix(s)>>11 < uint64(p) {
+			break
+		}
+	}
+	r.state = s
+	return n
 }
 
-// ZipfCDF precomputes the CDF for skew s over [0, n). The CDF depends only
-// on (s, n), so callers creating many generators over the same distribution
-// (one per warp, say) should compute it once and share it via NewZipfCDF:
-// the math.Pow loop dominates trace generation otherwise.
+// ZipfCDF computes the CDF of a Zipf distribution with skew s over ranks
+// [0, n): rank i has weight 1/(i+1)^s. Its last entry is exactly 1.
 func ZipfCDF(s float64, n int) []float64 {
 	if n <= 0 {
 		panic("sim: ZipfCDF with non-positive n")
@@ -137,26 +167,47 @@ func ZipfCDF(s float64, n int) []float64 {
 	return cdf
 }
 
-// NewZipfCDF builds a generator over a CDF from ZipfCDF. The CDF is shared,
-// not copied; it is read-only to the generator.
-func NewZipfCDF(rng *Rng, cdf []float64) *Zipf {
-	if len(cdf) == 0 {
-		panic("sim: NewZipfCDF with empty cdf")
-	}
-	return &Zipf{n: len(cdf), cdf: cdf, rng: rng}
+// ZipfTable draws ranks from the Zipf distribution of ZipfCDF(s, n) by
+// inverting its CDF. Higher s concentrates mass on small ranks; graph
+// workloads (pagerank, sssp) use s≈1.15–1.35 to model hot vertices, which
+// is what drives migration in the paper's planar mode.
+//
+// A guide table (Chen and Asau's indexed search) replaces a binary search
+// over the CDF: bucket j holds the first rank whose CDF, times n, reaches
+// j, and a lookup of u starts at bucket int(u·n) and walks up, about two
+// compares on average. Scaling and truncation are monotone, so the bucket
+// never starts past the rank a binary search finds, and the walk stops at
+// that rank.
+//
+// A table is immutable once built and safe to share between goroutines.
+type ZipfTable struct {
+	cdf []float64
+	// guide has n+1 buckets, so that u = 1 has one too. Ranks fit in
+	// int32: traces cap their page count at 2^23.
+	guide []int32
+	scale float64 // n
 }
 
-// Next draws the next index.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, z.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+// NewZipfTable builds the table for skew s over [0, n); n must be positive.
+func NewZipfTable(s float64, n int) *ZipfTable {
+	cdf := ZipfCDF(s, n)
+	z := &ZipfTable{cdf: cdf, guide: make([]int32, n+1), scale: float64(n)}
+	i := 0
+	for j := range z.guide {
+		for i < n-1 && cdf[i]*z.scale < float64(j) {
+			i++
 		}
+		z.guide[j] = int32(i)
 	}
-	return lo
+	return z
+}
+
+// Index returns the first rank whose CDF reaches u, or n-1 if none does,
+// for u in [0, 1]. Index(r.Float64()) draws a rank.
+func (z *ZipfTable) Index(u float64) int {
+	i, last := int(z.guide[int(u*z.scale)]), len(z.cdf)-1
+	for i < last && z.cdf[i] < u {
+		i++
+	}
+	return i
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -318,11 +319,11 @@ func TestRngFloat64Range(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := NewRng(5)
-	z := NewZipf(r, 1.0, 100)
+	z := NewZipfTable(1.0, 100)
 	counts := make([]int, 100)
 	n := 100000
 	for i := 0; i < n; i++ {
-		counts[z.Next()]++
+		counts[z.Index(r.Float64())]++
 	}
 	// Index 0 must be drawn far more often than index 99 under skew 1.0.
 	if counts[0] < 10*counts[99]+1 {
@@ -338,9 +339,10 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestZipfBounds(t *testing.T) {
-	z := NewZipf(NewRng(11), 0.8, 7)
+	r := NewRng(11)
+	z := NewZipfTable(0.8, 7)
 	for i := 0; i < 10000; i++ {
-		v := z.Next()
+		v := z.Index(r.Float64())
 		if v < 0 || v >= 7 {
 			t.Fatalf("zipf out of bounds: %d", v)
 		}
@@ -353,5 +355,151 @@ func TestZipfPanicsOnBadN(t *testing.T) {
 			t.Fatal("expected panic for n<=0")
 		}
 	}()
-	NewZipf(NewRng(1), 1.0, 0)
+	NewZipfTable(1.0, 0)
+}
+
+// searchCDF is the reference lookup ZipfTable replaced: a binary search
+// for the first index whose CDF reaches u, capped at the last index.
+func searchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfTableMatchesBinarySearch: the guide-table lookup returns the
+// binary search's index at every point where either could go wrong: each
+// CDF value and its float neighbours, each bucket edge j/n and its
+// neighbours, 0, the largest float64 below 1, and 1 itself.
+func TestZipfTableMatchesBinarySearch(t *testing.T) {
+	for _, s := range []float64{0, 0.5, 1, 1.35} {
+		for _, n := range []int{1, 2, 7, 4096, 10240} {
+			z := NewZipfTable(s, n)
+			cdf := ZipfCDF(s, n)
+			us := []float64{0, math.Nextafter(1, 0), 1}
+			for i, c := range cdf {
+				edge := float64(i) / float64(n)
+				us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 1),
+					edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1))
+			}
+			for _, u := range us {
+				if u < 0 || u > 1 {
+					continue
+				}
+				if got, want := z.Index(u), searchCDF(cdf, u); got != want {
+					t.Fatalf("s=%g n=%d: Index(%v) = %d, binary search %d", s, n, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewProbMatchesFloat64: for every draw near the bound, the integer
+// compare agrees with Float64's divide-and-compare, over probabilities on
+// and off Float64's 2^-53 grid and the out-of-range ones.
+func TestNewProbMatchesFloat64(t *testing.T) {
+	ps := []float64{0, -1, math.NaN(), 2, 1, math.Nextafter(1, 0), 0.5, 0.95, 0.001,
+		0x1p-53, math.Nextafter(0x1p-53, 0), math.Nextafter(0x1p-53, 1), math.SmallestNonzeroFloat64}
+	r := NewRng(3)
+	for i := 0; i < 1000; i++ {
+		p := r.Float64()
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	for _, p := range ps {
+		bound := uint64(NewProb(p))
+		mid := int64(0)
+		if p > 0 && p < 1 {
+			mid = int64(p * (1 << 53))
+		}
+		ks := []int64{0, 1, 1<<53 - 2, 1<<53 - 1}
+		for k := mid - 2; k <= mid+2; k++ {
+			ks = append(ks, k)
+		}
+		for _, k := range ks {
+			if k < 0 || k >= 1<<53 {
+				continue
+			}
+			if got, want := uint64(k) < bound, float64(k)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v draw bits %d: integer compare %v, Float64 compare %v", p, k, got, want)
+			}
+		}
+	}
+}
+
+// unmix inverts mix, so that a test can choose the next draw.
+func unmix(z uint64) uint64 {
+	z ^= z>>31 ^ z>>62
+	z *= 0x319642b2d24d8ec3 // the inverse of 0x94d049bb133111eb mod 2^64
+	z ^= z>>27 ^ z>>54
+	z *= 0x96de1b173f119089 // the inverse of 0xbf58476d1ce4e5b9 mod 2^64
+	z ^= z>>30 ^ z>>60
+	return z
+}
+
+// rngDrawing returns a generator whose next draw is x.
+func rngDrawing(x uint64) *Rng { return NewRng(unmix(x) - 0x9e3779b97f4a7c15) }
+
+// TestRngHitMatchesFloat64: Hit and Misses make the draw Float64 makes and
+// give its answer, on seeded streams and on draws chosen at the bound,
+// where Float64 returns exactly p or its neighbours on the 2^-53 grid.
+func TestRngHitMatchesFloat64(t *testing.T) {
+	for _, p := range []float64{0, 0.001, 0.5, 0.95, 1} {
+		a, b := NewRng(9), NewRng(9)
+		prob := NewProb(p)
+		for i := 0; i < 10000; i++ {
+			if got, want := a.Hit(prob), b.Float64() < p; got != want {
+				t.Fatalf("p=%g draw %d: Hit %v, Float64() < p %v", p, i, got, want)
+			}
+		}
+	}
+	for _, x := range []uint64{0, 1, 0x0123456789abcdef, math.MaxUint64} {
+		if mix(unmix(x)) != x {
+			t.Fatalf("unmix does not invert mix at %#x", x)
+		}
+	}
+	for _, k := range []uint64{1, 2, 1 << 20, 3 << 50, 1<<53 - 1} {
+		for _, d := range []uint64{k - 1, k, k + 1} {
+			if d >= 1<<53 {
+				continue
+			}
+			p := float64(k) / (1 << 53)
+			x := d<<11 | 0x5a5
+			want := rngDrawing(x).Float64() < p
+			if got := rngDrawing(x).Hit(NewProb(p)); got != want {
+				t.Fatalf("p=%d/2^53 draw bits %d: Hit %v, Float64() < p %v", k, d, got, want)
+			}
+			if got := rngDrawing(x).Misses(NewProb(p), 1) == 0; got != want {
+				t.Fatalf("p=%d/2^53 draw bits %d: Misses hit %v, Float64() < p %v", k, d, got, want)
+			}
+		}
+	}
+}
+
+// TestRngMissesMatchesLoop: Misses counts what a loop of Float64() >= p
+// draws counts and leaves the generator where that loop leaves it.
+func TestRngMissesMatchesLoop(t *testing.T) {
+	for _, p := range []float64{0.001, 0.5, 0.95} {
+		for _, limit := range []int{0, 1, 1000} {
+			for seed := uint64(0); seed < 20; seed++ {
+				a, b := NewRng(seed), NewRng(seed)
+				for call := 0; call < 50; call++ {
+					got := a.Misses(NewProb(p), limit)
+					want := 0
+					for want < limit && b.Float64() >= p {
+						want++
+					}
+					if got != want || a.state != b.state {
+						t.Fatalf("p=%g limit=%d seed=%d call %d: %d misses, state %#x; loop %d, state %#x",
+							p, limit, seed, call, got, a.state, want, b.state)
+					}
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -8,11 +10,13 @@ import (
 )
 
 // This file keeps the per-instruction generator as the oracle for the
-// record layout: refGenerate and refGeneratePhased are Generate and
-// GeneratePhased as they were when a trace stored one entry per warp
-// instruction, compute instructions included, and refMeasure is Measure
-// over that stream. TestRecordsMatchReference checks that the records,
-// expanded back to instructions, reproduce the stream exactly.
+// record layout and the draws: refGenerate and refGeneratePhased are
+// Generate and GeneratePhased as they were when a trace stored one entry
+// per warp instruction, compute instructions included, took every decision
+// with a Float64() compare and drew pages by binary search over the Zipf
+// CDF; refMeasure is Measure over that stream. TestRecordsMatchReference
+// checks that the records, expanded back to instructions, reproduce the
+// stream exactly.
 
 // Instr is one warp instruction of an expanded stream.
 type Instr struct {
@@ -32,6 +36,27 @@ func expand(wt WarpTrace) []Instr {
 		}
 	}
 	return out
+}
+
+// refZipf draws a page rank by binary search for the first index whose
+// CDF reaches a Float64 draw.
+type refZipf struct {
+	cdf []float64
+	rng *sim.Rng
+}
+
+func (z refZipf) Next() int {
+	u := z.rng.Float64()
+	lo, hi := 0, len(z.cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if z.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // refTrace is a trace in the per-instruction layout.
@@ -83,7 +108,7 @@ func refGenerate(w config.Workload, c *config.Config) *refTrace {
 
 	for wi := 0; wi < nWarps; wi++ {
 		rng := sim.NewRng(c.Seed ^ uint64(wi)*0x9E3779B97F4A7C15 ^ hashName(w.Name))
-		zipf := sim.NewZipfCDF(rng, cdf)
+		zipf := refZipf{cdf: cdf, rng: rng}
 		tr := make([]Instr, 0, c.MaxInstructions)
 
 		curPage := int(perm[zipf.Next()])
@@ -173,17 +198,47 @@ func refMeasure(t *refTrace) Stats {
 	return s
 }
 
-// TestRecordsMatchReference: over every Table II workload, with and
-// without hot-set phases, two seeds and a short and a long budget, each
-// warp's records expand to exactly the reference instruction stream,
-// Measure agrees with the reference, and the records are canonical: only a
-// warp's last record may be a Compute record, and it carries a non-empty
-// run. The short budget leaves low-APKI warps with no memory op at all;
-// the test checks that the grid reaches warps that start with a memory op
-// and warps that end in a compute run.
+// edgeWorkloads are inline workloads at the edges of Generate's draws:
+// read ratios of 0 and 1, the lowest APKI and one the 0.95 memory-op cap
+// clips, a uniform page distribution and a one-page footprint.
+func edgeWorkloads() []config.Workload {
+	base, _ := config.WorkloadByName("bfsdata")
+	dense, _ := config.WorkloadByName("lud")
+	var out []config.Workload
+	for _, e := range []struct {
+		name string
+		edit func(*config.Workload)
+	}{
+		{"read-ratio-0", func(w *config.Workload) { w.ReadRatio = 0 }},
+		{"read-ratio-1", func(w *config.Workload) { w.ReadRatio = 1 }},
+		{"apki-1", func(w *config.Workload) { w.APKI = 1 }},
+		{"apki-999", func(w *config.Workload) { w.APKI = 999 }},
+		{"hot-skew-0", func(w *config.Workload) { w.HotSkew = 0 }},
+		{"one-page", func(w *config.Workload) { w.FootprintScale = 1e-6 }},
+	} {
+		for _, w := range []config.Workload{base, dense} {
+			w.Name = w.Name + "-" + e.name
+			e.edit(&w)
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// TestRecordsMatchReference: over every Table II workload and the edge
+// workloads, with and without hot-set phases, two seeds and a short and a
+// long budget, each warp's records expand to exactly the reference
+// instruction stream, Measure agrees with the reference, and the records
+// are canonical: only a warp's last record may be a Compute record, and it
+// carries a non-empty run. The short budget leaves low-APKI warps with no
+// memory op at all; the test checks that the grid reaches warps that start
+// with a memory op and warps that end in a compute run.
 func TestRecordsMatchReference(t *testing.T) {
 	var startsWithOp, endsInRun, endsWithOp, computeOnly int
-	for _, w := range config.Workloads() {
+	for _, w := range append(config.Workloads(), edgeWorkloads()...) {
+		if err := w.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		for _, phases := range []int{1, 4} {
 			for _, seed := range []uint64{1, 0x5eed} {
 				for _, budget := range []int{37, 1000} {
@@ -238,5 +293,38 @@ func TestRecordsMatchReference(t *testing.T) {
 	if startsWithOp == 0 || endsInRun == 0 || endsWithOp == 0 || computeOnly == 0 {
 		t.Fatalf("grid misses a warp shape: %d start with an op, %d end in a run, %d end with an op, %d compute only",
 			startsWithOp, endsInRun, endsWithOp, computeOnly)
+	}
+}
+
+// TestEdgeWorkloadsReachTheirEdges: each edge workload of
+// TestRecordsMatchReference produces the stream its edge implies.
+func TestEdgeWorkloadsReachTheirEdges(t *testing.T) {
+	c := config.Default(config.OhmBase, config.Planar)
+	c.MaxInstructions = 1000
+	for _, w := range edgeWorkloads() {
+		tr := Generate(w, &c)
+		s := tr.Measure()
+		cut := strings.IndexByte(w.Name, '-')
+		base, _ := config.WorkloadByName(w.Name[:cut])
+		var ok bool
+		switch name := w.Name[cut+1:]; name {
+		case "read-ratio-0":
+			ok = s.Loads == 0 && s.Stores > 0
+		case "read-ratio-1":
+			ok = s.Stores == 0 && s.Loads > 0
+		case "apki-1":
+			ok = s.APKI < 5
+		case "apki-999":
+			ok = math.Abs(s.APKI-950) < 10
+		case "hot-skew-0":
+			ok = s.UniquePages > Generate(base, &c).Measure().UniquePages
+		case "one-page":
+			ok = tr.Footprint == int64(tr.PageBytes) && s.UniquePages == 1
+		default:
+			t.Fatalf("%s: no check for edge %q", w.Name, name)
+		}
+		if !ok {
+			t.Errorf("%s: stream misses its edge: %+v, footprint %d B", w.Name, s, tr.Footprint)
+		}
 	}
 }

@@ -184,12 +184,16 @@ func CachedByName(name string, c *config.Config) (*Trace, error) {
 	return Cached(w, c), nil
 }
 
-// ResetCache drops all cached traces (tests, or reclaiming memory between
-// sweeps over disjoint geometries).
+// ResetCache drops all cached traces and page tables (tests, or reclaiming
+// memory between sweeps over disjoint geometries).
 func ResetCache() {
 	regMu.Lock()
 	registry = make(map[traceKey]*traceEntry)
 	regMu.Unlock()
+	zipfMu.Lock()
+	zipfTables = make(map[zipfKey]*zipfEntry)
+	zipfPages = 0
+	zipfMu.Unlock()
 }
 
 // CacheLen reports how many distinct traces are resident (diagnostics).

@@ -4,6 +4,15 @@
 // synthesize per-warp instruction streams that reproduce the published
 // memory intensity (APKI), read ratio, working-set footprint and page
 // hotness skew — the four properties the evaluation actually depends on.
+//
+// The package keeps two process-wide caches, both emptied by ResetCache.
+// The trace registry (Cached, Pins) shares whole generated traces between
+// cells. The page-table cache shares each (hot skew, page count)'s
+// sim.ZipfTable, the distribution a trace draws its pages from, between
+// every trace of that pair whatever its seed, budget or platform. Its
+// tables are immutable. It holds at most zipfCachePages pages in all
+// (about 12 MB) and empties itself before a new table would pass that; a
+// table larger than the bound is built per trace and not kept.
 package trace
 
 import (
@@ -208,11 +217,13 @@ func Generate(w config.Workload, c *config.Config) *Trace {
 	if memProb > 0.95 {
 		memProb = 0.95
 	}
+	// Both per-instruction choices compare the raw draw with an integer
+	// bound (sim.Prob): the same draws and outcomes as Float64() < p.
+	memHit, loadHit := sim.NewProb(memProb), sim.NewProb(w.ReadRatio)
 
-	// The Zipf CDF depends only on (skew, nPages): compute it once and share
-	// it across warps. Per-warp NewZipf recomputed the math.Pow-heavy CDF
-	// nWarps times and dominated whole-cell profiles.
-	cdf := sim.ZipfCDF(w.HotSkew, nPages)
+	// The page distribution depends only on (skew, nPages): every warp, and
+	// every trace of the same (skew, nPages), shares one table.
+	zipf := zipfTable(w.HotSkew, nPages)
 
 	// One backing array holds every warp's records. It is sized for the
 	// expected op count, four times its square root (at least four standard
@@ -223,21 +234,26 @@ func Generate(w config.Workload, c *config.Config) *Trace {
 
 	for wi := 0; wi < nWarps; wi++ {
 		rng := sim.NewRng(c.Seed ^ uint64(wi)*0x9E3779B97F4A7C15 ^ hashName(w.Name))
-		zipf := sim.NewZipfCDF(rng, cdf)
 		start := len(ops)
 
-		curPage := int(perm[zipf.Next()])
+		curPage := int(perm[zipf.Index(rng.Float64())])
 		curLine := rng.Intn(linesPerPage)
 		run := 0
-		var compute uint32 // compute instructions since the last memory op
-		for i := 0; i < c.MaxInstructions; i++ {
-			if rng.Float64() >= memProb {
-				compute++
-				continue
+		for left := c.MaxInstructions; ; {
+			// The compute instructions before the next memory op, each
+			// one draw that missed memHit.
+			compute := rng.Misses(memHit, left)
+			left -= compute
+			if left == 0 {
+				if compute > 0 {
+					ops = append(ops, Op{Run: uint32(compute), Kind: Compute})
+				}
+				break
 			}
+			left-- // the memory op's draw hit
 			// Memory op: continue the sequential run or pick a new page.
 			if run >= seqRun || curLine >= linesPerPage {
-				curPage = int(perm[zipf.Next()])
+				curPage = int(perm[zipf.Index(rng.Float64())])
 				curLine = rng.Intn(linesPerPage)
 				run = 0
 			}
@@ -245,14 +261,10 @@ func Generate(w config.Workload, c *config.Config) *Trace {
 			curLine++
 			run++
 			k := Store
-			if rng.Float64() < w.ReadRatio {
+			if rng.Hit(loadHit) {
 				k = Load
 			}
-			ops = append(ops, Op{Addr: addr, Run: compute, Kind: k})
-			compute = 0
-		}
-		if compute > 0 {
-			ops = append(ops, Op{Run: compute, Kind: Compute})
+			ops = append(ops, Op{Addr: addr, Run: uint32(compute), Kind: k})
 		}
 		t.Warps[wi] = ops[start:]
 	}

@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchcheck -baseline BENCH_18.json -current /tmp/BENCH_CI.json
+//	go run ./scripts/benchcheck -baseline BENCH_19.json -current /tmp/BENCH_CI.json
 package main
 
 import (
@@ -86,7 +86,7 @@ func majorMinor(v string) string {
 const allocsSlack = 1.001
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_18.json", "committed baseline snapshot")
+	baseline := flag.String("baseline", "BENCH_19.json", "committed baseline snapshot")
 	current := flag.String("current", "", "freshly generated snapshot to check")
 	benches := flag.String("benches",
 		"BenchmarkKernelScheduleID,BenchmarkAccess,BenchmarkAddEnergyHandle",
