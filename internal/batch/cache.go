@@ -73,6 +73,22 @@ type Cache interface {
 	Put(key string, rep stats.Report) error
 }
 
+// StoredForm returns rep as the result cache hands it back, after the
+// JSON round trip both caches apply. It is also a deep copy, so callers
+// given stored forms never alias one report's maps. A report that does not
+// marshal is returned as is; no cache can store it.
+func StoredForm(rep stats.Report) stats.Report {
+	data, err := json.Marshal(rep)
+	if err != nil {
+		return rep
+	}
+	var out stats.Report
+	if err := json.Unmarshal(data, &out); err != nil {
+		return rep
+	}
+	return out
+}
+
 // MemCache is a process-wide in-memory cache; experiments share one so
 // overlapping figures (16-19 visit many of the same cells) run each cell
 // once per process.

@@ -32,9 +32,10 @@ var _ Executor = LocalExecutor{}
 // cache lookup, single-flight, the process-wide simulation semaphore —
 // and reports whether it was served without simulating here. It is the
 // per-cell entry point the distributed dispatcher uses for the analytical
-// cells it resolves locally.
+// cells it resolves locally. A computed cell's cache write has returned
+// by the time RunCell does.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, bool, error) {
-	rep, hit, _, err := r.runCell(ctx, c)
+	rep, hit, _, err := r.RunCellTimed(ctx, c)
 	return rep, hit, err
 }
 
@@ -43,5 +44,9 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, bool, error
 // estimated by the twin or ran under Runner.RunFn. Remote workers use it
 // to ship the breakdown back to the coordinator with the result.
 func (r *Runner) RunCellTimed(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
-	return r.runCell(ctx, c)
+	rep, hit, ph, write, err := r.runCell(ctx, c)
+	if write != nil {
+		rep = r.land(write)
+	}
+	return rep, hit, ph, err
 }

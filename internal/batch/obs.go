@@ -16,7 +16,7 @@ var (
 	mCellsCompleted = obs.NewCounterVec("ohm_cells_completed_total",
 		"Sweep cells resolved by this process (cache hits included).", "mode")
 	mCellDuration = obs.NewHistogram("ohm_cell_duration_seconds",
-		"Wall time to resolve one cell, cache hits included.", nil)
+		"Wall time to resolve one cell, cache hits included and its result-cache write excluded.", nil)
 	mCellPhase = obs.NewHistogramVec("ohm_cell_phase_seconds",
 		"Per-phase wall time of locally simulated cells.", nil, "phase")
 

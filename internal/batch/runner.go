@@ -29,6 +29,12 @@ import (
 // oversubscribe the machine N-fold), and single-flight deduplication on
 // cache keys, so two jobs that request the same cell at the same time
 // simulate it once and share the result.
+//
+// A computed cell's result reaches the cache before anyone is told the
+// cell is done: its progress report, its single-flight followers and the
+// return of the call that computed it all wait for its cache write. Within
+// RunContext that write runs beside the worker's next cell rather than
+// before it.
 type Runner struct {
 	// Workers caps the number of concurrently executing simulations across
 	// all Run/RunContext calls on this Runner; <=0 means GOMAXPROCS. It must
@@ -58,11 +64,85 @@ type Runner struct {
 }
 
 // flightCall is one in-flight cacheable simulation that concurrent
-// requesters of the same key can wait on instead of re-simulating.
+// requesters of the same key can wait on instead of re-simulating. A
+// computed result waits in rep, as computed, until land stores it; done
+// closes once the result is in the cache (or the attempt failed), and rep
+// then holds the result's stored form.
 type flightCall struct {
+	key  string
 	done chan struct{}
 	rep  stats.Report
 	err  error
+}
+
+// endFlight removes a finished flight and releases its followers.
+func (r *Runner) endFlight(call *flightCall) {
+	r.mu.Lock()
+	delete(r.flight, call.key)
+	r.mu.Unlock()
+	close(call.done)
+}
+
+// land stores a computed cell's result, ends its flight and returns the
+// result's stored form. Until land has run, no follower and no progress
+// report sees the cell. The cache is an optimization, not a correctness
+// dependency: a failed Put (full disk, lost permissions) does not discard
+// a computed result, so it only bumps a counter the caller can surface.
+//
+// The stored form is made here, on the writer, rather than by the worker
+// that computed the cell. Against a MemCache, where a Put costs ~10 µs, a
+// 48-cell analytical sweep took a median of 4.1 ms with its writes in
+// line and 4.9 ms with the round trip on the worker; with it here the
+// sweep read as fast as in line (2-vCPU Xeon, interleaved sets of 100
+// sweeps).
+func (r *Runner) land(call *flightCall) stats.Report {
+	if err := r.Cache.Put(call.key, call.rep); err != nil {
+		r.putErrs.Add(1)
+		mCachePutErrors.Inc()
+	}
+	call.rep = StoredForm(call.rep)
+	r.endFlight(call)
+	return call.rep
+}
+
+// cellWriters bounds the cache writes one RunContext call has in flight.
+// A DiskCache.Put on ext4 takes ~0.1 to ~1 ms, most of it CPU time in the
+// kernel creating the temp file, and more while another file on the
+// filesystem is being fsynced, as the job journal is on every submit and
+// finish; an analytical cell computes in ~25 µs. A 48-cell analytical
+// sweep on one worker beside a file fsynced every 20 ms (2-vCPU Xeon,
+// ext4; medians of 30 sweeps in three interleaved sets) took 28-44 ms
+// with its writes in line, 33-37 ms with 1 writer and 16-21 ms with 2,
+// 4, 8 or 16, which read alike: two writers already fill both CPUs. 4
+// leaves room for a host with more.
+const cellWriters = 4
+
+// cellWrites runs one RunContext call's cache writes, at most cellWriters
+// at a time, each on its own goroutine; wait returns once all have landed.
+type cellWrites struct {
+	slots chan struct{}
+	wg    sync.WaitGroup
+}
+
+// start runs f on a new writer, first waiting for a free slot. Waiting
+// here is the back-pressure that keeps a worker from running ahead of its
+// writes.
+func (ws *cellWrites) start(f func()) {
+	ws.slots <- struct{}{}
+	ws.wg.Add(1)
+	go func() {
+		defer ws.wg.Done()
+		f()
+		<-ws.slots
+	}()
+}
+
+// wait returns once every started write has landed; a nil cellWrites has
+// none.
+func (ws *cellWrites) wait() {
+	if ws != nil {
+		ws.wg.Wait()
+	}
 }
 
 // NewRunner returns a Runner with the given pool size and cache (both may
@@ -128,7 +208,10 @@ func (r *Runner) release() {
 // resolved so far out of total, and hit reports whether this cell came from
 // the cache (or a shared in-flight simulation) rather than a fresh run.
 // Calls are serialized and done is strictly increasing; cells abandoned by
-// cancellation or failure are never reported.
+// cancellation or failure are never reported. A cell computed here is
+// reported only once its cache write has returned, so with a cache every
+// reported cell is stored; calls may therefore come from a writer
+// goroutine, and out of cell order.
 type Progress func(done, total int, hit bool)
 
 // RunSpec expands the spec and runs its cells.
@@ -153,6 +236,12 @@ func (r *Runner) Run(cells []Cell) ([]stats.Report, error) {
 // discrete-event core is not interruptible) and their results still land
 // in the cache. A cancelled run returns ctx's error wrapped with the first
 // unstarted cell's identity.
+//
+// A computed cell's cache write runs on one of the call's writers (at most
+// cellWriters at once) while its worker goes on to the next cell, and the
+// writer fills in the cell's report, in the stored form the cache hands
+// back. RunContext returns only after every write it started has
+// returned, cancelled or not.
 func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress) ([]stats.Report, error) {
 	reports := make([]stats.Report, len(cells))
 	errs := make([]error, len(cells))
@@ -177,15 +266,21 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 		}
 	}
 
+	// pmu serializes progress and guards tally. The first computed cell
+	// to store makes the call's writers, so a call whose cells all hit, or
+	// whose runner has no cache, makes none.
 	var pmu sync.Mutex
-	completed := 0
+	var tally struct {
+		completed int
+		writes    *cellWrites
+	}
 	note := func(hit bool) {
 		if progress == nil {
 			return
 		}
 		pmu.Lock()
-		completed++
-		progress(completed, len(cells), hit)
+		tally.completed++
+		progress(tally.completed, len(cells), hit)
 		pmu.Unlock()
 	}
 
@@ -194,9 +289,22 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 			errs[i] = err
 			return
 		}
-		rep, hit, _, err := r.runCell(ctx, cells[i])
+		rep, hit, _, write, err := r.runCell(ctx, cells[i])
 		reports[i], errs[i] = rep, err
-		if err == nil {
+		switch {
+		case err != nil:
+		case write != nil:
+			pmu.Lock()
+			if tally.writes == nil {
+				tally.writes = &cellWrites{slots: make(chan struct{}, cellWriters)}
+			}
+			writes := tally.writes
+			pmu.Unlock()
+			writes.start(func() {
+				reports[i] = r.land(write)
+				note(hit)
+			})
+		default:
 			note(hit)
 		}
 	}
@@ -227,6 +335,7 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 		close(jobs)
 		wg.Wait()
 	}
+	tally.writes.wait()
 
 	for i, err := range errs {
 		if err != nil {
@@ -240,12 +349,15 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 // hit/miss outcome feed the process metrics, and when the context carries
 // a job span (the serving layer attaches one per job) the cell's timing
 // folds into that job's breakdown. Phase timings are returned so remote
-// workers can ship them back over the wire.
-func (r *Runner) runCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
+// workers can ship them back over the wire. A computed cell's flight is
+// returned with its cache write still to run, and the wall time excludes
+// the write: the caller must land it, at once or on a writer, and take the
+// report land returns.
+func (r *Runner) runCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, *flightCall, error) {
 	start := time.Now()
-	rep, hit, ph, err := r.resolveCell(ctx, c)
+	rep, hit, ph, write, err := r.resolveCell(ctx, c)
 	if err != nil {
-		return rep, hit, ph, err
+		return rep, hit, ph, nil, err
 	}
 	wall := time.Since(start)
 	analytical := c.Exec == config.ExecAnalytical
@@ -260,7 +372,7 @@ func (r *Runner) runCell(ctx context.Context, c Cell) (stats.Report, bool, obs.P
 		mCellPhase.With(phaseEventLoop).ObserveDuration(ph.EventLoop)
 	}
 	obs.SpanFrom(ctx).RecordCellMode(wall, ph, hit, false, analytical)
-	return rep, hit, ph, nil
+	return rep, hit, ph, write, nil
 }
 
 // NoteExternalResolve accounts for a cell that was resolved outside
@@ -286,30 +398,33 @@ func (r *Runner) NoteExternalResolve(exec config.ExecMode, shared bool) {
 }
 
 // resolveCell resolves one cell: cache lookup, then single-flight
-// simulation, then store. The bool result reports whether the cell was
-// served without simulating here (cache hit or shared in-flight result).
-func (r *Runner) resolveCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
+// simulation. The bool result reports whether the cell was served without
+// simulating here (cache hit or shared in-flight result). A cell computed
+// here comes back as computed, together with its flight for land; landing
+// stores the result, ends the flight and yields the stored form, which is
+// what callers are handed, so fresh and cached results are byte-identical.
+func (r *Runner) resolveCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, *flightCall, error) {
 	var key string
 	if r.Cache != nil {
 		k, err := c.Key()
 		if err != nil {
-			return stats.Report{}, false, obs.Phases{}, err
+			return stats.Report{}, false, obs.Phases{}, nil, err
 		}
 		key = k
 		if rep, ok := r.Cache.Get(key); ok {
 			r.hits.Add(1)
 			mCacheHits.Inc()
-			return rep, true, obs.Phases{}, nil
+			return rep, true, obs.Phases{}, nil, nil
 		}
 	}
 	if key == "" {
 		rep, ph, err := r.simulate(ctx, c)
-		return rep, false, ph, err
+		return rep, false, ph, nil, err
 	}
 
 	// Single-flight: concurrent requests for one key (two jobs polling the
 	// same figure, overlapping sweeps) elect a leader that simulates while
-	// everyone else waits for its result.
+	// everyone else waits for its result to be stored.
 joinFlight:
 	r.mu.Lock()
 	if r.flight == nil {
@@ -320,7 +435,7 @@ joinFlight:
 		select {
 		case <-call.done:
 		case <-ctx.Done():
-			return stats.Report{}, false, obs.Phases{}, ctx.Err()
+			return stats.Report{}, false, obs.Phases{}, nil, ctx.Err()
 		}
 		if call.err != nil {
 			// A context error is the *leader's* cancellation, not ours: its
@@ -330,61 +445,38 @@ joinFlight:
 			if (errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded)) && ctx.Err() == nil {
 				goto joinFlight
 			}
-			return stats.Report{}, false, obs.Phases{}, call.err
+			return stats.Report{}, false, obs.Phases{}, nil, call.err
 		}
 		r.shared.Add(1)
 		r.hits.Add(1)
 		mCacheShared.Inc()
 		mCacheHits.Inc()
-		// Prefer the cached form so every caller gets a private decoded
-		// copy instead of aliasing the leader's report maps.
-		if rep, ok := r.Cache.Get(key); ok {
-			return rep, true, obs.Phases{}, nil
-		}
-		return call.rep, true, obs.Phases{}, nil
+		// A private copy, so no two callers alias one report's maps.
+		return StoredForm(call.rep), true, obs.Phases{}, nil, nil
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call := &flightCall{key: key, done: make(chan struct{})}
 	r.flight[key] = call
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.flight, key)
-		r.mu.Unlock()
-		close(call.done)
-	}()
 
 	// A prior leader may have finished between our cache miss and taking
-	// flight leadership; its Put happens before its flight entry is
+	// flight leadership; its write lands before its flight entry is
 	// removed, so re-checking the cache here closes that window.
 	if rep, ok := r.Cache.Get(key); ok {
 		r.hits.Add(1)
 		mCacheHits.Inc()
 		call.rep = rep
-		return rep, true, obs.Phases{}, nil
+		r.endFlight(call)
+		return rep, true, obs.Phases{}, nil, nil
 	}
 
 	rep, ph, err := r.simulate(ctx, c)
 	if err != nil {
 		call.err = err
-		return stats.Report{}, false, obs.Phases{}, err
-	}
-	// The cache is an optimization, not a correctness dependency: a failed
-	// Put (full disk, lost permissions) must not discard a successfully
-	// computed result, so it only bumps a counter the caller can surface.
-	if putErr := r.Cache.Put(key, rep); putErr != nil {
-		r.putErrs.Add(1)
-		mCachePutErrors.Inc()
-		call.rep = rep
-		return rep, false, ph, nil
-	}
-	// Serve the stored form so cached and fresh paths are identical
-	// byte-for-byte (JSON round-tripping normalizes empty maps).
-	if cached, ok := r.Cache.Get(key); ok {
-		call.rep = cached
-		return cached, false, ph, nil
+		r.endFlight(call)
+		return stats.Report{}, false, obs.Phases{}, nil, err
 	}
 	call.rep = rep
-	return rep, false, ph, nil
+	return rep, false, ph, call, nil
 }
 
 // simulate executes the cell under the process-wide concurrency cap. The

@@ -515,6 +515,11 @@ func (c *Config) Validate() error {
 	if c.Optical.Waveguides <= 0 {
 		return fmt.Errorf("config: waveguides must be positive")
 	}
+	// !(x > 0) rather than x <= 0, so that NaN fails too.
+	if !(c.GPU.CoreFreqHz > 0) || !(c.Optical.FreqHz > 0) || !(c.Electrical.FreqHz > 0) {
+		return fmt.Errorf("config: clock frequencies must be positive: core %v Hz, optical %v Hz, electrical %v Hz",
+			c.GPU.CoreFreqHz, c.Optical.FreqHz, c.Electrical.FreqHz)
+	}
 	if c.Memory.DRAMBytes <= 0 {
 		return fmt.Errorf("config: DRAM capacity must be positive")
 	}

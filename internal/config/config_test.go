@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -168,6 +169,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero xpoint read", func(c *Config) { c.XPoint.ReadLatency = 0 }},
 		{"zero banks", func(c *Config) { c.DRAM.Banks = 0 }},
 		{"zero instructions", func(c *Config) { c.MaxInstructions = 0 }},
+		{"zero core clock", func(c *Config) { c.GPU.CoreFreqHz = 0 }},
+		{"NaN optical clock", func(c *Config) { c.Optical.FreqHz = math.NaN() }},
+		{"negative electrical clock", func(c *Config) { c.Electrical.FreqHz = -15e9 }},
 	}
 	for _, m := range mutations {
 		c := Default(OhmBW, Planar)

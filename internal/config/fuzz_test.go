@@ -71,6 +71,8 @@ func FuzzSet(f *testing.F) {
 		{"noc_detailed", "yes"},
 		{"dram.trcd_ns", "1e400"},
 		{"dram.trcd_ns", "NaN"},
+		{"optical.freq_hz", "NaN"},
+		{"optical.freq_hz", "-Inf"},
 		{"", ""},
 		{"....", "0"},
 		{"OPTICAL.WAVEGUIDES", " 2 "},

@@ -304,26 +304,35 @@ func toBool(v interface{}) (bool, error) {
 	return false, fmt.Errorf("got %T(%v)", v, v)
 }
 
+// toFloat rejects NaN and the infinities, which strconv parses from
+// "NaN" and "Inf": no knob means anything at them, and NaN passes every
+// x <= 0 check to reach the event loop as a nonsense timestamp.
 func toFloat(v interface{}) (float64, error) {
+	var f float64
 	switch x := v.(type) {
 	case float64:
-		return x, nil
+		f = x
 	case float32:
-		return float64(x), nil
+		f = float64(x)
 	case int:
-		return float64(x), nil
+		f = float64(x)
 	case int64:
-		return float64(x), nil
+		f = float64(x)
 	case uint64:
-		return float64(x), nil
+		f = float64(x)
 	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
+		p, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
 		if err != nil {
 			return 0, fmt.Errorf("got %q", x)
 		}
-		return f, nil
+		f = p
+	default:
+		return 0, fmt.Errorf("got %T(%v)", v, v)
 	}
-	return 0, fmt.Errorf("got %T(%v)", v, v)
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("got non-finite %v", f)
+	}
+	return f, nil
 }
 
 func toInt(v interface{}) (int64, error) {

@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,6 +120,11 @@ func TestOverrideErrorsNameThePath(t *testing.T) {
 		{"gpu.noc_detailed", 3.0},          // number for bool
 		{"xpoint.wear_limit", float64(-1)}, // negative for uint
 		{"dram.trcd_ns", -30},              // negative duration
+		{"optical.freq_hz", "NaN"},         // non-finite float
+		{"optical.freq_hz", "Inf"},         // non-finite float
+		{"optical.freq_hz", "-Inf"},        // non-finite float
+		{"optical.freq_hz", math.NaN()},    // non-finite, from Go
+		{"dram.trcd_ns", "+Inf"},           // non-finite duration
 		{"platform", "oracle"},             // identity, not overridable
 		{"mode", "planar"},                 // identity, not overridable
 		{"memory.mode", float64(1)},        // identity, not overridable

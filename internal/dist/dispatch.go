@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -527,7 +526,7 @@ func (d *Dispatcher) finalize(t *task, rep stats.Report, hit bool, ph obs.Phases
 			if cached, ok := d.cacheGet(t.key); ok {
 				r = cached
 			} else {
-				r = cloneReport(rep)
+				r = batch.StoredForm(rep)
 			}
 			// Piggyback waiters resolve without the runner ever seeing
 			// their cell; count them as shared hits so the mode-split
@@ -544,34 +543,15 @@ func (d *Dispatcher) finalize(t *task, rep stats.Report, hit bool, ph obs.Phases
 	}
 }
 
-// cloneReport deep-copies a report via its JSON form (reports round-trip
-// losslessly — the cache depends on that already).
-func cloneReport(rep stats.Report) stats.Report {
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return rep
-	}
-	var out stats.Report
-	if err := json.Unmarshal(data, &out); err != nil {
-		return rep
-	}
-	return out
-}
-
 // putAndReload inserts a report under its key and returns the stored form,
-// so remotely computed and locally cached results are byte-identical (the
-// JSON round trip normalizes empty maps exactly like Runner.runCell).
+// so remotely computed and locally cached results are byte-identical. A
+// failed Put still returns the stored form, as the runner does.
 func (d *Dispatcher) putAndReload(key string, rep stats.Report) stats.Report {
 	if d.Runner.Cache == nil {
 		return rep
 	}
-	if err := d.Runner.Cache.Put(key, rep); err != nil {
-		return rep
-	}
-	if cached, ok := d.Runner.Cache.Get(key); ok {
-		return cached
-	}
-	return rep
+	_ = d.Runner.Cache.Put(key, rep) // a failed store costs only a recomputation later
+	return batch.StoredForm(rep)
 }
 
 // localConsumer pulls queued tasks and runs them on the coordinator's own

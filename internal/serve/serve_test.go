@@ -632,6 +632,29 @@ func TestSpecValidationAt400(t *testing.T) {
 	}
 }
 
+// TestNonFiniteOverrideRejectedAt400: a NaN optical clock panics the
+// event loop, and nothing in the server recovers a panic, so a sweep that
+// asks for one must fail at submission. The runner simulates for real, so
+// a spec that got through would end the test binary instead of answering.
+func TestNonFiniteOverrideRejectedAt400(t *testing.T) {
+	a := newAPI(t, batch.NewRunner(1, batch.NewMemCache()), 1, 4)
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		body := `{"spec":{"platforms":["ohm-bw"],"modes":["planar"],"workloads":["lud"],` +
+			`"max_instructions":300,"overrides":{"optical.freq_hz":["` + v + `"]}}}`
+		code, data := a.do("POST", "/v1/sweeps", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(data), "optical.freq_hz") {
+			t.Fatalf("freq_hz=%s: submit = %d (%s), want 400 naming the path", v, code, data)
+		}
+	}
+	if code, data := a.do("GET", "/v1/healthz", ""); code != http.StatusOK {
+		t.Fatalf("healthz after rejected submissions = %d: %s", code, data)
+	}
+	st := a.wait(a.submit(`{"spec":{"platforms":["ohm-bw"],"modes":["planar"],"workloads":["lud"],"max_instructions":300}}`))
+	if st.State != StateDone {
+		t.Fatalf("finite sweep after rejected ones: %+v", st)
+	}
+}
+
 // TestDiscoveryEndpoints covers GET /v1/platforms, /v1/workloads and
 // /v1/healthz.
 func TestDiscoveryEndpoints(t *testing.T) {

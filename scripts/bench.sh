@@ -13,7 +13,7 @@
 # CPUs, GOMAXPROCS), the Go version and the commit it measured ("+dirty"
 # when tracked files differ from it).
 #
-# The suite covers five layers:
+# The suite covers six layers:
 #   - kernel:   BenchmarkKernelScheduleID (the slot scheduler's steady-state
 #               fire->reschedule loop over 128 warps, allocs/op)
 #   - cell:     BenchmarkKernelColdCell / BenchmarkKernelWarmCell and
@@ -25,6 +25,9 @@
 #               in-process result cache, so run it cold-aware via benchtime)
 #   - twin:     BenchmarkTwinCell (one closed-form analytical cell; the
 #               acceptance bar is >=10^3x cheaper than a warm DES cell)
+#   - service:  BenchmarkDiskCachePut (one result-cache write, alone and
+#               beside a file fsynced every 20 ms as the job journal is;
+#               recorded, not gated)
 #
 # Each PR that changes a hot path re-runs this script and commits the new
 # BENCH_<n>.json, so the perf trajectory is recorded next to the code.
@@ -51,7 +54,11 @@ echo "bench: micro (sim/cache/stats/dram/optical)" >&2
 go test -run='^$' -bench='.' -benchmem -benchtime=1000000x \
   ./internal/sim ./internal/cache ./internal/stats ./internal/dram ./internal/optical | tee -a "$TMP" >&2
 echo "bench: trace generation and registry" >&2
-go test -run='^$' -bench='.' -benchmem -benchtime=20x ./internal/trace | tee -a "$TMP" >&2
+# At 20x, five recordings on a 2-vCPU Xeon read BenchmarkGenerate anywhere
+# from 1.68 to 1.96 ms; at 200x, 1.33-1.57 ms.
+go test -run='^$' -bench='.' -benchmem -benchtime=200x ./internal/trace | tee -a "$TMP" >&2
+echo "bench: result-cache writes (service layer)" >&2
+go test -run='^$' -bench='.' -benchmem -benchtime=200x ./internal/batch | tee -a "$TMP" >&2
 
 # Parse the accumulated `go test -bench` output into JSON. Any Benchmark
 # line the parser cannot extract ns/op (or iterations) from aborts the
