@@ -64,8 +64,8 @@ func TestSpecCellsDeterministicOrder(t *testing.T) {
 	if cells[4].Config.Optical.Waveguides != 4 {
 		t.Fatalf("cells[4] waveguides = %d, want 4", cells[4].Config.Optical.Waveguides)
 	}
-	if cells[8].Mode != config.TwoLevel {
-		t.Fatalf("cells[8] mode = %s, want two-level", cells[8].Mode)
+	if cells[8].Config.Mode != config.TwoLevel {
+		t.Fatalf("cells[8] mode = %s, want two-level", cells[8].Config.Mode)
 	}
 	for i, c := range cells {
 		if c.Index != i {
@@ -79,6 +79,26 @@ func TestSpecCellsDeterministicOrder(t *testing.T) {
 	again := mustCells(t, spec)
 	if !reflect.DeepEqual(cells, again) {
 		t.Fatal("two expansions of one spec differ")
+	}
+}
+
+// TestCellLabelReadsConfig: a hand-built cell labels itself, in errors
+// and in result rows, with the platform and mode of its config.
+func TestCellLabelReadsConfig(t *testing.T) {
+	c := Cell{Config: config.Default(config.OhmBase, config.TwoLevel), Exec: config.ExecAnalytical, Workload: "lud"}
+	if got, want := c.String(), "Ohm-base/two-level+analytical/lud"; got != want {
+		t.Fatalf("label = %s, want %s", got, want)
+	}
+	row := Rows([]Cell{c}, make([]stats.Report, 1))[0]
+	if row.Platform != "Ohm-base" || row.Mode != "two-level+analytical" {
+		t.Fatalf("row labels %s/%s, want Ohm-base/two-level+analytical", row.Platform, row.Mode)
+	}
+	var csv strings.Builder
+	if err := WriteCSV(&csv, []Cell{c}, make([]stats.Report, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(csv.String(), "\n0,Ohm-base,two-level+analytical,lud,") {
+		t.Fatalf("CSV row does not carry the config's labels:\n%s", csv.String())
 	}
 }
 
@@ -507,11 +527,11 @@ func TestRunContextProgress(t *testing.T) {
 
 	observe := func() (dones []int, totals []int, hits []bool) {
 		var mu sync.Mutex
-		_, err := r.RunContext(context.Background(), cells, func(done, total int, hit bool) {
+		_, err := r.RunContext(context.Background(), cells, func(done, total int, o Outcome) {
 			mu.Lock()
 			dones = append(dones, done)
 			totals = append(totals, total)
-			hits = append(hits, hit)
+			hits = append(hits, o.Hit)
 			mu.Unlock()
 		})
 		if err != nil {

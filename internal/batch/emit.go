@@ -37,8 +37,8 @@ func Rows(cells []Cell, reports []stats.Report) []Row {
 	for i, c := range cells {
 		rows[i] = Row{
 			Index:       c.Index,
-			Platform:    c.Platform.String(),
-			Mode:        config.ModeString(c.Mode, c.Exec),
+			Platform:    c.Config.Platform.String(),
+			Mode:        config.ModeString(c.Config.Mode, c.Exec),
 			Workload:    c.Workload,
 			Waveguides:  c.Config.Optical.Waveguides,
 			Overrides:   c.Overrides,
@@ -95,8 +95,8 @@ func WriteCSV(w io.Writer, cells []Cell, reports []stats.Report) error {
 		r := reports[i]
 		rec := []string{
 			strconv.Itoa(c.Index),
-			c.Platform.String(),
-			config.ModeString(c.Mode, c.Exec),
+			c.Config.Platform.String(),
+			config.ModeString(c.Config.Mode, c.Exec),
 			c.Workload,
 			strconv.Itoa(c.Config.Optical.Waveguides),
 			strconv.FormatInt(int64(r.Elapsed), 10),

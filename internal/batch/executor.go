@@ -30,23 +30,21 @@ var _ Executor = LocalExecutor{}
 
 // RunCell resolves a single cell through the Runner's full machinery —
 // cache lookup, single-flight, the process-wide simulation semaphore —
-// and reports whether it was served without simulating here. It is the
-// per-cell entry point the distributed dispatcher uses for the analytical
-// cells it resolves locally. A computed cell's cache write has returned
-// by the time RunCell does.
-func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, bool, error) {
-	rep, hit, _, err := r.RunCellTimed(ctx, c)
-	return rep, hit, err
-}
-
-// RunCellTimed is RunCell plus the cell's phase split — zero when the
-// cell was served from cache, joined an in-flight simulation, was
-// estimated by the twin or ran under Runner.RunFn. Remote workers use it
-// to ship the breakdown back to the coordinator with the result.
-func (r *Runner) RunCellTimed(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
-	rep, hit, ph, write, err := r.runCell(ctx, c)
+// and reports how it was resolved. It is the per-cell entry point the
+// distributed dispatcher uses for the cells it resolves locally and
+// remote workers use for the cells they lease. A computed cell's cache
+// write has returned by the time RunCell does.
+func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, Outcome, error) {
+	rep, o, write, err := r.runCell(ctx, c)
 	if write != nil {
 		rep = r.land(write)
 	}
-	return rep, hit, ph, err
+	return rep, o, err
+}
+
+// RunCellTimed is RunCell with the outcome cut down to whether the cell
+// was served without simulating here and its phase split.
+func (r *Runner) RunCellTimed(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, error) {
+	rep, o, err := r.RunCell(ctx, c)
+	return rep, o.Hit, o.Phases, err
 }

@@ -205,14 +205,32 @@ func (r *Runner) release() {
 }
 
 // Progress observes cell completions during RunContext: done counts cells
-// resolved so far out of total, and hit reports whether this cell came from
-// the cache (or a shared in-flight simulation) rather than a fresh run.
+// resolved so far out of total, and o says how this cell was resolved.
 // Calls are serialized and done is strictly increasing; cells abandoned by
 // cancellation or failure are never reported. A cell computed here is
 // reported only once its cache write has returned, so with a cache every
 // reported cell is stored; calls may therefore come from a writer
 // goroutine, and out of cell order.
-type Progress func(done, total int, hit bool)
+type Progress func(done, total int, o Outcome)
+
+// Outcome is how one cell was resolved, reported with it to Progress: the
+// serving layer sums a job's outcomes into its timing block.
+type Outcome struct {
+	// Hit reports that the cell was served without simulating for this
+	// caller, from the cache or a shared in-flight result.
+	Hit bool
+	// Remote reports that a remote worker computed the cell.
+	Remote bool
+	// Analytical reports that the closed-form twin resolved the cell.
+	Analytical bool
+	// Wall is the cell's wall time, its cache write excluded; for a
+	// dispatched cell it runs from when the coordinator queued it, so
+	// queue wait and transport are included.
+	Wall time.Duration
+	// Phases is the measured split of a cell simulated for this caller,
+	// here or by the worker that ran it; zero otherwise.
+	Phases obs.Phases
+}
 
 // RunSpec expands the spec and runs its cells.
 func (r *Runner) RunSpec(spec SweepSpec) ([]stats.Report, error) {
@@ -274,13 +292,13 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 		completed int
 		writes    *cellWrites
 	}
-	note := func(hit bool) {
+	note := func(o Outcome) {
 		if progress == nil {
 			return
 		}
 		pmu.Lock()
 		tally.completed++
-		progress(tally.completed, len(cells), hit)
+		progress(tally.completed, len(cells), o)
 		pmu.Unlock()
 	}
 
@@ -289,7 +307,7 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 			errs[i] = err
 			return
 		}
-		rep, hit, _, write, err := r.runCell(ctx, cells[i])
+		rep, o, write, err := r.runCell(ctx, cells[i])
 		reports[i], errs[i] = rep, err
 		switch {
 		case err != nil:
@@ -302,10 +320,10 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 			pmu.Unlock()
 			writes.start(func() {
 				reports[i] = r.land(write)
-				note(hit)
+				note(o)
 			})
 		default:
-			note(hit)
+			note(o)
 		}
 	}
 
@@ -345,34 +363,29 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 	return reports, nil
 }
 
-// runCell resolves one cell and accounts for it: wall time and the
-// hit/miss outcome feed the process metrics, and when the context carries
-// a job span (the serving layer attaches one per job) the cell's timing
-// folds into that job's breakdown. Phase timings are returned so remote
-// workers can ship them back over the wire. A computed cell's flight is
+// runCell resolves one cell, feeds its wall time and outcome to the
+// process metrics and returns the outcome. A computed cell's flight is
 // returned with its cache write still to run, and the wall time excludes
 // the write: the caller must land it, at once or on a writer, and take the
 // report land returns.
-func (r *Runner) runCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, *flightCall, error) {
+func (r *Runner) runCell(ctx context.Context, c Cell) (stats.Report, Outcome, *flightCall, error) {
 	start := time.Now()
 	rep, hit, ph, write, err := r.resolveCell(ctx, c)
 	if err != nil {
-		return rep, hit, ph, nil, err
+		return rep, Outcome{}, nil, err
 	}
-	wall := time.Since(start)
-	analytical := c.Exec == config.ExecAnalytical
-	if analytical {
+	o := Outcome{Hit: hit, Analytical: c.Exec == config.ExecAnalytical, Wall: time.Since(start), Phases: ph}
+	if o.Analytical {
 		r.analytical.Add(1)
 	}
 	mCellsCompleted.With(c.Exec.String()).Inc()
-	mCellDuration.ObserveDuration(wall)
+	mCellDuration.ObserveDuration(o.Wall)
 	if !ph.IsZero() {
 		mCellPhase.With(phaseTraceGen).ObserveDuration(ph.TraceGen)
 		mCellPhase.With(phasePlatformBuild).ObserveDuration(ph.PlatformBuild)
 		mCellPhase.With(phaseEventLoop).ObserveDuration(ph.EventLoop)
 	}
-	obs.SpanFrom(ctx).RecordCellMode(wall, ph, hit, false, analytical)
-	return rep, hit, ph, write, nil
+	return rep, o, write, nil
 }
 
 // NoteExternalResolve accounts for a cell that was resolved outside

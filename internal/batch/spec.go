@@ -27,9 +27,7 @@ import (
 // when WorkloadDef is set, on that inline workload definition) as the
 // cell's Variant.
 type Cell struct {
-	Index    int             `json:"index"`
-	Platform config.Platform `json:"-"`
-	Mode     config.MemMode  `json:"-"`
+	Index int `json:"index"`
 	// Exec selects the evaluation engine: the discrete-event simulator
 	// (zero value) or the closed-form analytical twin. Analytical cells
 	// estimate instead of simulating; their cache keys are salted with the
@@ -68,7 +66,7 @@ func (c *Cell) definition() (w config.Workload, ok bool) {
 // String identifies the cell in errors and logs, including any override
 // patch so two cells of one sweep axis stay distinguishable.
 func (c Cell) String() string {
-	s := fmt.Sprintf("%s/%s/%s", c.Platform, config.ModeString(c.Mode, c.Exec), c.Workload)
+	s := fmt.Sprintf("%s/%s/%s", c.Config.Platform, config.ModeString(c.Config.Mode, c.Exec), c.Workload)
 	if len(c.Overrides) > 0 {
 		s += "@" + overridesLabel(c.Overrides)
 	}
@@ -466,8 +464,6 @@ func (s SweepSpec) Cells() ([]Cell, error) {
 					}
 					cells = append(cells, Cell{
 						Index:       len(cells),
-						Platform:    p,
-						Mode:        m,
 						Exec:        exec,
 						Workload:    w,
 						WorkloadDef: def,

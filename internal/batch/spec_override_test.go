@@ -256,7 +256,7 @@ func TestParseSpecSniffsBothForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := mustCells(t, one)
-	if len(cells) != 1 || cells[0].Platform != config.Oracle || cells[0].Workload != "lud" {
+	if len(cells) != 1 || cells[0].Config.Platform != config.Oracle || cells[0].Workload != "lud" {
 		t.Fatalf("scenario form = %+v", cells)
 	}
 	if _, err := ParseSpec([]byte(`{"preset":"oracle","platfroms":["x"]}`)); err == nil {

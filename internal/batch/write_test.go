@@ -98,7 +98,7 @@ func TestNextCellRunsWhileWriteBlocked(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var err error
-		reps, err = r.RunContext(context.Background(), cells, func(int, int, bool) { reported.Add(1) })
+		reps, err = r.RunContext(context.Background(), cells, func(int, int, Outcome) { reported.Add(1) })
 		done <- err
 	}()
 
@@ -208,7 +208,7 @@ func TestCancelledRunWaitsForItsWrites(t *testing.T) {
 	var reported atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunContext(ctx, cells, func(int, int, bool) { reported.Add(1) })
+		_, err := r.RunContext(ctx, cells, func(int, int, Outcome) { reported.Add(1) })
 		done <- err
 	}()
 
@@ -274,9 +274,9 @@ func TestRunCellLandsItsWrite(t *testing.T) {
 	cache := NewMemCache()
 	r := &Runner{Workers: 1, Cache: cache, RunFn: fakeRun}
 	cell := Cell{Config: config.Default(config.OhmBase, config.Planar), Workload: "lud"}
-	rep, hit, err := r.RunCell(context.Background(), cell)
-	if err != nil || hit {
-		t.Fatalf("RunCell = hit %v, err %v", hit, err)
+	rep, o, err := r.RunCell(context.Background(), cell)
+	if err != nil || o.Hit {
+		t.Fatalf("RunCell = hit %v, err %v", o.Hit, err)
 	}
 	key, err := cell.Key()
 	if err != nil {

@@ -135,7 +135,6 @@ type waiter struct {
 // callState is one RunContext invocation in flight.
 type callState struct {
 	ctx      context.Context
-	span     *obs.JobSpan // from the job context; nil-safe
 	reports  []stats.Report
 	errs     []error
 	progress batch.Progress
@@ -146,17 +145,25 @@ type callState struct {
 	wg        sync.WaitGroup
 }
 
-// resolve records one cell's outcome and feeds the progress callback.
-// Progress mirrors Runner.RunContext: serialized, done strictly
-// increasing, failed/abandoned cells never reported.
-func (c *callState) resolve(idx int, rep stats.Report, hit bool, err error) {
+// resolve records one cell's report and feeds its outcome to the
+// progress callback. Progress mirrors Runner.RunContext: serialized, done
+// strictly increasing, failed/abandoned cells never reported.
+func (c *callState) resolve(idx int, rep stats.Report, o batch.Outcome) {
 	c.mu.Lock()
 	c.reports[idx] = rep
-	c.errs[idx] = err
-	if err == nil && c.progress != nil {
+	if c.progress != nil {
 		c.completed++
-		c.progress(c.completed, c.total, hit)
+		c.progress(c.completed, c.total, o)
 	}
+	c.mu.Unlock()
+	c.wg.Done()
+}
+
+// fail records a cell that failed, was abandoned or never dispatched
+// (context already done, unkeyable cell).
+func (c *callState) fail(idx int, err error) {
+	c.mu.Lock()
+	c.errs[idx] = err
 	c.mu.Unlock()
 	c.wg.Done()
 }
@@ -243,7 +250,7 @@ func (d *Dispatcher) Close() {
 			for _, w := range t.waiters {
 				w := w
 				resolves = append(resolves, func() {
-					w.call.resolve(w.idx, stats.Report{}, false, ErrStopped)
+					w.call.fail(w.idx, ErrStopped)
 				})
 			}
 			t.waiters = nil
@@ -311,7 +318,6 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 	d.start()
 	call := &callState{
 		ctx:      ctx,
-		span:     obs.SpanFrom(ctx),
 		reports:  make([]stats.Report, len(cells)),
 		errs:     make([]error, len(cells)),
 		progress: progress,
@@ -321,7 +327,7 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 	for i := range cells {
 		c := cells[i]
 		if err := ctx.Err(); err != nil {
-			call.resolveSkip(i, err)
+			call.fail(i, err)
 			continue
 		}
 		if c.Exec == config.ExecAnalytical {
@@ -329,14 +335,17 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 			// lease-queue transport, so analytical cells run on the local
 			// runner, which still gives them the cache and single-flight.
 			go func(i int, c batch.Cell) {
-				rep, hit, err := d.Runner.RunCell(ctx, c)
-				call.resolve(i, rep, hit, err)
+				if rep, o, err := d.Runner.RunCell(ctx, c); err != nil {
+					call.fail(i, err)
+				} else {
+					call.resolve(i, rep, o)
+				}
 			}(i, c)
 			continue
 		}
 		key, err := c.Key()
 		if err != nil {
-			call.resolveSkip(i, err)
+			call.fail(i, err)
 			continue
 		}
 		hitStart := time.Now()
@@ -348,8 +357,7 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 			// healthz cache stats under-report versus a single-process run
 			// of the same sweep.
 			d.Runner.NoteExternalResolve(c.Exec, false)
-			call.span.RecordCell(time.Since(hitStart), obs.Phases{}, true, false)
-			call.resolve(i, rep, true, nil)
+			call.resolve(i, rep, batch.Outcome{Hit: true, Wall: time.Since(hitStart)})
 			continue
 		}
 		d.submit(call, i, key, c)
@@ -375,15 +383,6 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 		}
 	}
 	return call.reports, nil
-}
-
-// resolveSkip records a cell that never dispatched (context already done,
-// unkeyable cell).
-func (c *callState) resolveSkip(idx int, err error) {
-	c.mu.Lock()
-	c.errs[idx] = err
-	c.mu.Unlock()
-	c.wg.Done()
 }
 
 // cacheGet reads the runner's cache if it has one.
@@ -464,7 +463,7 @@ func (d *Dispatcher) detach(call *callState) {
 	}
 	d.mu.Unlock()
 	for _, w := range resolves {
-		w.call.resolve(w.idx, stats.Report{}, false, err)
+		w.call.fail(w.idx, err)
 	}
 }
 
@@ -482,18 +481,13 @@ func (d *Dispatcher) unqueueLocked(t *task) {
 	}
 }
 
-// finalize completes a live task: it leaves every queue, its leases are
-// released, and each waiting job receives a private copy of the report.
-// The cell's timing folds into each waiting job's span: wall time runs
-// from task creation (queueing and transport included), phases are the
-// executing side's measurement (shipped over the wire for remote cells),
-// and waiters beyond the first record a cache hit — they shared the
-// result, exactly like the runner's single-flight followers.
-func (d *Dispatcher) finalize(t *task, rep stats.Report, hit bool, ph obs.Phases, remote bool, err error) {
+// take removes a live task from the queue and its holders' lease tables
+// and returns its waiters; live is false when the task already finished.
+func (d *Dispatcher) take(t *task) (ws []waiter, live bool) {
 	d.mu.Lock()
-	if _, live := d.tasks[t.id]; !live {
-		d.mu.Unlock()
-		return
+	defer d.mu.Unlock()
+	if _, ok := d.tasks[t.id]; !ok {
+		return nil, false
 	}
 	delete(d.tasks, t.id)
 	delete(d.byKey, t.key)
@@ -503,43 +497,52 @@ func (d *Dispatcher) finalize(t *task, rep stats.Report, hit bool, ph obs.Phases
 			delete(w.leases, t.id)
 		}
 	}
-	ws := t.waiters
+	ws = t.waiters
 	t.waiters = nil
-	d.mu.Unlock()
+	return ws, true
+}
 
-	wall := time.Since(t.created)
-	if err != nil {
-		d.failed.Add(1)
-		mDistFailed.Inc()
-		d.log().Error("dist: cell failed", obs.KeyTaskID, t.id, obs.KeyCell, t.cell.String(), "err", err)
-		for _, w := range ws {
-			w.call.resolve(w.idx, stats.Report{}, false, err)
-		}
+// fail ends a live task with err, failing every job waiting on it.
+func (d *Dispatcher) fail(t *task, err error) {
+	ws, live := d.take(t)
+	if !live {
 		return
 	}
+	d.failed.Add(1)
+	mDistFailed.Inc()
+	d.log().Error("dist: cell failed", obs.KeyTaskID, t.id, obs.KeyCell, t.cell.String(), "err", err)
+	for _, w := range ws {
+		w.call.fail(w.idx, err)
+	}
+}
+
+// finalize completes a live task: each waiting job receives a private
+// copy of the report and an outcome. The first waiter's outcome is the
+// executing side's (its phases shipped over the wire for remote cells);
+// waiters beyond the first shared the result, exactly like the runner's
+// single-flight followers, so theirs is a hit. Every waiter's wall time
+// runs from task creation, queueing and transport included.
+func (d *Dispatcher) finalize(t *task, rep stats.Report, o batch.Outcome) {
+	ws, live := d.take(t)
+	if !live {
+		return
+	}
+	o.Wall = time.Since(t.created)
+	shared := batch.Outcome{Hit: true, Remote: o.Remote, Wall: o.Wall}
 	for i, w := range ws {
-		r := rep
-		if i > 0 {
-			// Later waiters get a decoded copy so concurrent jobs never
-			// alias one report's maps (the same rule Runner's
-			// single-flight path follows).
-			if cached, ok := d.cacheGet(t.key); ok {
-				r = cached
-			} else {
-				r = batch.StoredForm(rep)
-			}
-			// Piggyback waiters resolve without the runner ever seeing
-			// their cell; count them as shared hits so the mode-split
-			// completion counter matches what a single-process run of the
-			// same cells would report. The first waiter is counted where
-			// the work happened: locally by runCell, remotely by the
-			// worker's own runner.
-			d.Runner.NoteExternalResolve(t.cell.Exec, true)
-			w.call.span.RecordCell(wall, obs.Phases{}, true, remote)
-		} else {
-			w.call.span.RecordCell(wall, ph, hit, remote)
+		if i == 0 {
+			w.call.resolve(w.idx, rep, o)
+			continue
 		}
-		w.call.resolve(w.idx, r, hit, nil)
+		// Piggyback waiters resolve without the runner ever seeing their
+		// cell; count them as shared hits so the mode-split completion
+		// counter matches what a single-process run of the same cells
+		// would report. The first waiter is counted where the work
+		// happened: locally by runCell, remotely by the worker's own
+		// runner. rep is already a stored form, so decoding a copy of
+		// it gives each later waiter maps of its own.
+		d.Runner.NoteExternalResolve(t.cell.Exec, true)
+		w.call.resolve(w.idx, batch.StoredForm(rep), shared)
 	}
 }
 
@@ -567,15 +570,15 @@ func (d *Dispatcher) localConsumer() {
 		// closeCtx, not a job context: a leased cell runs to completion
 		// (and lands in the cache) even if every waiting job is cancelled
 		// meanwhile — identical to the in-process drain semantics — but
-		// Close aborts cells still queued for a simulation slot. The job
-		// span is fed by finalize, which knows the waiters; the runner
-		// can't see them through closeCtx.
-		rep, hit, ph, err := d.Runner.RunCellTimed(d.closeCtx, t.cell)
-		if err == nil {
-			d.localDone.Add(1)
-			mLocalCompleted.Inc()
+		// Close aborts cells still queued for a simulation slot.
+		rep, o, err := d.Runner.RunCell(d.closeCtx, t.cell)
+		if err != nil {
+			d.fail(t, err)
+			continue
 		}
-		d.finalize(t, rep, hit, ph, false, err)
+		d.localDone.Add(1)
+		mLocalCompleted.Inc()
+		d.finalize(t, rep, o)
 	}
 }
 
@@ -677,10 +680,10 @@ func (d *Dispatcher) sweepExpired(now time.Time) {
 	d.mu.Unlock()
 
 	for _, w := range resolves {
-		w.call.resolve(w.idx, stats.Report{}, false, w.call.ctx.Err())
+		w.call.fail(w.idx, w.call.ctx.Err())
 	}
 	for _, f := range failures {
-		d.finalize(f.t, stats.Report{}, false, obs.Phases{}, false, f.err)
+		d.fail(f.t, f.err)
 	}
 }
 
@@ -780,10 +783,10 @@ func (d *Dispatcher) Deregister(id string) error {
 	d.log().Info("dist: worker deregistered",
 		obs.KeyWorkerID, id, obs.KeyWorker, w.name, "requeuing", requeuing)
 	for _, wt := range resolves {
-		wt.call.resolve(wt.idx, stats.Report{}, false, wt.call.ctx.Err())
+		wt.call.fail(wt.idx, wt.call.ctx.Err())
 	}
 	for _, f := range failures {
-		d.finalize(f.t, stats.Report{}, false, obs.Phases{}, false, f.err)
+		d.fail(f.t, f.err)
 	}
 	return nil
 }
@@ -906,10 +909,10 @@ func (d *Dispatcher) Complete(id string, req CompleteRequest) (CompleteResponse,
 		}
 		d.mu.Unlock()
 		for _, wt := range resolves {
-			wt.call.resolve(wt.idx, stats.Report{}, false, wt.call.ctx.Err())
+			wt.call.fail(wt.idx, wt.call.ctx.Err())
 		}
 		if fail {
-			d.finalize(t, stats.Report{}, false, obs.Phases{}, true, remoteErr)
+			d.fail(t, remoteErr)
 		}
 		return CompleteResponse{Accepted: true}, nil
 	}
@@ -924,19 +927,18 @@ func (d *Dispatcher) Complete(id string, req CompleteRequest) (CompleteResponse,
 		mVersionSkew.Inc()
 		d.log().Error("dist: version skew refusal",
 			obs.KeyWorkerID, id, obs.KeyTaskID, t.id, "got_key", req.Key[:min(12, len(req.Key))], "want_key", t.key[:12])
-		d.finalize(t, stats.Report{}, false, obs.Phases{}, true,
-			pathError("worker %s returned key %.12s for cell keyed %.12s (binary version skew?)", id, req.Key, t.key))
+		d.fail(t, pathError("worker %s returned key %.12s for cell keyed %.12s (binary version skew?)", id, req.Key, t.key))
 		return CompleteResponse{Accepted: false}, nil
 	}
 	norm := d.putAndReload(t.key, *req.Report)
 	d.remoteDone.Add(1)
 	mRemoteCompleted.Inc()
 	mWorkerCells.With(workerLabel(w)).Inc()
-	var ph obs.Phases
+	o := batch.Outcome{Hit: req.CacheHit, Remote: true}
 	if req.Phases != nil {
-		ph = *req.Phases
+		o.Phases = *req.Phases
 	}
-	d.finalize(t, norm, req.CacheHit, ph, true, nil)
+	d.finalize(t, norm, o)
 	return CompleteResponse{Accepted: true}, nil
 }
 

@@ -359,8 +359,42 @@ func TestSingleFlightAcrossJobsDistributed(t *testing.T) {
 	if got := sims.Load(); got != 6 {
 		t.Fatalf("worker simulated %d cells for two identical 6-cell jobs, want 6", got)
 	}
+	// Which job leads on a cell depends on scheduling; the other shared
+	// its result, so only the sums are fixed.
+	if sim, hits := st1.Simulated+st2.Simulated, st1.CacheHits+st2.CacheHits; sim != 6 || hits != 6 {
+		t.Fatalf("jobs simulated %d+%d and hit %d+%d cells, want sums 6 and 6",
+			st1.Simulated, st2.Simulated, st1.CacheHits, st2.CacheHits)
+	}
 	if r1, r2 := c.result(id1), c.result(id2); !bytes.Equal(r1, r2) {
 		t.Fatal("the two jobs' results differ")
+	}
+}
+
+// TestDispatchedJobTiming pins a dispatched job's timing block: on a pure
+// dispatcher every cell of a cold job is computed by the remote worker,
+// and its warm resubmit is answered from the coordinator's cache without
+// a worker.
+func TestDispatchedJobTiming(t *testing.T) {
+	c := newCluster(t, -1, nil)
+	id := c.submit(sixCells)
+	startWorker(t, c.ts.URL, fakeRun, 2)
+	st := c.wait(id, 30*time.Second)
+	if st.State != serve.StateDone {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	if st.Timing == nil || st.Timing.RemoteCells != 6 || st.Simulated != 6 {
+		t.Fatalf("cold job: simulated %d, timing %+v; want 6 simulated, remote_cells 6", st.Simulated, st.Timing)
+	}
+	if st.Timing.CellsWall <= 0 {
+		t.Fatalf("cold job cells_wall = %v, want > 0", st.Timing.CellsWall)
+	}
+
+	warm := c.wait(c.submit(sixCells), 10*time.Second)
+	if warm.State != serve.StateDone {
+		t.Fatalf("warm job: %s (%s)", warm.State, warm.Error)
+	}
+	if warm.Timing == nil || warm.Timing.RemoteCells != 0 || warm.CacheHits != 6 {
+		t.Fatalf("warm job: cache_hits %d, timing %+v; want 6 hits, remote_cells 0", warm.CacheHits, warm.Timing)
 	}
 }
 

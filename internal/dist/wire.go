@@ -80,8 +80,6 @@ type WireCell struct {
 // Cell reconstructs the runnable batch.Cell.
 func (w WireCell) Cell() batch.Cell {
 	return batch.Cell{
-		Platform:    w.Config.Platform,
-		Mode:        w.Config.Mode,
 		Workload:    w.Workload,
 		WorkloadDef: w.WorkloadDef,
 		Variant:     w.Variant,

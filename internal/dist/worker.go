@@ -172,20 +172,20 @@ func (w *Worker) runCell(ctx context.Context, wc WireCell) {
 		req.Error = fmt.Sprintf("cell keyed %.12s here but %.12s at the coordinator (binary version skew?)", key, wc.Key)
 	default:
 		start := time.Now()
-		rep, hit, ph, rerr := w.Runner.RunCellTimed(ctx, cell)
+		rep, o, rerr := w.Runner.RunCell(ctx, cell)
 		if rerr != nil {
 			req.Error = rerr.Error()
 			w.log().Warn("dist: cell failed",
 				obs.KeyTaskID, wc.TaskID, obs.KeyCell, cell.String(), "err", rerr)
 		} else {
 			req.Report = &rep
-			req.CacheHit = hit
-			if !ph.IsZero() {
-				req.Phases = &ph
+			req.CacheHit = o.Hit
+			if !o.Phases.IsZero() {
+				req.Phases = &o.Phases
 			}
 			w.log().Info("dist: cell complete",
 				obs.KeyTaskID, wc.TaskID, obs.KeyCell, cell.String(),
-				"cache_hit", hit, "duration", time.Since(start).String())
+				"cache_hit", o.Hit, "duration", time.Since(start).String())
 		}
 	}
 	if ctx.Err() != nil || w.revoked(wc.TaskID) {

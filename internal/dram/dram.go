@@ -43,8 +43,6 @@ func New(cfg config.DRAMConfig) *Device {
 	return NewIn(nil, new(sim.Pools), cfg)
 }
 
-func bankName(_ string, i int) string { return fmt.Sprintf("bank%d", i) }
-
 // NewIn is New rebuilding into a recycled device: the bank slice keeps its
 // capacity and the per-bank gap resources come from pools. re may be nil
 // (New is NewIn(nil, new(sim.Pools), cfg)), so fresh and pooled
@@ -62,7 +60,7 @@ func NewIn(re *Device, pools *sim.Pools, cfg config.DRAMConfig) *Device {
 	*re = Device{cfg: cfg, banks: banks, lastActivate: -cfg.TRRD}
 	for i := range banks {
 		banks[i].openRow = -1
-		banks[i].res = pools.GapResource(pools.Name("bank", i, bankName))
+		banks[i].res = pools.GapResource()
 	}
 	return re
 }

@@ -46,8 +46,6 @@ func New(cfg config.ElectricalConfig, col *stats.Collector) *Channel {
 	return NewIn(nil, new(sim.Pools), cfg, col)
 }
 
-func laneName(_ string, i int) string { return fmt.Sprintf("elec%d", i) }
-
 // NewIn is New rebuilding into a recycled channel set with lane resources
 // drawn from pools; re may be nil (New is NewIn(nil, new(sim.Pools),
 // ...)), so fresh and pooled construction share one code path.
@@ -79,7 +77,7 @@ func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, col *stat
 		re.hEnergy = col.InternEnergy("elec-channel")
 	}
 	for i := range lanes {
-		lanes[i] = pools.GapResource(pools.Name("elec", i, laneName))
+		lanes[i] = pools.GapResource()
 	}
 	return re
 }

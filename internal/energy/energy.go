@@ -60,23 +60,26 @@ type Counters struct {
 //	                 incrementally by the channel)
 //
 // Electrical platforms get no laser term; their transfer energy is already
-// under "elec-channel"/"dma".
+// under "elec-channel"/"dma". Each term is one addition through an
+// interned handle. On optical platforms the laser term adds onto the
+// channel's tuning sum; a single floating-point addition is commutative,
+// so which of the two comes first does not change the total.
 func (m Model) Finalize(col *stats.Collector, cfg *config.Config, c Counters) {
+	add := func(component string, pj float64) { col.AddEnergyH(col.InternEnergy(component), pj) }
 	seconds := c.Elapsed.Seconds()
 
 	dramGB := float64(cfg.Memory.DRAMBytes) / float64(1<<30)
 	// mW x s = mJ = 1e9 pJ.
-	col.AddEnergy("dram-static", m.DRAMStaticMWPerGB*dramGB*seconds*1e9)
-	col.AddEnergy("dram-dynamic", float64(c.DRAMReads+c.DRAMWrites)*m.DRAMDynamicPJPerAccess)
+	add("dram-static", m.DRAMStaticMWPerGB*dramGB*seconds*1e9)
+	add("dram-dynamic", float64(c.DRAMReads+c.DRAMWrites)*m.DRAMDynamicPJPerAccess)
 
 	if cfg.Platform.Heterogeneous() {
-		col.AddEnergy("xpoint",
-			float64(c.XPointReads)*m.XPointReadPJ+float64(c.XPointWrites)*m.XPointWritePJ)
+		add("xpoint", float64(c.XPointReads)*m.XPointReadPJ+float64(c.XPointWrites)*m.XPointWritePJ)
 	}
 
 	if cfg.Platform.Optical() {
 		pm := optical.NewPowerModel(cfg.Optical)
-		col.AddEnergy("opti-network", pm.LaserPowerMW()*seconds*1e9)
+		add("opti-network", pm.LaserPowerMW()*seconds*1e9)
 	}
 }
 

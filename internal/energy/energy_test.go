@@ -20,6 +20,7 @@ func TestFinalizeComponents(t *testing.T) {
 		XPointReads:  30,
 		XPointWrites: 10,
 	})
+	col.Flush()
 	for _, k := range []string{"dram-static", "dram-dynamic", "xpoint", "opti-network"} {
 		if col.EnergyPJ[k] <= 0 {
 			t.Errorf("component %q missing or non-positive: %v", k, col.EnergyPJ[k])
@@ -40,7 +41,9 @@ func TestStaticScalesWithTime(t *testing.T) {
 	m := Default()
 	c1, c2 := stats.NewCollector(), stats.NewCollector()
 	m.Finalize(c1, &cfg, Counters{Elapsed: sim.Millisecond})
+	c1.Flush()
 	m.Finalize(c2, &cfg, Counters{Elapsed: 2 * sim.Millisecond})
+	c2.Flush()
 	if math.Abs(c2.EnergyPJ["dram-static"]-2*c1.EnergyPJ["dram-static"]) > 1e-3 {
 		t.Fatal("static energy must scale linearly with elapsed time")
 	}
@@ -50,6 +53,7 @@ func TestElectricalPlatformHasNoLaser(t *testing.T) {
 	cfg := config.Default(config.Hetero, config.Planar)
 	col := stats.NewCollector()
 	Default().Finalize(col, &cfg, Counters{Elapsed: sim.Millisecond, XPointReads: 1})
+	col.Flush()
 	if col.EnergyPJ["opti-network"] != 0 {
 		t.Fatal("electrical platform must not pay laser power")
 	}
@@ -62,6 +66,7 @@ func TestDRAMOnlyPlatformHasNoXPoint(t *testing.T) {
 	cfg := config.Default(config.Oracle, config.Planar)
 	col := stats.NewCollector()
 	Default().Finalize(col, &cfg, Counters{Elapsed: sim.Millisecond, XPointReads: 99})
+	col.Flush()
 	if col.EnergyPJ["xpoint"] != 0 {
 		t.Fatal("Oracle must not account XPoint energy")
 	}
@@ -72,7 +77,9 @@ func TestLaserBoostRaisesOpticalEnergy(t *testing.T) {
 	bw := config.Default(config.OhmBW, config.Planar)
 	c1, c2 := stats.NewCollector(), stats.NewCollector()
 	Default().Finalize(c1, &base, Counters{Elapsed: sim.Millisecond})
+	c1.Flush()
 	Default().Finalize(c2, &bw, Counters{Elapsed: sim.Millisecond})
+	c2.Flush()
 	if c2.EnergyPJ["opti-network"] <= c1.EnergyPJ["opti-network"] {
 		t.Fatal("4x laser boost must raise optical energy")
 	}
@@ -89,7 +96,9 @@ func TestOracleStaticDominatesWithHugeDRAM(t *testing.T) {
 	oracle := config.Default(config.Oracle, config.Planar)
 	c1, c2 := stats.NewCollector(), stats.NewCollector()
 	Default().Finalize(c1, &base, Counters{Elapsed: sim.Millisecond})
+	c1.Flush()
 	Default().Finalize(c2, &oracle, Counters{Elapsed: sim.Millisecond})
+	c2.Flush()
 	ratio := c2.EnergyPJ["dram-static"] / c1.EnergyPJ["dram-static"]
 	if math.Abs(ratio-9) > 0.01 {
 		t.Fatalf("Oracle static DRAM ratio = %v, want 9 (1+8 capacity)", ratio)

@@ -91,7 +91,7 @@ func ohmBWCell(o Options, workload string, mutate func(*config.Config)) batch.Ce
 	cfg := config.Default(config.OhmBW, config.Planar)
 	mutate(&cfg)
 	o.apply(&cfg)
-	return batch.Cell{Platform: config.OhmBW, Mode: config.Planar, Workload: workload, Config: cfg}
+	return batch.Cell{Workload: workload, Config: cfg}
 }
 
 // AblationHotThreshold sweeps the planar hot-page detector's threshold:
@@ -202,10 +202,7 @@ func AblationPhases(o Options, workload string) (*AblationResult, error) {
 			o.apply(&cfg)
 			acs = append(acs, ablationCell{
 				setting: fmt.Sprintf("phases=%d/%s", phases, p),
-				cell: batch.Cell{
-					Platform: p, Mode: config.Planar, Workload: workload, Config: cfg,
-					Variant: core.Phased(phases),
-				},
+				cell:    batch.Cell{Workload: workload, Config: cfg, Variant: core.Phased(phases)},
 			})
 		}
 	}

@@ -36,14 +36,11 @@ type Options struct {
 
 // Engine overrides where a driver's cells execute. The serving layer gives
 // every job its own cancellation context and progress feed while sharing
-// one process-wide runner — and therefore one result cache, concurrency
+// one process-wide executor — and therefore one result cache, concurrency
 // cap and single-flight table — across jobs.
 type Engine struct {
-	// Runner executes the cells; nil falls back to the shared runner.
-	Runner *batch.Runner
-	// Executor, when non-nil, runs cells instead of Runner.RunContext —
-	// the seam the ohmserve coordinator uses to fan experiment cells out
-	// to remote workers.
+	// Executor runs the cells: a *batch.Runner, or the ohmserve
+	// coordinator that fans cells out to remote workers. It must be set.
 	Executor batch.Executor
 	// Ctx cancels cell scheduling; nil means context.Background().
 	Ctx context.Context
@@ -82,21 +79,14 @@ func (o Options) exec(cells []batch.Cell) ([]stats.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if eng.Executor != nil {
-		return eng.Executor.RunContext(ctx, cells, eng.Progress)
-	}
-	runner := eng.Runner
-	if runner == nil {
-		runner = sharedRunner
-	}
-	return runner.RunContext(ctx, cells, eng.Progress)
+	return eng.Executor.RunContext(ctx, cells, eng.Progress)
 }
 
 // cell builds one default-configured sweep cell.
 func (o Options) cell(p config.Platform, m config.MemMode, w string) batch.Cell {
 	cfg := config.Default(p, m)
 	o.apply(&cfg)
-	return batch.Cell{Platform: p, Mode: m, Workload: w, Config: cfg}
+	return batch.Cell{Workload: w, Config: cfg}
 }
 
 // spec declares the option's grid over the given platforms and modes.
@@ -204,7 +194,7 @@ func (o Options) gatherReports(m config.MemMode, platforms []config.Platform) (m
 		if out[c.Workload] == nil {
 			out[c.Workload] = make(map[config.Platform]stats.Report)
 		}
-		out[c.Workload][c.Platform] = reps[i]
+		out[c.Workload][c.Config.Platform] = reps[i]
 	}
 	return out, nil
 }

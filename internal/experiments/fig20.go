@@ -59,7 +59,7 @@ func Fig20a(o Options) (*Fig20aResult, error) {
 		if het[c.Workload] <= 0 {
 			continue
 		}
-		s := series{c.Config.Optical.Waveguides, c.Platform}
+		s := series{c.Config.Optical.Waveguides, c.Config.Platform}
 		if _, ok := prod[s]; !ok {
 			prod[s] = 1
 		}

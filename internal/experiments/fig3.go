@@ -49,10 +49,7 @@ type Fig3aResult struct{ Rows []Fig3aRow }
 func Fig3a(o Options) (*Fig3aResult, error) {
 	var cells []batch.Cell
 	for _, w := range o.workloads() {
-		cells = append(cells, batch.Cell{
-			Platform: config.Origin, Mode: config.Planar, Workload: w,
-			Config: fig3Config(o), Variant: core.SSDHost,
-		})
+		cells = append(cells, batch.Cell{Workload: w, Config: fig3Config(o), Variant: core.SSDHost})
 	}
 	reps, err := o.exec(cells)
 	if err != nil {

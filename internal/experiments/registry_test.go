@@ -107,9 +107,9 @@ func TestDriverRunsOnInjectedEngine(t *testing.T) {
 		Workloads:       []string{"lud"},
 		MaxInstructions: 300,
 		Engine: &Engine{
-			Runner: runner,
-			Ctx:    context.Background(),
-			Progress: func(done, total int, hit bool) {
+			Executor: runner,
+			Ctx:      context.Background(),
+			Progress: func(done, total int, _ batch.Outcome) {
 				cellsSeen = done
 			},
 		},

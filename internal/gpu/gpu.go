@@ -129,9 +129,6 @@ func New(cfg *config.Config, col *stats.Collector, mem MemAccessor) (*GPU, error
 	return NewIn(nil, new(sim.Pools), cfg, col, mem)
 }
 
-func l1Name(_ string, i int) string { return fmt.Sprintf("l1-sm%d", i) }
-func smName(_ string, i int) string { return fmt.Sprintf("sm%d", i) }
-
 // NewIn is New rebuilding into a recycled GPU: the SM array, per-SM L1s,
 // the shared L2, the MSHR table and the warp state keep their allocated
 // capacity and are reinitialized in place. The GPU runs on the pools'
@@ -171,11 +168,11 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 		xbar:  g.xbar,
 	}
 	for i := range g.sms {
-		l1, err := cache.NewIn(g.sms[i].l1, pools.Name("l1-sm", i, l1Name), cfg.GPU.L1SizeBytes, cfg.GPU.L1Ways, cfg.GPU.LineBytes)
+		l1, err := cache.NewIn(g.sms[i].l1, "l1", cfg.GPU.L1SizeBytes, cfg.GPU.L1Ways, cfg.GPU.LineBytes)
 		if err != nil {
 			return nil, err
 		}
-		g.sms[i] = sm{issue: pools.Resource(pools.Name("sm", i, smName)), l1: l1}
+		g.sms[i] = sm{issue: pools.Resource(), l1: l1}
 	}
 	l2, err := cache.NewIn(g.l2, "l2", cfg.GPU.L2SizeBytes, cfg.GPU.L2Ways, cfg.GPU.LineBytes)
 	if err != nil {

@@ -22,7 +22,7 @@ func defaultHostLinkIn(re *pcieHost, pools *sim.Pools) *pcieHost {
 		re = &pcieHost{}
 	}
 	*re = pcieHost{
-		dma:   pools.Resource("pcie"),
+		dma:   pools.Resource(),
 		setup: 2 * sim.Microsecond,
 		bwBps: 18e9, // PCIe 3.0 x16-class staging
 	}

@@ -46,8 +46,6 @@ func New(cfg Config) (*Crossbar, error) {
 	return NewIn(nil, new(sim.Pools), cfg)
 }
 
-func portName(_ string, i int) string { return fmt.Sprintf("noc-port%d", i) }
-
 // NewIn is New rebuilding into a recycled crossbar with port resources
 // drawn from pools; re may be nil (New is NewIn(nil, new(sim.Pools),
 // cfg)), so fresh and pooled construction share one code path.
@@ -69,7 +67,7 @@ func NewIn(re *Crossbar, pools *sim.Pools, cfg Config) (*Crossbar, error) {
 	}
 	*re = Crossbar{cfg: cfg, flitTime: sim.FreqToPeriod(cfg.FreqHz), ports: ports}
 	for i := range ports {
-		ports[i] = pools.GapResource(pools.Name("noc-port", i, portName))
+		ports[i] = pools.GapResource()
 	}
 	return re, nil
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -161,36 +160,18 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
-// TestJobSpan covers cell accumulation and the context plumbing.
-func TestJobSpan(t *testing.T) {
-	s := &JobSpan{}
-	s.RecordCell(100*time.Millisecond, Phases{TraceGen: 10 * time.Millisecond, PlatformBuild: 20 * time.Millisecond, EventLoop: 60 * time.Millisecond}, false, false)
-	s.RecordCell(1*time.Millisecond, Phases{}, true, false)
-	s.RecordCell(50*time.Millisecond, Phases{EventLoop: 40 * time.Millisecond}, false, true)
-
-	snap := s.Snapshot()
-	if snap.Cells != 3 || snap.CacheHits != 1 || snap.RemoteCells != 1 {
-		t.Errorf("snapshot counts = %+v", snap)
+// TestPhasesAddTotal covers the phase arithmetic a job's timing block
+// sums with.
+func TestPhasesAddTotal(t *testing.T) {
+	var p Phases
+	p.Add(Phases{TraceGen: 10 * time.Millisecond, PlatformBuild: 20 * time.Millisecond, EventLoop: 60 * time.Millisecond})
+	p.Add(Phases{})
+	p.Add(Phases{EventLoop: 40 * time.Millisecond})
+	if p.EventLoop != 100*time.Millisecond || p.Total() != 130*time.Millisecond {
+		t.Errorf("phases = %+v, total %s", p, p.Total())
 	}
-	if snap.CellsWall != 151*time.Millisecond {
-		t.Errorf("cells wall = %s, want 151ms", snap.CellsWall)
-	}
-	if snap.Phases.EventLoop != 100*time.Millisecond || snap.Phases.Total() != 130*time.Millisecond {
-		t.Errorf("phases = %+v", snap.Phases)
-	}
-
-	ctx := WithSpan(context.Background(), s)
-	if SpanFrom(ctx) != s {
-		t.Error("SpanFrom did not return the attached span")
-	}
-	if SpanFrom(context.Background()) != nil {
-		t.Error("SpanFrom on a bare context should be nil")
-	}
-	// Nil spans are safe everywhere: executors record unconditionally.
-	var nilSpan *JobSpan
-	nilSpan.RecordCell(time.Second, Phases{}, false, false)
-	if got := nilSpan.Snapshot(); got.Cells != 0 {
-		t.Errorf("nil span snapshot = %+v", got)
+	if p.IsZero() || !(Phases{}).IsZero() {
+		t.Error("IsZero misreports")
 	}
 }
 

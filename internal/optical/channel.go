@@ -64,9 +64,6 @@ func NewChannel(cfg config.OpticalConfig, col *stats.Collector) *Channel {
 	return NewChannelIn(nil, new(sim.Pools), cfg, col)
 }
 
-func dataName(_ string, i int) string { return fmt.Sprintf("vc%d-data%d", i/2, i%2) }
-func memName(_ string, i int) string  { return fmt.Sprintf("vc%d-mem", i) }
-
 // NewChannelIn is NewChannel rebuilding into a recycled channel: the
 // per-VC slices keep their capacity and the route resources come from
 // pools. re may be nil (NewChannel is NewChannelIn(nil, new(sim.Pools),
@@ -98,11 +95,11 @@ func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *
 		c.hEnergy = col.InternEnergy("opti-network")
 	}
 	for i := range c.data {
-		c.data[i] = pools.GapResource(pools.Name("opti-data", i, dataName))
+		c.data[i] = pools.GapResource()
 		c.last[i] = -1
 	}
 	for i := range c.mem {
-		c.mem[i] = pools.GapResource(pools.Name("opti-mem", i, memName))
+		c.mem[i] = pools.GapResource()
 	}
 	clear(c.womActive)
 	scale := cfg.BandwidthScale

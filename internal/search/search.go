@@ -288,8 +288,6 @@ func (s *run) cellFor(idx int, ov map[string]interface{}, fidelity int, exec con
 	}
 	cell := batch.Cell{
 		Index:     idx,
-		Platform:  sc.Preset.Platform,
-		Mode:      cfg.Mode,
 		Exec:      exec,
 		Workload:  sc.Workload.Name,
 		Config:    cfg,

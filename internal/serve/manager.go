@@ -231,7 +231,9 @@ type Job struct {
 	created    time.Time
 	started    time.Time
 	finished   time.Time
-	span       *obs.JobSpan // per-job cell timing; set when the job starts
+	// cellTiming sums the outcomes of the job's resolved cells: the
+	// Timing block without its queue wait and run time.
+	cellTiming Timing
 
 	// Results: sweep jobs keep cells+reports (for JSON and CSV rendering);
 	// experiment jobs keep the driver's typed result; optimize jobs keep
@@ -268,18 +270,14 @@ func (j *Job) Status() Status {
 	if !j.started.IsZero() {
 		t := j.started
 		s.Started = &t
-		tm := &Timing{QueueWait: j.started.Sub(j.created)}
+		tm := j.cellTiming
+		tm.QueueWait = j.started.Sub(j.created)
 		if !j.finished.IsZero() {
 			tm.Run = j.finished.Sub(j.started)
 		} else {
 			tm.Run = time.Since(j.started)
 		}
-		snap := j.span.Snapshot() // nil-safe
-		tm.CellsWall = snap.CellsWall
-		tm.RemoteCells = snap.RemoteCells
-		tm.AnalyticalCells = snap.AnalyticalCells
-		tm.Phases = snap.Phases
-		s.Timing = tm
+		s.Timing = &tm
 	}
 	if !j.finished.IsZero() {
 		t := j.finished
@@ -656,15 +654,8 @@ func (m *Manager) run(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now().UTC()
 	job.cancel = cancel
-	span := &obs.JobSpan{}
-	job.span = span
 	queueWait := job.started.Sub(job.created)
 	job.mu.Unlock()
-
-	// Every cell executed on this job's behalf — locally by the runner or
-	// remotely via a dispatcher — finds the span in its context and folds
-	// its wall time and phase split into the job's timing breakdown.
-	ctx = obs.WithSpan(ctx, span)
 
 	mJobsRunning.Inc()
 	if m.Journal != nil {
@@ -679,17 +670,27 @@ func (m *Manager) run(job *Job) {
 		obs.KeyTenant, job.tenant, "queue_wait", queueWait.String())
 
 	// progress folds every batch the job submits into cumulative per-cell
-	// counters. Drivers submit batches sequentially, so tracking one open
-	// batch (batchBase + the current batch's done/total) is exact.
-	progress := func(done, total int, hit bool) {
+	// counters and the timing breakdown. Drivers submit batches
+	// sequentially, so tracking one open batch (batchBase + the current
+	// batch's done/total) is exact.
+	progress := func(done, total int, o batch.Outcome) {
 		job.mu.Lock()
 		job.cellsDone = job.batchBase + done
 		job.cellsTotal = job.batchBase + total
-		if hit {
+		if o.Hit {
 			job.cacheHits++
 		} else {
 			job.simulated++
 		}
+		tm := &job.cellTiming
+		tm.CellsWall += o.Wall
+		if o.Remote {
+			tm.RemoteCells++
+		}
+		if o.Analytical {
+			tm.AnalyticalCells++
+		}
+		tm.Phases.Add(o.Phases)
 		if done == total {
 			job.batchBase += total
 		}
@@ -745,7 +746,7 @@ func (m *Manager) run(job *Job) {
 	} else {
 		d, _ := experiments.Lookup(job.req.Experiment) // validated at submit
 		o := job.req.Params.Options()
-		o.Engine = &experiments.Engine{Runner: m.runner, Executor: m.executor(), Ctx: ctx, Progress: progress}
+		o.Engine = &experiments.Engine{Executor: m.executor(), Ctx: ctx, Progress: progress}
 		var res experiments.Result
 		res, err = d.Run(o, job.req.Params.AblWorkload())
 		if err == nil {

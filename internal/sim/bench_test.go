@@ -16,7 +16,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 // BenchmarkGapResourceFrontier is the common fast path: reservations past
 // every remembered gap append at the frontier without scanning.
 func BenchmarkGapResourceFrontier(b *testing.B) {
-	r := newTable("bench")
+	r := newTable()
 	at := Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -29,7 +29,7 @@ func BenchmarkGapResourceFrontier(b *testing.B) {
 // BenchmarkGapResourceBackfill keeps live gaps around the request time so
 // the first-fit scan actually runs (future bookings create the gaps).
 func BenchmarkGapResourceBackfill(b *testing.B) {
-	r := newTable("bench")
+	r := newTable()
 	at := Time(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -47,7 +47,7 @@ func BenchmarkGapResourceBackfill(b *testing.B) {
 // the requests have moved past retire from the first-fit scan.
 func BenchmarkGapResourceBackfillClocked(b *testing.B) {
 	pools := &Pools{}
-	r := pools.GapResource("bench")
+	r := pools.GapResource()
 	clock := startClock(pools)
 	at := Time(0)
 	b.ReportAllocs()

@@ -22,7 +22,6 @@ import "math"
 // and so its place. A reservation below the clock still searches the dead
 // heap, so grants never depend on callers respecting the clock.
 type GapResource struct {
-	name   string
 	freeAt Time
 	busy   Time
 
@@ -80,9 +79,6 @@ func (g *gap) size() Time { return g.end - g.start }
 // capacity: which windows survive eviction decides which later requests
 // can backfill, so changing it changes grants and the golden reports.
 const maxGaps = 256
-
-// Name returns the diagnostic name.
-func (r *GapResource) Name() string { return r.name }
 
 // FreeAt returns the frontier: the earliest time a reservation is
 // guaranteed to fit without gap luck.

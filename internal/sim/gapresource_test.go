@@ -9,10 +9,10 @@ import (
 
 // newTable returns a gap table from pools of its own whose engine never
 // advances: its clock stays at zero, so every remembered gap stays live.
-func newTable(name string) *GapResource { return (&Pools{}).GapResource(name) }
+func newTable() *GapResource { return (&Pools{}).GapResource() }
 
 func TestGapResourceFrontier(t *testing.T) {
-	r := newTable("g")
+	r := newTable()
 	s, e := r.Reserve(0, 10)
 	if s != 0 || e != 10 {
 		t.Fatalf("first reservation [%d,%d)", s, e)
@@ -27,7 +27,7 @@ func TestGapResourceFrontier(t *testing.T) {
 }
 
 func TestGapResourceBackfill(t *testing.T) {
-	r := newTable("g")
+	r := newTable()
 	// A future booking leaves an idle gap behind it...
 	s, _ := r.Reserve(1000, 50)
 	if s != 1000 {
@@ -51,7 +51,7 @@ func TestGapResourceBackfill(t *testing.T) {
 }
 
 func TestGapResourceEarliestGapWins(t *testing.T) {
-	r := newTable("g")
+	r := newTable()
 	r.Reserve(100, 10) // gap [0,100)
 	r.Reserve(300, 10) // gap [110,300)
 	s, _ := r.Reserve(0, 50)
@@ -61,7 +61,7 @@ func TestGapResourceEarliestGapWins(t *testing.T) {
 }
 
 func TestGapResourceReserveAt(t *testing.T) {
-	r := newTable("g")
+	r := newTable()
 	r.Reserve(0, 100)
 	// Interior scheduled window: no frontier movement.
 	s, e := r.ReserveAt(50, 10)
@@ -80,7 +80,7 @@ func TestGapResourceReserveAt(t *testing.T) {
 }
 
 func TestGapResourceReset(t *testing.T) {
-	r := newTable("g")
+	r := newTable()
 	r.Reserve(100, 10)
 	r.Reset()
 	if r.FreeAt() != 0 || r.Busy() != 0 {
@@ -92,7 +92,7 @@ func TestGapResourceReset(t *testing.T) {
 }
 
 func TestGapResourceUtilization(t *testing.T) {
-	r := newTable("g")
+	r := newTable()
 	r.Reserve(0, 50)
 	if got := r.Utilization(100); got != 0.5 {
 		t.Fatalf("utilization %v", got)
@@ -110,7 +110,7 @@ func TestGapResourceUtilization(t *testing.T) {
 func TestGapResourceNoOverlapProperty(t *testing.T) {
 	type window struct{ s, e Time }
 	f := func(ops []uint32) bool {
-		r := newTable("p")
+		r := newTable()
 		var reserved []window
 		at := Time(0)
 		for _, op := range ops {
@@ -143,7 +143,7 @@ func TestGapResourceNoOverlapProperty(t *testing.T) {
 // Property: total busy time equals the sum of requested durations.
 func TestGapResourceBusyAccountingProperty(t *testing.T) {
 	f := func(durs []uint16) bool {
-		r := newTable("p")
+		r := newTable()
 		var want Time
 		for i, d := range durs {
 			dur := Time(d%1000) + 1
@@ -165,7 +165,7 @@ func TestGapResourceBusyAccountingProperty(t *testing.T) {
 // still never returns a start before the request time.
 func TestGapResourceEvictionPressureProperty(t *testing.T) {
 	f := func(seeds []uint32) bool {
-		r := newTable("p")
+		r := newTable()
 		for i, s := range seeds {
 			// Create far-flung scheduled windows to force gap eviction.
 			r.ReserveAt(Time(s%1_000_000)+Time(i)*10_000, Time(s%50)+1)
@@ -311,7 +311,7 @@ func requireSameTable(t *testing.T, when string, r *GapResource, ref *refGapReso
 // lower bound, and the scan break preserves the first-fit tie-break.
 func TestGapResourceMatchesReference(t *testing.T) {
 	rng := NewRng(7)
-	r := newTable("opt")
+	r := newTable()
 	ref := &refGapResource{}
 	var base Time
 	for op := 0; op < 200000; op++ {
@@ -380,7 +380,7 @@ func advance(e *Engine, at Time) {
 func TestGapResourceClockedMatchesReference(t *testing.T) {
 	rng := NewRng(11)
 	pools := &Pools{}
-	r := pools.GapResource("clocked")
+	r := pools.GapResource()
 	clock := startClock(pools)
 	ref := &refGapResource{}
 	var now Time
@@ -452,7 +452,7 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 	for seed := uint64(1); seed <= 16; seed++ {
 		rng := NewRng(seed)
 		pools := &Pools{}
-		r := pools.GapResource("ties")
+		r := pools.GapResource()
 		clock := startClock(pools)
 		ref := &refGapResource{}
 		var now Time
@@ -483,9 +483,9 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 func TestGapResourceSteadyStateAllocFree(t *testing.T) {
 	for _, clocked := range []bool{false, true} {
 		pools := &Pools{}
-		r := newTable("idle-clock")
+		r, name := newTable(), "idle-clock"
 		if clocked {
-			r = pools.GapResource("clocked")
+			r, name = pools.GapResource(), "clocked"
 		}
 		clock := startClock(pools)
 		var at Time
@@ -500,7 +500,7 @@ func TestGapResourceSteadyStateAllocFree(t *testing.T) {
 			step()
 		}
 		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-			t.Fatalf("%s: steady-state Reserve/ReserveAt allocates %.1f objects/op, want 0", r.Name(), allocs)
+			t.Fatalf("%s: steady-state Reserve/ReserveAt allocates %.1f objects/op, want 0", name, allocs)
 		}
 	}
 }

@@ -17,12 +17,6 @@ type Pools struct {
 	eng Engine
 	gap slab.Pool[GapResource]
 	res slab.Pool[Resource]
-
-	// names caches formatted per-index diagnostic names ("bank3",
-	// "vc0-data1") per kind, so warm rebuilds reuse the interned string
-	// instead of re-formatting. Name tables are append-only and survive
-	// Reset: the strings are immutable and identical across runs.
-	names map[string][]string
 }
 
 // Reset rewinds the pools for the next run. Objects handed out since the
@@ -35,42 +29,24 @@ func (p *Pools) Reset() {
 	p.res.Reset()
 }
 
-// Name returns the diagnostic name for index i of a kind, formatting with
-// f on first use and serving the cached string afterwards. f must be a
-// pure function of i — the cache assumes kind+index fully determines the
-// name.
-func (p *Pools) Name(kind string, i int, f func(kind string, i int) string) string {
-	tab := p.names[kind]
-	for len(tab) <= i {
-		tab = append(tab, f(kind, len(tab)))
-	}
-	if p.names == nil {
-		p.names = make(map[string][]string, 8)
-	}
-	p.names[kind] = tab
-	return tab[i]
-}
-
 // Engine returns the run's event engine.
 func (p *Pools) Engine() *Engine { return &p.eng }
 
-// GapResource returns an empty gap-filling resource with the given
-// diagnostic name, clocked by the pools' engine and recycled when possible.
-func (p *Pools) GapResource(name string) *GapResource {
+// GapResource returns an empty gap-filling resource, clocked by the pools'
+// engine and recycled when possible.
+func (p *Pools) GapResource() *GapResource {
 	r, recycled := p.gap.Get()
 	if recycled {
 		r.Reset()
 	}
-	r.name = name
 	r.clock = &p.eng
 	return r
 }
 
-// Resource returns an empty serially-occupied resource with the given
-// diagnostic name, recycled when possible.
-func (p *Pools) Resource(name string) *Resource {
+// Resource returns an empty serially-occupied resource, recycled when
+// possible.
+func (p *Pools) Resource() *Resource {
 	r, _ := p.res.Get()
 	r.Reset()
-	r.name = name
 	return r
 }

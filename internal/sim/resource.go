@@ -11,16 +11,12 @@ import "math"
 // max(t, freeAt) and pushes freeAt forward by the duration. This is the
 // standard first-order queueing model used by memory-channel simulators.
 type Resource struct {
-	name   string
 	freeAt Time
 	busy   Time // accumulated occupied picoseconds
 }
 
-// NewResource names a resource; the name appears only in diagnostics.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
+// NewResource returns an idle resource.
+func NewResource() *Resource { return &Resource{} }
 
 // FreeAt returns the earliest time a new occupancy can start.
 func (r *Resource) FreeAt() Time { return r.freeAt }

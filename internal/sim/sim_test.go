@@ -187,7 +187,7 @@ func TestEngineFiredCount(t *testing.T) {
 }
 
 func TestResourceFCFS(t *testing.T) {
-	r := NewResource("chan")
+	r := NewResource()
 	s1, e1 := r.Reserve(0, 10)
 	if s1 != 0 || e1 != 10 {
 		t.Fatalf("first reservation [%d,%d), want [0,10)", s1, e1)
@@ -208,7 +208,7 @@ func TestResourceFCFS(t *testing.T) {
 }
 
 func TestResourceReserveAt(t *testing.T) {
-	r := NewResource("bank")
+	r := NewResource()
 	r.Reserve(0, 100)
 	s, e := r.ReserveAt(50, 10) // overlapping window granted by arbiter
 	if s != 50 || e != 60 {
@@ -224,7 +224,7 @@ func TestResourceReserveAt(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	r := NewResource("u")
+	r := NewResource()
 	r.Reserve(0, 50)
 	if got := r.Utilization(100); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)
@@ -238,7 +238,7 @@ func TestResourceUtilization(t *testing.T) {
 }
 
 func TestResourceReset(t *testing.T) {
-	r := NewResource("r")
+	r := NewResource()
 	r.Reserve(0, 50)
 	r.Reset()
 	if r.Busy() != 0 || r.FreeAt() != 0 {
@@ -249,7 +249,7 @@ func TestResourceReset(t *testing.T) {
 // Property: reservations never overlap and never start before requested.
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(reqs []uint16) bool {
-		r := NewResource("p")
+		r := NewResource()
 		var lastEnd Time
 		at := Time(0)
 		for _, q := range reqs {

@@ -46,8 +46,8 @@ type Device struct {
 func New(cfg Config) *Device {
 	return &Device{
 		cfg:   cfg,
-		flash: sim.NewResource("ssd-flash"),
-		dma:   sim.NewResource("ssd-dma"),
+		flash: sim.NewResource(),
+		dma:   sim.NewResource(),
 	}
 }
 

@@ -17,16 +17,6 @@ func BenchmarkAddEnergyHandle(b *testing.B) {
 	}
 }
 
-// BenchmarkAddEnergyString is the string-keyed map path the handles
-// replaced on per-access code.
-func BenchmarkAddEnergyString(b *testing.B) {
-	c := NewCollector()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.AddEnergy("opti-network", 0.2)
-	}
-}
-
 func BenchmarkLatencyDistAdd(b *testing.B) {
 	var d LatencyDist
 	b.ReportAllocs()

@@ -275,11 +275,6 @@ func (c *Collector) AddChannel(class Class, n uint64, busy sim.Time) {
 	c.ChannelBusy[class] += busy
 }
 
-// AddEnergy accumulates picojoules under a component name.
-func (c *Collector) AddEnergy(component string, pj float64) {
-	c.EnergyPJ[component] += pj
-}
-
 // CopyFraction returns the fraction of channel busy time consumed by data
 // copies (Figure 8/18's "wasted" bandwidth), in [0,1].
 func (c *Collector) CopyFraction() float64 {

@@ -120,9 +120,11 @@ func TestCollectorIPC(t *testing.T) {
 
 func TestCollectorEnergy(t *testing.T) {
 	c := NewCollector()
-	c.AddEnergy("dram-static", 10)
-	c.AddEnergy("dram-static", 5)
-	c.AddEnergy("xpoint", 7)
+	dram, xp := c.InternEnergy("dram-static"), c.InternEnergy("xpoint")
+	c.AddEnergyH(dram, 10)
+	c.AddEnergyH(dram, 5)
+	c.AddEnergyH(xp, 7)
+	c.Flush()
 	if c.EnergyPJ["dram-static"] != 15 {
 		t.Fatal("energy accumulation wrong")
 	}
@@ -138,12 +140,14 @@ func TestCollectorEnergy(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	c := NewCollector()
 	c.Instructions = 100
-	c.AddEnergy("x", 1)
+	hx := c.InternEnergy("x")
+	c.AddEnergyH(hx, 1)
 	c.Extra["k"] = 2
 	c.MemLatency.Add(50 * sim.Nanosecond)
 	r := c.Snapshot(sim.Microsecond, 1e9)
 	// Mutating the collector after snapshot must not affect the report.
-	c.AddEnergy("x", 100)
+	c.AddEnergyH(hx, 100)
+	c.Flush()
 	c.Extra["k"] = 99
 	if r.EnergyPJ["x"] != 1 || r.Extra["k"] != 2 {
 		t.Fatal("snapshot shares maps with collector")
@@ -192,8 +196,8 @@ func TestHandleCountersFoldIntoMaps(t *testing.T) {
 	c.AddEnergyH(he, 3)
 	c.AddEnergyH(he, 4)
 	c.AddExtraH(hx, 1)
-	// String-keyed adds to the same component coexist with handle adds.
-	c.AddEnergy("laser", 10)
+	// Direct map writes to the same component coexist with handle adds.
+	c.EnergyPJ["laser"] += 10
 
 	rep := c.Snapshot(sim.Second, 1e9)
 	if got := rep.EnergyPJ["laser"]; got != 17 {

@@ -34,8 +34,6 @@ func NewDevice(cfg config.XPointConfig, lineBytes, partitions int) *Device {
 	return newDeviceIn(nil, new(sim.Pools), cfg, lineBytes, partitions)
 }
 
-func partName(_ string, i int) string { return fmt.Sprintf("xp-part%d", i) }
-
 // newDeviceIn is NewDevice rebuilding into a recycled device; re may be
 // nil, so fresh and pooled construction share one code path.
 func newDeviceIn(re *Device, pools *sim.Pools, cfg config.XPointConfig, lineBytes, partitions int) *Device {
@@ -53,7 +51,7 @@ func newDeviceIn(re *Device, pools *sim.Pools, cfg config.XPointConfig, lineByte
 	}
 	*re = Device{cfg: cfg, lineBytes: lineBytes, partitions: parts}
 	for i := range parts {
-		parts[i] = pools.GapResource(pools.Name("xp-part", i, partName))
+		parts[i] = pools.GapResource()
 	}
 	return re
 }

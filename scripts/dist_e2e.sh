@@ -7,8 +7,9 @@
 #   1. a fig16 -quick experiment dispatched across both workers returns
 #      bytes identical to `ohmfig -quick -json fig16`, and so do fig3a
 #      (SSD host link) and abl-phases (phased traces), whose run-variant
-#      cells travel like any other — the coordinator simulates nothing;
-#   2. a warm resubmit reports 0 fresh simulations;
+#      cells travel like any other — the coordinator simulates nothing,
+#      and fig16's timing block counts every simulated cell as remote;
+#   2. a warm resubmit reports 0 fresh simulations and 0 remote cells;
 #   3. kill -9 on one worker mid-sweep still completes the job, with the
 #      result byte-identical to a single-process `ohmbatch` run;
 #   4. /metrics on the coordinator AND on a worker serves valid Prometheus
@@ -79,10 +80,15 @@ submit() {
     curl -fsS -X POST "$base/v1/sweeps" -d "$1" |
         python3 -c 'import sys,json; print(json.load(sys.stdin)["id"])'
 }
-# field <job> <field> -> value (empty when omitted, e.g. omitempty bools)
+# field <job> <field> -> value (empty when omitted, e.g. omitempty bools);
+# a dotted field reads into an object (timing.remote_cells)
 field() {
-    curl -fsS "$base/v1/jobs/$1" |
-        python3 -c "import sys,json; print(json.load(sys.stdin).get(\"$2\",\"\"))"
+    curl -fsS "$base/v1/jobs/$1" | python3 -c '
+import sys, json
+v = json.load(sys.stdin)
+for k in sys.argv[1].split("."):
+    v = v.get(k, "") if isinstance(v, dict) else ""
+print(v)' "$2"
 }
 # mval <base-url> <literal-series> -> value (0 when the series is absent)
 mval() {
@@ -167,6 +173,13 @@ curl -fsS "$base/v1/jobs/$job/result" >"$work/fig16.dist.json"
 "$work/ohmfig" -quick -json fig16 >"$work/fig16.local.json"
 cmp "$work/fig16.dist.json" "$work/fig16.local.json"
 echo "   byte-identical ($(wc -c <"$work/fig16.dist.json") bytes)"
+# Pure dispatch on fresh workers: every cell the job simulated ran on a
+# worker; the rest were the coordinator's cache hits on cells an earlier
+# figure of the same job had computed.
+remote=$(field "$job" timing.remote_cells)
+assert_ge "$remote" 1 "cold fig16 timing.remote_cells"
+assert_eq "$remote" "$(field "$job" simulated)" "cold fig16 timing.remote_cells vs simulated"
+echo "   timing: $remote remote cells = simulated"
 for id in fig3a abl-phases; do
     job=$(submit "{\"experiment\":\"$id\",\"params\":{\"quick\":true}}")
     wait_done "$job" 300
@@ -190,7 +203,8 @@ if [ "$simulated" != "0" ]; then
     exit 1
 fi
 curl -fsS "$base/v1/jobs/$job/result" | cmp - "$work/fig16.local.json"
-echo "   0 fresh simulations, bytes identical"
+assert_eq "$(field "$job" timing.remote_cells)" 0 "warm fig16 timing.remote_cells"
+echo "   0 fresh simulations, 0 remote cells, bytes identical"
 warm_cells=$(field "$job" cells_done)
 
 echo "== metrics: coordinator after cold+warm runs"
