@@ -85,9 +85,7 @@ func (r *Runner) endFlight(call *flightCall) {
 
 // land stores a computed cell's result, ends its flight and returns the
 // result's stored form. Until land has run, no follower and no progress
-// report sees the cell. The cache is an optimization, not a correctness
-// dependency: a failed Put (full disk, lost permissions) does not discard
-// a computed result, so it only bumps a counter the caller can surface.
+// report sees the cell.
 //
 // The stored form is made here, on the writer, rather than by the worker
 // that computed the cell. Against a MemCache, where a Put costs ~10 µs, a
@@ -96,13 +94,27 @@ func (r *Runner) endFlight(call *flightCall) {
 // sweep read as fast as in line (2-vCPU Xeon, interleaved sets of 100
 // sweeps).
 func (r *Runner) land(call *flightCall) stats.Report {
-	if err := r.Cache.Put(call.key, call.rep); err != nil {
+	call.rep = r.Store(call.key, call.rep)
+	r.endFlight(call)
+	return call.rep
+}
+
+// Store writes a computed result to the cache under key and returns the
+// result's stored form, so computed and cached results are byte-identical;
+// without a cache it returns rep as is. It is the runner's one write path,
+// also taken by the dist coordinator for the results its workers compute.
+// The cache is an optimization, not a correctness dependency: a failed Put
+// (full disk, lost permissions) does not discard a computed result, so it
+// only bumps a counter the caller can surface (Stats.PutErrors).
+func (r *Runner) Store(key string, rep stats.Report) stats.Report {
+	if r.Cache == nil {
+		return rep
+	}
+	if err := r.Cache.Put(key, rep); err != nil {
 		r.putErrs.Add(1)
 		mCachePutErrors.Inc()
 	}
-	call.rep = StoredForm(call.rep)
-	r.endFlight(call)
-	return call.rep
+	return StoredForm(rep)
 }
 
 // cellWriters bounds the cache writes one RunContext call has in flight.
@@ -223,9 +235,11 @@ type Outcome struct {
 	Remote bool
 	// Analytical reports that the closed-form twin resolved the cell.
 	Analytical bool
-	// Wall is the cell's wall time, its cache write excluded; for a
-	// dispatched cell it runs from when the coordinator queued it, so
-	// queue wait and transport are included.
+	// Wall is the cell's wall time. For a cell this runner resolved it
+	// excludes the cell's cache write; for a dispatched cell it runs from
+	// when this caller asked the coordinator for it until the coordinator
+	// had stored the result, so queue wait, transport and that write are
+	// included.
 	Wall time.Duration
 	// Phases is the measured split of a cell simulated for this caller,
 	// here or by the worker that ran it; zero otherwise.

@@ -126,7 +126,7 @@ func (s Spec) Resolve() (Scenario, error) {
 	if err != nil {
 		return Scenario{}, fmt.Errorf("config: spec: %w", err)
 	}
-	cfg := pre.Build(mode)
+	cfg := Default(pre.Platform, mode)
 	if err := cfg.ApplyOverrides(s.Overrides); err != nil {
 		return Scenario{}, err
 	}
@@ -205,9 +205,9 @@ func LoadSpec(path string) (Spec, error) {
 
 // Preset is a named platform configuration: the serializable identity the
 // spec layer exposes instead of the Platform enum. The seven paper
-// platforms are the built-in registry; Build returns the exact
-// Default(platform, mode) configuration, so preset-built cells keep the
-// cache keys they have always had.
+// platforms are the built-in registry; a preset in a memory mode resolves
+// to exactly Default(platform, mode), so preset-built cells keep the cache
+// keys they have always had.
 type Preset struct {
 	// Name is the canonical spec name ("ohm-bw").
 	Name string `json:"name"`
@@ -215,8 +215,6 @@ type Preset struct {
 	Platform Platform `json:"-"`
 	// Title is a one-line description for listings.
 	Title string `json:"title"`
-	// Build assembles the preset's full configuration for a memory mode.
-	Build func(MemMode) Config `json:"-"`
 }
 
 var presetList = buildPresets()
@@ -233,12 +231,10 @@ func buildPresets() []Preset {
 	}
 	ps := make([]Preset, 0, len(platformNames))
 	for _, p := range AllPlatforms() {
-		p := p
 		ps = append(ps, Preset{
 			Name:     normalizeName(p.String()),
 			Platform: p,
 			Title:    titles[p],
-			Build:    func(m MemMode) Config { return Default(p, m) },
 		})
 	}
 	return ps

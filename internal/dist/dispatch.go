@@ -78,20 +78,15 @@ type Dispatcher struct {
 	seq     uint64
 	wseq    uint64
 	workers map[string]*workerState
-	pending []*task
+	pending []*task // FIFO; a dropped task's entry stays until popped
 	tasks   map[string]*task
 	byKey   map[string]*task
 
-	leased      atomic.Uint64
-	remoteDone  atomic.Uint64
-	localDone   atomic.Uint64
-	cacheHits   atomic.Uint64
-	requeued    atomic.Uint64
-	stolen      atomic.Uint64
-	failed      atomic.Uint64
-	expired     atomic.Uint64
-	heartbeats  atomic.Uint64
-	versionSkew atomic.Uint64
+	leased     atomic.Uint64
+	remoteDone atomic.Uint64
+	requeued   atomic.Uint64
+	stolen     atomic.Uint64
+	expired    atomic.Uint64
 }
 
 // log returns the dispatcher's logger, or the no-op logger.
@@ -121,15 +116,16 @@ type task struct {
 	cell     batch.Cell
 	attempts int
 	queued   bool
-	created  time.Time
 	leases   map[string]lease // holder id -> lease
 	waiters  []waiter
 }
 
-// waiter is one (job, cell index) slot awaiting a task's result.
+// waiter is one (job, cell index) slot awaiting a task's result; joined
+// is when the job asked for the cell, where its wall time starts.
 type waiter struct {
-	call *callState
-	idx  int
+	call   *callState
+	idx    int
+	joined time.Time
 }
 
 // callState is one RunContext invocation in flight.
@@ -242,25 +238,14 @@ func (d *Dispatcher) Close() {
 		close(d.stopCh)
 		d.closeStop()
 		d.mu.Lock()
-		var resolves []func()
-		for id, t := range d.tasks {
-			t := t
-			delete(d.tasks, id)
-			delete(d.byKey, t.key)
-			for _, w := range t.waiters {
-				w := w
-				resolves = append(resolves, func() {
-					w.call.fail(w.idx, ErrStopped)
-				})
-			}
-			t.waiters = nil
+		var ws []waiter
+		for _, t := range d.tasks {
+			ws = append(ws, d.dropLocked(t)...)
 		}
-		d.pending = nil
-		close(d.wake)
-		d.wake = make(chan struct{})
+		d.wakeAllLocked()
 		d.mu.Unlock()
-		for _, fn := range resolves {
-			fn()
+		for _, w := range ws {
+			w.call.fail(w.idx, ErrStopped)
 		}
 	})
 	d.bg.Wait()
@@ -270,18 +255,14 @@ func (d *Dispatcher) Close() {
 var ErrStopped = fmt.Errorf("dist: dispatcher stopped")
 
 // Counters is a snapshot of dispatcher traffic: logged by ohmserve at
-// drain, asserted on by the fault-injection tests.
+// drain, asserted on by the fault-injection tests. The process-wide
+// ohm_dist_* metrics carry the rest.
 type Counters struct {
 	Leased          uint64 `json:"leased"`
 	RemoteCompleted uint64 `json:"remote_completed"`
-	LocalCompleted  uint64 `json:"local_completed"`
-	CacheHits       uint64 `json:"cache_hits"`
 	Requeued        uint64 `json:"requeued"`
 	Stolen          uint64 `json:"stolen"`
-	Failed          uint64 `json:"failed"`
 	Expired         uint64 `json:"expired"`
-	Heartbeats      uint64 `json:"heartbeats"`
-	VersionSkew     uint64 `json:"version_skew"`
 }
 
 // Stats snapshots the counters.
@@ -289,14 +270,9 @@ func (d *Dispatcher) Stats() Counters {
 	return Counters{
 		Leased:          d.leased.Load(),
 		RemoteCompleted: d.remoteDone.Load(),
-		LocalCompleted:  d.localDone.Load(),
-		CacheHits:       d.cacheHits.Load(),
 		Requeued:        d.requeued.Load(),
 		Stolen:          d.stolen.Load(),
-		Failed:          d.failed.Load(),
 		Expired:         d.expired.Load(),
-		Heartbeats:      d.heartbeats.Load(),
-		VersionSkew:     d.versionSkew.Load(),
 	}
 }
 
@@ -350,7 +326,6 @@ func (d *Dispatcher) RunContext(ctx context.Context, cells []batch.Cell, progres
 		}
 		hitStart := time.Now()
 		if rep, ok := d.cacheGet(key); ok {
-			d.cacheHits.Add(1)
 			mDistCacheHits.Inc()
 			// The runner never saw this cell, so fold the hit into its
 			// counters here — otherwise ohm_cells_completed{mode} and the
@@ -396,9 +371,10 @@ func (d *Dispatcher) cacheGet(key string) (stats.Report, bool) {
 // submit enqueues one cell, joining an existing task when another job is
 // already waiting on the same key.
 func (d *Dispatcher) submit(call *callState, idx int, key string, c batch.Cell) {
+	w := waiter{call, idx, time.Now()}
 	d.mu.Lock()
 	if t, ok := d.byKey[key]; ok {
-		t.waiters = append(t.waiters, waiter{call, idx})
+		t.waiters = append(t.waiters, w)
 		d.mu.Unlock()
 		return
 	}
@@ -408,9 +384,8 @@ func (d *Dispatcher) submit(call *callState, idx int, key string, c batch.Cell) 
 		key:     key,
 		cell:    c,
 		queued:  true,
-		created: time.Now(),
 		leases:  make(map[string]lease, 1),
-		waiters: []waiter{{call, idx}},
+		waiters: []waiter{w},
 	}
 	d.tasks[t.id] = t
 	d.byKey[key] = t
@@ -440,7 +415,7 @@ func (d *Dispatcher) detach(call *callState) {
 	}
 	d.mu.Lock()
 	var resolves []waiter
-	for id, t := range d.tasks {
+	for _, t := range d.tasks {
 		kept := t.waiters[:0]
 		for _, w := range t.waiters {
 			if w.call == call {
@@ -451,14 +426,7 @@ func (d *Dispatcher) detach(call *callState) {
 		}
 		t.waiters = kept
 		if len(t.waiters) == 0 {
-			delete(d.tasks, id)
-			delete(d.byKey, t.key)
-			d.unqueueLocked(t)
-			for holder := range t.leases {
-				if w := d.workers[holder]; w != nil {
-					delete(w.leases, t.id)
-				}
-			}
+			d.dropLocked(t)
 		}
 	}
 	d.mu.Unlock()
@@ -467,39 +435,33 @@ func (d *Dispatcher) detach(call *callState) {
 	}
 }
 
-// unqueueLocked splices a task out of the pending FIFO.
-func (d *Dispatcher) unqueueLocked(t *task) {
-	if !t.queued {
-		return
-	}
-	t.queued = false
-	for i, p := range d.pending {
-		if p == t {
-			d.pending = append(d.pending[:i], d.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// take removes a live task from the queue and its holders' lease tables
-// and returns its waiters; live is false when the task already finished.
-func (d *Dispatcher) take(t *task) (ws []waiter, live bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.tasks[t.id]; !ok {
-		return nil, false
-	}
+// dropLocked removes a task from the dispatcher — the task indexes, the
+// queue and every holder's lease table — and returns its waiters for the
+// caller to resolve outside the lock. A holder still running it learns
+// through its next heartbeat or completion. Callers hold mu.
+func (d *Dispatcher) dropLocked(t *task) []waiter {
 	delete(d.tasks, t.id)
 	delete(d.byKey, t.key)
-	d.unqueueLocked(t)
+	t.queued = false // popLocked skips its queue entry
 	for holder := range t.leases {
 		if w := d.workers[holder]; w != nil {
 			delete(w.leases, t.id)
 		}
 	}
-	ws = t.waiters
+	ws := t.waiters
 	t.waiters = nil
-	return ws, true
+	return ws
+}
+
+// take drops a live task and returns its waiters; live is false when the
+// task already finished.
+func (d *Dispatcher) take(t *task) (ws []waiter, live bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.tasks[t.id] != t {
+		return nil, false
+	}
+	return d.dropLocked(t), true
 }
 
 // fail ends a live task with err, failing every job waiting on it.
@@ -508,7 +470,6 @@ func (d *Dispatcher) fail(t *task, err error) {
 	if !live {
 		return
 	}
-	d.failed.Add(1)
 	mDistFailed.Inc()
 	d.log().Error("dist: cell failed", obs.KeyTaskID, t.id, obs.KeyCell, t.cell.String(), "err", err)
 	for _, w := range ws {
@@ -520,17 +481,18 @@ func (d *Dispatcher) fail(t *task, err error) {
 // copy of the report and an outcome. The first waiter's outcome is the
 // executing side's (its phases shipped over the wire for remote cells);
 // waiters beyond the first shared the result, exactly like the runner's
-// single-flight followers, so theirs is a hit. Every waiter's wall time
-// runs from task creation, queueing and transport included.
+// single-flight followers, so theirs is a hit. Each waiter's wall time
+// runs from when its job asked for the cell, queueing and transport
+// included.
 func (d *Dispatcher) finalize(t *task, rep stats.Report, o batch.Outcome) {
 	ws, live := d.take(t)
 	if !live {
 		return
 	}
-	o.Wall = time.Since(t.created)
-	shared := batch.Outcome{Hit: true, Remote: o.Remote, Wall: o.Wall}
+	now := time.Now()
 	for i, w := range ws {
 		if i == 0 {
+			o.Wall = now.Sub(w.joined)
 			w.call.resolve(w.idx, rep, o)
 			continue
 		}
@@ -542,19 +504,8 @@ func (d *Dispatcher) finalize(t *task, rep stats.Report, o batch.Outcome) {
 		// runner. rep is already a stored form, so decoding a copy of
 		// it gives each later waiter maps of its own.
 		d.Runner.NoteExternalResolve(t.cell.Exec, true)
-		w.call.resolve(w.idx, batch.StoredForm(rep), shared)
+		w.call.resolve(w.idx, batch.StoredForm(rep), batch.Outcome{Hit: true, Remote: o.Remote, Wall: now.Sub(w.joined)})
 	}
-}
-
-// putAndReload inserts a report under its key and returns the stored form,
-// so remotely computed and locally cached results are byte-identical. A
-// failed Put still returns the stored form, as the runner does.
-func (d *Dispatcher) putAndReload(key string, rep stats.Report) stats.Report {
-	if d.Runner.Cache == nil {
-		return rep
-	}
-	_ = d.Runner.Cache.Put(key, rep) // a failed store costs only a recomputation later
-	return batch.StoredForm(rep)
 }
 
 // localConsumer pulls queued tasks and runs them on the coordinator's own
@@ -576,7 +527,6 @@ func (d *Dispatcher) localConsumer() {
 			d.fail(t, err)
 			continue
 		}
-		d.localDone.Add(1)
 		mLocalCompleted.Inc()
 		d.finalize(t, rep, o)
 	}
@@ -587,25 +537,53 @@ func (d *Dispatcher) localConsumer() {
 func (d *Dispatcher) takeLocal() *task {
 	for {
 		d.mu.Lock()
-		if len(d.pending) > 0 {
-			t := d.pending[0]
-			d.pending = d.pending[1:]
-			t.queued = false
-			t.attempts++
-			now := time.Now()
-			// Local execution cannot be lost with the coordinator alive,
-			// so the lease never expires.
-			t.leases[localHolder] = lease{deadline: now.Add(100 * 365 * 24 * time.Hour), granted: now}
-			d.mu.Unlock()
-			return t
-		}
+		// Local execution cannot be lost with the coordinator alive, so
+		// the lease never expires.
+		t := d.popLocked(localHolder, 100*365*24*time.Hour)
 		ch := d.wake
 		d.mu.Unlock()
+		if t != nil {
+			return t
+		}
 		select {
 		case <-ch:
 		case <-d.stopCh:
 			return nil
 		}
+	}
+}
+
+// popLocked leases the head of the queue to holder for ttl, spending one
+// of the task's attempts; nil when the queue is empty. Entries of tasks
+// dropped while queued are discarded on the way: leaving them to be
+// popped keeps a drop O(1), where splicing each one out would make
+// cancelling a job with n queued cells cost O(n²). Callers hold mu.
+func (d *Dispatcher) popLocked(holder string, ttl time.Duration) *task {
+	for len(d.pending) > 0 {
+		t := d.pending[0]
+		d.pending = d.pending[1:]
+		if !t.queued {
+			continue
+		}
+		t.queued = false
+		t.attempts++
+		d.grantLocked(t, holder, ttl)
+		return t
+	}
+	return nil
+}
+
+// grantLocked records a lease of t to holder expiring after ttl. A lease
+// to a registered worker also enters the worker's lease table and the
+// lease counters; the coordinator's own local lease does neither. Callers
+// hold mu.
+func (d *Dispatcher) grantLocked(t *task, holder string, ttl time.Duration) {
+	now := time.Now()
+	t.leases[holder] = lease{deadline: now.Add(ttl), granted: now}
+	if w := d.workers[holder]; w != nil {
+		w.leases[t.id] = t
+		d.leased.Add(1)
+		mLeasesGranted.Inc()
 	}
 }
 
@@ -634,13 +612,7 @@ func (d *Dispatcher) scanner() {
 
 // sweepExpired is one scanner pass.
 func (d *Dispatcher) sweepExpired(now time.Time) {
-	type failure struct {
-		t   *task
-		err error
-	}
-	var failures []failure
-	var resolves []waiter
-
+	var after []func()
 	d.mu.Lock()
 	// Workers silent for several lease lifetimes are gone: requeue
 	// everything they hold and drop them (a re-appearing worker simply
@@ -669,53 +641,51 @@ func (d *Dispatcher) sweepExpired(now time.Time) {
 					obs.KeyTaskID, t.id, obs.KeyWorkerID, holder, obs.KeyCell, t.cell.String())
 			}
 		}
-		if len(t.leases) == 0 && !t.queued {
-			f, rs := d.requeueLocked(t)
-			resolves = append(resolves, rs...)
-			if f != nil {
-				failures = append(failures, failure{t, f})
-			}
-		}
+		d.orphanLocked(t, nil, &after)
 	}
 	d.mu.Unlock()
-
-	for _, w := range resolves {
-		w.call.fail(w.idx, w.call.ctx.Err())
-	}
-	for _, f := range failures {
-		d.fail(f.t, f.err)
+	for _, fn := range after {
+		fn()
 	}
 }
 
-// requeueLocked puts an unleased, unqueued task back in the queue. It
-// first drops waiters whose job has been cancelled (returning them for
-// resolution outside the lock); a task nobody wants anymore is deleted,
-// and a task out of attempts is reported for failure. Callers hold mu.
-func (d *Dispatcher) requeueLocked(t *task) (failErr error, cancelled []waiter) {
+// orphanLocked settles a task that is still registered but neither leased
+// nor queued — its last lease expired, its worker left, or its worker
+// reported an error — and leaves any other task alone. Waiters whose job
+// was cancelled are dropped first. Then a task nobody waits on is dropped,
+// a task out of attempts fails with cause (or, when cause is nil, an
+// attempts-exhausted error), and any other task goes back in the queue.
+// Work that must run outside the lock is appended to after. Callers hold
+// mu.
+func (d *Dispatcher) orphanLocked(t *task, cause error, after *[]func()) {
+	if d.tasks[t.id] != t || len(t.leases) > 0 || t.queued {
+		return
+	}
 	kept := t.waiters[:0]
 	for _, w := range t.waiters {
-		if w.call.ctx.Err() != nil {
-			cancelled = append(cancelled, w)
+		if err := w.call.ctx.Err(); err != nil {
+			*after = append(*after, func() { w.call.fail(w.idx, err) })
 		} else {
 			kept = append(kept, w)
 		}
 	}
 	t.waiters = kept
-	if len(t.waiters) == 0 {
-		delete(d.tasks, t.id)
-		delete(d.byKey, t.key)
-		return nil, cancelled
+	switch {
+	case len(t.waiters) == 0:
+		d.dropLocked(t)
+	case t.attempts >= d.maxAttempts():
+		if cause == nil {
+			cause = fmt.Errorf("dist: cell failed after %d lease attempts (workers lost or cell erroring)", t.attempts)
+		}
+		*after = append(*after, func() { d.fail(t, cause) })
+	default:
+		d.requeued.Add(1)
+		mRequeuedCells.Inc()
+		d.log().Info("dist: cell requeued", obs.KeyTaskID, t.id, "attempts", t.attempts)
+		t.queued = true
+		d.pending = append(d.pending, t)
+		d.wakeAllLocked()
 	}
-	if t.attempts >= d.maxAttempts() {
-		return fmt.Errorf("dist: cell failed after %d lease attempts (workers lost or cell erroring)", t.attempts), cancelled
-	}
-	d.requeued.Add(1)
-	mRequeuedCells.Inc()
-	d.log().Info("dist: cell requeued", obs.KeyTaskID, t.id, "attempts", t.attempts)
-	t.queued = true
-	d.pending = append(d.pending, t)
-	d.wakeAllLocked()
-	return nil, cancelled
 }
 
 // --- worker-facing operations (driven by the HTTP handlers) ---
@@ -754,12 +724,7 @@ func (d *Dispatcher) RegisterWorker(name string, capacity int) RegisterResponse 
 // graceful goodbye a SIGTERM'd worker sends so its in-flight cells
 // reschedule immediately instead of waiting out their leases.
 func (d *Dispatcher) Deregister(id string) error {
-	type failure struct {
-		t   *task
-		err error
-	}
-	var failures []failure
-	var resolves []waiter
+	var after []func()
 	d.mu.Lock()
 	w, ok := d.workers[id]
 	if !ok {
@@ -768,25 +733,15 @@ func (d *Dispatcher) Deregister(id string) error {
 	}
 	delete(d.workers, id)
 	mWorkersConnected.Dec()
-	requeuing := len(w.leases)
 	for _, t := range w.leases {
 		delete(t.leases, id)
-		if len(t.leases) == 0 && !t.queued {
-			f, rs := d.requeueLocked(t)
-			resolves = append(resolves, rs...)
-			if f != nil {
-				failures = append(failures, failure{t, f})
-			}
-		}
+		d.orphanLocked(t, nil, &after)
 	}
 	d.mu.Unlock()
 	d.log().Info("dist: worker deregistered",
-		obs.KeyWorkerID, id, obs.KeyWorker, w.name, "requeuing", requeuing)
-	for _, wt := range resolves {
-		wt.call.fail(wt.idx, wt.call.ctx.Err())
-	}
-	for _, f := range failures {
-		d.fail(f.t, f.err)
+		obs.KeyWorkerID, id, obs.KeyWorker, w.name, "requeuing", len(w.leases))
+	for _, fn := range after {
+		fn()
 	}
 	return nil
 }
@@ -810,15 +765,11 @@ func (d *Dispatcher) Lease(id string, max int) ([]WireCell, error) {
 	}
 	w.lastSeen = now
 	var out []WireCell
-	for len(out) < max && len(d.pending) > 0 {
-		t := d.pending[0]
-		d.pending = d.pending[1:]
-		t.queued = false
-		t.attempts++
-		t.leases[id] = lease{deadline: now.Add(ttl), granted: now}
-		w.leases[t.id] = t
-		d.leased.Add(1)
-		mLeasesGranted.Inc()
+	for len(out) < max {
+		t := d.popLocked(id, ttl)
+		if t == nil {
+			break
+		}
 		out = append(out, wireCell(t.id, t.key, t.cell))
 	}
 	if len(out) > 0 {
@@ -852,11 +803,8 @@ func (d *Dispatcher) Lease(id string, max int) ([]WireCell, error) {
 		}
 	}
 	if victim != nil {
-		victim.leases[id] = lease{deadline: now.Add(ttl), granted: now}
-		w.leases[victim.id] = victim
-		d.leased.Add(1)
+		d.grantLocked(victim, id, ttl)
 		d.stolen.Add(1)
-		mLeasesGranted.Inc()
 		mLeasesStolen.Inc()
 		d.log().Info("dist: lease stolen",
 			obs.KeyTaskID, victim.id, obs.KeyWorkerID, id, "leased_for", now.Sub(oldest).String())
@@ -893,26 +841,17 @@ func (d *Dispatcher) Complete(id string, req CompleteRequest) (CompleteResponse,
 	}
 
 	if req.Error != "" {
-		remoteErr := fmt.Errorf("dist: worker %s: %s", id, req.Error)
 		d.log().Warn("dist: worker reported cell error",
 			obs.KeyWorkerID, id, obs.KeyTaskID, req.TaskID, "err", req.Error)
-		var fail bool
-		var resolves []waiter
+		var after []func()
 		d.mu.Lock()
-		// Only requeue/fail when no duplicate lease survives: with a
-		// stolen copy still running elsewhere, this failure may be the
-		// dying holder's, not the cell's.
-		if _, still := d.tasks[t.id]; still && !t.queued && len(t.leases) == 0 {
-			var f error
-			f, resolves = d.requeueLocked(t)
-			fail = f != nil
-		}
+		// A task whose stolen copy still runs elsewhere keeps a lease and
+		// is left alone: this failure may be the dying holder's, not the
+		// cell's.
+		d.orphanLocked(t, fmt.Errorf("dist: worker %s: %s", id, req.Error), &after)
 		d.mu.Unlock()
-		for _, wt := range resolves {
-			wt.call.fail(wt.idx, wt.call.ctx.Err())
-		}
-		if fail {
-			d.fail(t, remoteErr)
+		for _, fn := range after {
+			fn()
 		}
 		return CompleteResponse{Accepted: true}, nil
 	}
@@ -923,14 +862,13 @@ func (d *Dispatcher) Complete(id string, req CompleteRequest) (CompleteResponse,
 		// A worker answering with a different content address computed a
 		// different cell than we dispatched — version skew. Fail loudly,
 		// and above all do not let the report anywhere near the cache.
-		d.versionSkew.Add(1)
 		mVersionSkew.Inc()
 		d.log().Error("dist: version skew refusal",
 			obs.KeyWorkerID, id, obs.KeyTaskID, t.id, "got_key", req.Key[:min(12, len(req.Key))], "want_key", t.key[:12])
 		d.fail(t, pathError("worker %s returned key %.12s for cell keyed %.12s (binary version skew?)", id, req.Key, t.key))
 		return CompleteResponse{Accepted: false}, nil
 	}
-	norm := d.putAndReload(t.key, *req.Report)
+	norm := d.Runner.Store(t.key, *req.Report)
 	d.remoteDone.Add(1)
 	mRemoteCompleted.Inc()
 	mWorkerCells.With(workerLabel(w)).Inc()
@@ -948,7 +886,6 @@ func (d *Dispatcher) Complete(id string, req CompleteRequest) (CompleteResponse,
 func (d *Dispatcher) Heartbeat(id string, taskIDs []string) ([]string, error) {
 	now := time.Now()
 	ttl := d.leaseTTL()
-	d.heartbeats.Add(1)
 	mHeartbeats.Inc()
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -622,5 +623,70 @@ func TestOptimizeCancelRevokesWorkerLease(t *testing.T) {
 			t.Fatalf("lease on %s never revoked after cancel: %+v", taskID, hb)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// failingCache is a result cache whose every write fails.
+type failingCache struct{}
+
+func (failingCache) Get(string) (stats.Report, bool) { return stats.Report{}, false }
+func (failingCache) Put(string, stats.Report) error  { return errors.New("synthetic put failure") }
+
+// TestRemotePutErrorsCounted pins that the coordinator counts a failed
+// cache write of a cell a remote worker computed, exactly as the runner
+// counts one for a cell it computed itself: six cold cells, six errors.
+func TestRemotePutErrorsCounted(t *testing.T) {
+	c := newCluster(t, -1, func(d *dist.Dispatcher) { d.Runner.Cache = failingCache{} })
+	startWorker(t, c.ts.URL, fakeRun, 2)
+	if st := c.wait(c.submit(sixCells), 30*time.Second); st.State != serve.StateDone {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	if got := c.runner.Stats().PutErrors; got != 6 {
+		t.Fatalf("put_errors = %d after six remote cells with a failing cache, want 6", got)
+	}
+}
+
+// TestJoiningJobWallIsItsOwn pins that a job joining cells another job is
+// already waiting on is credited only its own wait: summed over its cells,
+// the wall time cannot exceed its cell count times its own lifetime, even
+// though the cells were queued long before it existed.
+func TestJoiningJobWallIsItsOwn(t *testing.T) {
+	c := newCluster(t, -1, nil) // pure dispatch: the cells wait for a worker
+	id1 := c.submit(sixCells)
+	time.Sleep(400 * time.Millisecond)
+	id2 := c.submit(sixCells)
+	// Start the worker only once job 2 waits on all six tasks, so none of
+	// its cells is answered from the cache instead.
+	deadline := time.Now().Add(30 * time.Second)
+	for c.d.Waiters() < 12 {
+		if time.Now().After(deadline) {
+			t.Fatalf("tasks hold %d waiters after 30s, want 12", c.d.Waiters())
+		}
+		runtime.Gosched()
+	}
+	startWorker(t, c.ts.URL, fakeRun, 2)
+	if st := c.wait(id1, 30*time.Second); st.State != serve.StateDone {
+		t.Fatalf("job 1: %s (%s)", st.State, st.Error)
+	}
+	st := c.wait(id2, 30*time.Second)
+	if st.State != serve.StateDone || st.Timing == nil || st.Finished == nil {
+		t.Fatalf("job 2: %s (%s), timing %+v", st.State, st.Error, st.Timing)
+	}
+	life := st.Finished.Sub(st.Created)
+	if limit := time.Duration(st.CellsTotal) * life; st.Timing.CellsWall > limit {
+		t.Fatalf("joining job: cells_wall %v > %d cells × its lifetime %v", st.Timing.CellsWall, st.CellsTotal, life)
+	}
+}
+
+// TestLocalExecutionLeasesNothing pins that cells the coordinator runs on
+// its own runner are not lease grants: Leased, like
+// ohm_dist_leases_granted_total, counts grants to remote workers only.
+func TestLocalExecutionLeasesNothing(t *testing.T) {
+	c := newCluster(t, 0, nil) // local consumers, and no worker ever joins
+	if st := c.wait(c.submit(sixCells), 30*time.Second); st.State != serve.StateDone {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	if got := c.d.Stats().Leased; got != 0 {
+		t.Fatalf("leased = %d after a job run wholly on the coordinator, want 0", got)
 	}
 }

@@ -117,6 +117,30 @@ func TestCancelRevokesWorkerLeases(t *testing.T) {
 	}
 }
 
+// TestCancelEmptiesQueue pins that cancelling a job takes its queued
+// cells out of the queue, not only out of the task table: a worker that
+// joins after the cancel is leased nothing.
+func TestCancelEmptiesQueue(t *testing.T) {
+	c := newCluster(t, -1, nil) // pure dispatch: the cells wait in the queue
+	id := c.submit(sixCells)
+	deadline := time.Now().Add(30 * time.Second)
+	for c.d.Waiters() < 6 {
+		if time.Now().After(deadline) {
+			t.Fatalf("tasks hold %d waiters after 30s, want 6", c.d.Waiters())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, data := c.do("DELETE", "/v1/jobs/"+id, ""); code != http.StatusOK {
+		t.Fatalf("cancel: HTTP %d: %s", code, data)
+	}
+	if st := c.wait(id, 10*time.Second); st.State != serve.StateCancelled {
+		t.Fatalf("job after cancel: %s", st.State)
+	}
+	if cells := newRawWorker(t, c).lease(6); len(cells) != 0 {
+		t.Fatalf("a worker joining after the cancel was leased %d of the cancelled job's cells", len(cells))
+	}
+}
+
 // TestWorkerSIGTERMRequeuesInFlight stops a worker gracefully while it is
 // mid-cell: the deregister requeues its lease immediately (no TTL wait)
 // and a second worker completes the sweep byte-identically.

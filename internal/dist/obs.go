@@ -3,8 +3,8 @@ package dist
 import "repro/internal/obs"
 
 // Process-wide distribution-protocol metrics (promauto idiom: registered
-// once in obs.Default at init, served by GET /metrics). They mirror the
-// per-Dispatcher Counters snapshot but accumulate across every dispatcher
+// once in obs.Default at init, served by GET /metrics). Unlike the
+// per-Dispatcher Counters snapshot they accumulate across every dispatcher
 // in the process, so tests assert deltas. The worker-connected gauge moves
 // with balanced Inc/Dec on register/deregister/forget, never absolute
 // Sets, for the same reason.

@@ -210,32 +210,6 @@ func (g *Gauge) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", g.name, g.v.Load())
 }
 
-// --- GaugeFunc ---
-
-// GaugeFunc is a gauge whose value is computed at scrape time.
-type GaugeFunc struct {
-	name, help string
-	fn         func() float64
-}
-
-// GaugeFunc registers a callback gauge in r.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	g := &GaugeFunc{name: name, help: help, fn: fn}
-	r.register(g)
-	return g
-}
-
-// NewGaugeFunc registers a callback gauge in Default.
-func NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	return Default.GaugeFunc(name, help, fn)
-}
-
-func (g *GaugeFunc) describe() (string, string, string) { return g.name, g.help, "gauge" }
-
-func (g *GaugeFunc) write(w io.Writer) {
-	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
-}
-
 // --- Histogram ---
 
 // DurationBuckets is the default bucket layout for request/cell/job

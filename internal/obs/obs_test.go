@@ -25,8 +25,6 @@ func TestPrometheusExposition(t *testing.T) {
 	g.Set(7)
 	g.Dec()
 
-	r.GaugeFunc("test_uptime_seconds", "Seconds since start.", func() float64 { return 1.5 })
-
 	h := r.Histogram("test_latency_seconds", "Request latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.1) // == bound: falls in the le="0.1" bucket
@@ -74,9 +72,6 @@ test_queue_depth 6
 # HELP test_requests_total Requests served.
 # TYPE test_requests_total counter
 test_requests_total 3
-# HELP test_uptime_seconds Seconds since start.
-# TYPE test_uptime_seconds gauge
-test_uptime_seconds 1.5
 `
 	if got := buf.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -36,20 +36,19 @@ var (
 // Journal record types. One JSONL line per event:
 //
 //	submit   a job was accepted (synced; carries the original request)
-//	start    a worker began executing the job (unsynced)
 //	cells    per-cell completion watermark (unsynced, throttled)
 //	finish   the job reached a terminal state (synced)
 //	archived compacted form of a finished job: status only, no request
 //
 // Sync policy: records that change what a restart must do (submit,
-// finish, archived) are fsynced before the caller proceeds; progress
-// records (start, cells) are plain appends whose loss is harmless — a
-// job replayed without them simply re-queues as if it never started,
-// and every cell it had completed is already in the content-addressed
-// result cache, so the re-run is warm.
+// finish, archived) are fsynced before the caller proceeds; cells
+// watermarks are plain appends whose loss is harmless — a job replayed
+// without them simply re-queues as if it never started, and every cell
+// it had completed is already in the content-addressed result cache, so
+// the re-run is warm. Replay skips record types it does not know, such
+// as the start records older journals carry.
 const (
 	recSubmit   = "submit"
-	recStart    = "start"
 	recCells    = "cells"
 	recFinish   = "finish"
 	recArchived = "archived"
@@ -107,7 +106,7 @@ type ReplayedJob struct {
 func (r ReplayedJob) Terminal() bool { return r.State.Terminal() }
 
 // defaultCompactBytes triggers a rewrite when the journal file outgrows
-// it; watermark and start records dominate growth and all fold away.
+// it; watermark records dominate growth and all fold away.
 const defaultCompactBytes = 1 << 20
 
 // Journal is the manager's durable job log: an append-only JSONL file
@@ -284,14 +283,8 @@ func (j *Journal) Submit(id, tenant string, req Request, created time.Time) erro
 	return j.append(journalRecord{T: recSubmit, ID: id, Tenant: tenant, Req: &req, At: created}, true)
 }
 
-// Start records that a worker picked the job up (unsynced; losing it
-// replays the job as queued, which is exactly what a restart does with
-// running jobs anyway).
-func (j *Journal) Start(id string, at time.Time) error {
-	return j.append(journalRecord{T: recStart, ID: id, At: at}, false)
-}
-
-// Cells records a per-cell completion watermark (unsynced; see Start).
+// Cells records a per-cell completion watermark (unsynced: a job replayed
+// without it re-runs warm against the result cache).
 func (j *Journal) Cells(id string, done, total, hits, sim int) error {
 	return j.append(journalRecord{T: recCells, ID: id, Done: done, Total: total, Hits: hits, Sim: sim}, false)
 }

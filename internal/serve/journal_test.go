@@ -11,7 +11,8 @@ import (
 // TestJournalRoundTrip pins the replay semantics: submitted jobs come
 // back queued, started jobs come back queued too (a restart re-runs
 // them), watermarks attach, and finished jobs come back terminal — all in
-// submission order.
+// submission order. The journal carries the start records older versions
+// wrote once per job, which replay must pass over.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, replayed, err := OpenJournal(path)
@@ -29,11 +30,16 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	legacyStart := func(id string) {
+		t.Helper()
+		_, err := j.f.WriteString(`{"t":"start","id":"` + id + `","at":"` + now.Format(time.RFC3339Nano) + `"}` + "\n")
+		must(err)
+	}
 	must(j.Submit("job-000001", "alice", req, now))
-	must(j.Start("job-000001", now))
+	legacyStart("job-000001")
 	must(j.Cells("job-000001", 3, 12, 1, 2))
 	must(j.Submit("job-000002", "bob", req, now))
-	must(j.Start("job-000002", now))
+	legacyStart("job-000002")
 	must(j.Finish("job-000002", StateDone, "", now))
 	must(j.Close())
 

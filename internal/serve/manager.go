@@ -658,13 +658,6 @@ func (m *Manager) run(job *Job) {
 	job.mu.Unlock()
 
 	mJobsRunning.Inc()
-	if m.Journal != nil {
-		// Unsynced: losing this record replays the job as queued, which
-		// is what a restart does with running jobs anyway.
-		if err := m.Journal.Start(job.id, job.started); err != nil {
-			m.log().Warn("journal start failed", obs.KeyJobID, job.id, "err", err.Error())
-		}
-	}
 	m.log().Info("job started",
 		obs.KeyJobID, job.id, "kind", job.req.Kind(), "experiment", job.req.Experiment,
 		obs.KeyTenant, job.tenant, "queue_wait", queueWait.String())

@@ -16,8 +16,8 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/batch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/twin"
 )
@@ -90,13 +90,14 @@ func Grid() []Cell {
 }
 
 // Run replays the grid through both the simulator and the twin and
-// returns the pairs. The simulator side reuses a pooled run state, so a
-// full 140-cell replay costs a few seconds.
+// returns the pairs in grid order. Both sides run as one sweep on an
+// uncached batch runner — the grid's DES cells, then its analytical
+// cells — so the 140 DES cells spread over GOMAXPROCS workers, each
+// simulating on a pooled run state.
 func Run() ([]Pair, error) {
-	st := core.AcquireRunState()
-	defer core.ReleaseRunState(st)
-	var pairs []Pair
-	for _, c := range Grid() {
+	grid := Grid()
+	cells := make([]batch.Cell, 2*len(grid))
+	for i, c := range grid {
 		pre, ok := config.LookupPreset(c.Preset)
 		if !ok {
 			return nil, fmt.Errorf("calib: unknown preset %q", c.Preset)
@@ -105,17 +106,17 @@ func Run() ([]Pair, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, ok := config.WorkloadByName(c.Workload)
-		if !ok {
-			return nil, fmt.Errorf("calib: unknown workload %q", c.Workload)
-		}
-		cfg := pre.Build(mode)
-		des, _, err := core.Run(st, cfg, w, core.DefaultRun)
-		if err != nil {
-			return nil, fmt.Errorf("calib: %s/%s/%s: %w", c.Preset, c.Mode, c.Workload, err)
-		}
-		est := twin.Estimate(&cfg, w)
-		pairs = append(pairs, Pair{Cell: c, DES: metricsOf(des), Twin: metricsOf(est)})
+		cfg := config.Default(pre.Platform, mode)
+		cells[i] = batch.Cell{Workload: c.Workload, Config: cfg}
+		cells[len(grid)+i] = batch.Cell{Exec: config.ExecAnalytical, Workload: c.Workload, Config: cfg}
+	}
+	reps, err := batch.NewRunner(0, nil).Run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("calib: %w", err)
+	}
+	pairs := make([]Pair, len(grid))
+	for i, c := range grid {
+		pairs[i] = Pair{Cell: c, DES: metricsOf(reps[i]), Twin: metricsOf(reps[len(grid)+i])}
 	}
 	return pairs, nil
 }
