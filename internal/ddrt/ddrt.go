@@ -196,27 +196,38 @@ func (h *ReverseWriteHandshake) Reset() { *h = ReverseWriteHandshake{} }
 // migrating nLines lines in each direction — what the hmem controller's
 // MigrWOM/MigrBW path logically emits.
 func SwapSequence(nLines int, rowOpen bool) []Msg {
-	var s []Msg
+	return AppendSwapSequence(nil, nLines, rowOpen)
+}
+
+// AppendSwapSequence appends SwapSequence(nLines, rowOpen) to dst and
+// returns the extended slice, so a caller that keeps its buffer checks
+// every swap without allocating.
+func AppendSwapSequence(dst []Msg, nLines int, rowOpen bool) []Msg {
 	if !rowOpen {
-		s = append(s, MsgPrecharge, MsgActivate)
+		dst = append(dst, MsgPrecharge, MsgActivate)
 	}
-	s = append(s, MsgSwapCmd)
+	dst = append(dst, MsgSwapCmd)
 	for i := 0; i < nLines; i++ {
-		s = append(s, MsgSeqRead)
+		dst = append(dst, MsgSeqRead)
 	}
 	for i := 0; i < nLines; i++ {
-		s = append(s, MsgSeqWrite)
+		dst = append(dst, MsgSeqWrite)
 	}
-	s = append(s, MsgReady, MsgConfirm)
-	return s
+	return append(dst, MsgReady, MsgConfirm)
 }
 
 // ReverseWriteSequence returns the canonical legal reverse-write sequence
 // for nLines lines.
 func ReverseWriteSequence(nLines int) []Msg {
-	s := []Msg{MsgReady, MsgConfirm}
+	return AppendReverseWriteSequence(nil, nLines)
+}
+
+// AppendReverseWriteSequence appends ReverseWriteSequence(nLines) to dst
+// and returns the extended slice.
+func AppendReverseWriteSequence(dst []Msg, nLines int) []Msg {
+	dst = append(dst, MsgReady, MsgConfirm)
 	for i := 0; i < nLines; i++ {
-		s = append(s, MsgSeqWrite)
+		dst = append(dst, MsgSeqWrite)
 	}
-	return append(s, MsgComplete)
+	return append(dst, MsgComplete)
 }

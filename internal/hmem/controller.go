@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/ddrt"
 	"repro/internal/dram"
 	"repro/internal/ecc"
 	"repro/internal/elec"
@@ -169,6 +170,10 @@ type Controller struct {
 	pageBytes int64
 	lineBytes int64
 
+	// ddrtMsgs is the buffer the DDR-T handshake checks rebuild each
+	// migration's message sequence into.
+	ddrtMsgs []ddrt.Msg
+
 	// Pre-interned collector handles for per-access metrics: the hot path
 	// accumulates through indices instead of hashing (and, for the latency
 	// taps, concatenating) map-key strings on every memory access.
@@ -268,6 +273,7 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 		kind:        KindFor(cfg.Platform),
 		pageBytes:   int64(cfg.Memory.PageBytes),
 		lineBytes:   int64(cfg.GPU.LineBytes),
+		ddrtMsgs:    c.ddrtMsgs[:0],
 		hDMAEnergy:  col.InternEnergy("dma"),
 		hStageWait:  col.InternExtra("origin-stage-wait"),
 		hDramPart:   col.InternExtra("origin-dram-part"),

@@ -379,3 +379,57 @@ func TestWritesAckFasterThanReadsOnXPoint(t *testing.T) {
 		t.Fatalf("buffered XPoint write ack (%s) should beat read (%s)", wr, rd)
 	}
 }
+
+// TestAccessSteadyStateAllocFree: once its tables and maps have grown,
+// Controller.Access allocates nothing on the swap and reverse-write
+// platforms, in both modes, while DRAM-cache misses and planar swaps keep
+// happening.
+func TestAccessSteadyStateAllocFree(t *testing.T) {
+	for _, p := range []config.Platform{config.OhmWOM, config.OhmBW} {
+		// Two-level: two lines aliasing onto one DRAM-cache set of MC 0
+		// evict each other, so every access misses and reverse-writes.
+		c, _ := mkCtrl(t, p, config.TwoLevel)
+		tl := c.mcs[0].twolvl
+		pb, nMC := c.pageBytes, int64(len(c.mcs))
+		conflict := uint64(tl.nSets * tl.lineBytes / pb * nMC * pb)
+		var at sim.Time
+		requireAllocFree(t, p.String()+"/two-level", func() {
+			at = c.Access(at, 0, false)
+			at = c.Access(at, conflict, false)
+		}, func() uint64 { return tl.MissClean + tl.MissDirty })
+
+		// Planar: two XPoint pages of one group take turns getting hot
+		// and swapping into its DRAM slot, each round past the group's
+		// swap cooldown.
+		c, _ = mkCtrl(t, p, config.Planar)
+		pl := c.mcs[0].planar
+		pages := [2]uint64{uint64(nMC * pb), uint64((1 + pl.nGroups) * nMC * pb)}
+		round := 0
+		requireAllocFree(t, p.String()+"/planar", func() {
+			at += 100 * sim.Microsecond
+			for i := 0; i < pl.hotThresh; i++ {
+				at = c.Access(at, pages[round%2], false)
+			}
+			round++
+		}, func() uint64 { return pl.Swaps })
+	}
+}
+
+// requireAllocFree runs round until the controller's state has grown, then
+// requires that further rounds allocate nothing and that each of them
+// produced at least one event (a miss or a swap).
+func requireAllocFree(t *testing.T, name string, round func(), events func() uint64) {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	before := events()
+	const runs = 20
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Errorf("%s: %.1f allocations per round, want 0", name, allocs)
+	}
+	// AllocsPerRun adds one warm-up round.
+	if n := events() - before; n < runs+1 {
+		t.Errorf("%s: %d misses or swaps in %d rounds, want one or more per round", name, n, runs+1)
+	}
+}

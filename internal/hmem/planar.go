@@ -230,8 +230,9 @@ func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 		// The DDR-T handshake checker asserts the Figure 11 protocol is
 		// followed exactly (a hardware bus checker's role).
 		rowOpen := b.dram.RowOpen(dramAddr)
+		c.ddrtMsgs = ddrt.AppendSwapSequence(c.ddrtMsgs[:0], int(c.pageBytes/c.lineBytes), rowOpen)
 		var hs ddrt.SwapHandshake
-		for _, m := range ddrt.SwapSequence(int(c.pageBytes/c.lineBytes), rowOpen) {
+		for _, m := range c.ddrtMsgs {
 			if err := hs.Step(m); err != nil {
 				panic(fmt.Sprintf("hmem: swap protocol violation: %v", err))
 			}

@@ -191,8 +191,9 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 		// route while the controller snarfs the demand data (handled above
 		// as the demand transfer). The handshake checker asserts the
 		// Figure 12 protocol.
+		c.ddrtMsgs = ddrt.AppendReverseWriteSequence(c.ddrtMsgs[:0], 1)
 		var hs ddrt.ReverseWriteHandshake
-		for _, m := range ddrt.ReverseWriteSequence(1) {
+		for _, m := range c.ddrtMsgs {
 			if err := hs.Step(m); err != nil {
 				panic(fmt.Sprintf("hmem: reverse-write protocol violation: %v", err))
 			}

@@ -11,30 +11,37 @@ import "math"
 // a bounded table of recent idle windows and first-fitting new reservations
 // into them.
 //
+// The remembered windows never overlap, so kept in start order they are
+// also in end order: the windows the clock has passed are a prefix, and
+// the first window that fits a reservation is the earliest fit.
+//
 // Tables come only from Pools.GapResource, and the table is split by the
 // clock that hands it: the run's engine. Request times move forward with
-// the engine, so a gap that ended before the clock's Now() cannot fit any
-// reservation made at or after that instant: such dead gaps sit in a
-// (size, key) min-heap that only eviction reads, and first-fit scans the
-// short list of live gaps. Each gap carries a key giving its place in the
-// table order (the first-fit tie-break and the eviction tie-break): appends
-// take the next key, and an eviction replacement inherits its victim's key
-// and so its place. A reservation below the clock still searches the dead
-// heap, so grants never depend on callers respecting the clock.
+// the engine, so a window that ended before the clock's Now() cannot fit
+// any reservation made at or after that instant: such dead windows stay
+// only as eviction candidates, and first fit walks the short live list.
+// Each window carries a key giving its place in the table order, the
+// tie-break of eviction and of a zero-length reservation at the shared
+// edge of two adjacent windows: appends take the next key, and an eviction
+// replacement inherits its victim's key. A reservation below the clock
+// still searches the dead windows, so grants never depend on callers
+// respecting the clock.
 type GapResource struct {
 	freeAt Time
 	busy   Time
 
-	// clock is the engine of the Pools that handed the table out; gaps
+	// clock is the engine of the Pools that handed the table out; windows
 	// ending before its Now() retire to dead.
 	clock *Engine
 
-	// The remembered idle windows, at most maxGaps in total. live holds,
-	// in key order, every gap not yet retired; dead is a min-heap ordered
-	// by (size, key) of gaps that ended before the clock when retired.
-	live    []gap
-	dead    []gap
-	nextKey uint64
+	// The remembered idle windows, at most maxGaps in total, share one
+	// backing array: dead is its prefix and live the rest. live holds every
+	// window not yet retired, in start order. dead holds the retired ones,
+	// unordered until eviction first needs their minimum and a (size, key)
+	// min-heap from then on (heaped).
+	live, dead []gap
+	heaped     bool
+	nextKey    uint64
 
 	// maxGapEnd is an upper bound on the latest gap end (it may go stale
 	// high when that gap is consumed, never low). A reservation can only
@@ -56,13 +63,8 @@ type GapResource struct {
 	// common case on backlogged channels whose surviving gaps are slivers.
 	maxGapSize Time
 
-	// liveMinEnd is a lower bound on the earliest live gap end (stale low
-	// after that gap leaves live, never high): until the clock passes it
-	// no live gap can be dead, so retire skips its scan.
-	liveMinEnd Time
-
 	// deadMaxEnd is an upper bound on the latest dead gap end: first-fit
-	// searches the dead heap only for a reservation ending by then.
+	// searches the dead windows only for a reservation ending by then.
 	deadMaxEnd Time
 }
 
@@ -97,12 +99,11 @@ func (r *GapResource) Reserve(at, dur Time) (start, end Time) {
 		return r.reserveFrontier(at, dur)
 	}
 
-	// First-fit into the earliest suitable gap. A gap fits iff it is long
-	// enough (size >= dur) and ends late enough (end >= at+dur); the
-	// adjusted start is then max(at, start). Ties on the adjusted start
-	// resolve to the lowest key. live is in key order, so its scan can
-	// stop at the first gap already open at `at`: its adjusted start `at`
-	// is unbeatable there.
+	// First fit: among the gaps long enough (size >= dur) and ending late
+	// enough (end >= at+dur), the earliest adjusted start max(at, start)
+	// wins, the lowest key on a tie. A later live gap starts at or after
+	// the first fitting one's end, so that one wins, except that a
+	// zero-length reservation at its end ties with a gap starting there.
 	r.retire()
 	best, inDead := -1, false
 	var bestStart Time
@@ -112,16 +113,13 @@ func (r *GapResource) Reserve(at, dur Time) (start, end Time) {
 		if g.end < atDur || g.size() < dur {
 			continue
 		}
-		s := at
-		if g.start > s {
-			s = g.start
+		best, bestStart, bestKey = i, max(at, g.start), g.key
+		if at == g.end && i+1 < len(r.live) {
+			if n := &r.live[i+1]; n.start == at && n.key < bestKey {
+				best, bestKey = i+1, n.key
+			}
 		}
-		if best == -1 || s < bestStart {
-			best, bestStart, bestKey = i, s, g.key
-		}
-		if s == at {
-			break
-		}
+		break
 	}
 	if atDur <= r.deadMaxEnd {
 		// A reservation behind the clock may fit a dead gap too.
@@ -130,10 +128,7 @@ func (r *GapResource) Reserve(at, dur Time) (start, end Time) {
 			if g.end < atDur || g.size() < dur {
 				continue
 			}
-			s := at
-			if g.start > s {
-				s = g.start
-			}
+			s := max(at, g.start)
 			if best == -1 || s < bestStart || s == bestStart && g.key < bestKey {
 				best, inDead, bestStart, bestKey = i, true, s, g.key
 			}
@@ -143,22 +138,34 @@ func (r *GapResource) Reserve(at, dur Time) (start, end Time) {
 		return r.reserveFrontier(at, dur)
 	}
 
-	var g gap
-	if inDead {
-		g = r.removeDead(best)
-	} else {
-		g = r.live[best]
-		r.live = append(r.live[:best], r.live[best+1:]...)
-	}
-	s := bestStart
-	e := s + dur
-	if g.start < s {
-		r.addGap(g.start, s)
-	}
-	if e < g.end {
-		r.addGap(e, g.end)
-	}
+	s, e := bestStart, bestStart+dur
 	r.busy += dur
+	if inDead {
+		g := r.removeDead(best)
+		r.addGap(g.start, s)
+		r.addGap(e, g.end)
+		return s, e
+	}
+	// The remnants lie inside g, so they take its place in start order.
+	// The first overwrites g's slot (the table has just shrunk by one, so
+	// it cannot evict) and the second files in right after it.
+	g := r.live[best]
+	first, second := gap{start: g.start, end: s}, gap{start: e, end: g.end}
+	if first.size() <= 0 {
+		first, second = second, gap{}
+	}
+	if first.size() <= 0 {
+		r.live = append(r.live[:best], r.live[best+1:]...)
+		return s, e
+	}
+	// As addGap records it in the table without g:
+	if len(r.live)+len(r.dead) == 1 || first.size() < r.minGapSize {
+		r.minGapSize = first.size()
+	}
+	first.key = r.nextKey
+	r.nextKey++
+	r.live[best] = first
+	r.addGap(second.start, second.end)
 	return s, e
 }
 
@@ -207,12 +214,6 @@ func (r *GapResource) addGap(start, end Time) {
 		r.maxGapSize = newSize
 	}
 	if n := len(r.live) + len(r.dead); n < maxGaps {
-		if r.live == nil {
-			// Size the table once: it reaches maxGaps quickly on any busy
-			// resource, and incremental regrowth shows up in cold-cell
-			// allocation counts.
-			r.live = make([]gap, 0, maxGaps)
-		}
 		if n == 0 || newSize < r.minGapSize {
 			r.minGapSize = newSize
 		}
@@ -230,25 +231,33 @@ func (r *GapResource) addGap(start, end Time) {
 
 // evict records g in a full table. The victim is the smallest gap, the
 // lowest key among equals, and g replaces it only if strictly larger; g
-// takes the victim's key. Retiring first keeps the live scan short; the
-// dead minimum is the heap top. rest tracks the smallest gap left once the
+// takes the victim's key and its own place in start order. The dead
+// minimum is the heap top. rest tracks the smallest gap left once the
 // victim is gone, so the minimum bound stays exact afterwards.
 func (r *GapResource) evict(g gap) {
 	newSize := g.size()
 	r.retire()
 	victim := -1 // index into live; -1 when the dead top is the victim
 	vSize, rest := Time(math.MaxInt64), Time(math.MaxInt64)
+	var vKey uint64
 	for i := range r.live {
-		if s := r.live[i].size(); s < vSize {
-			victim, vSize, rest = i, s, vSize
+		w := &r.live[i]
+		if s := w.size(); s < vSize || s == vSize && w.key < vKey {
+			victim, vSize, vKey, rest = i, s, w.key, vSize
 		} else if s < rest {
 			rest = s
 		}
 	}
 	if len(r.dead) > 0 {
-		d := &r.dead[0]
-		if s := d.size(); s < vSize || s == vSize && d.key < r.live[victim].key {
-			victim, vSize, rest = -1, s, vSize
+		if !r.heaped {
+			// The first eviction to need the dead minimum heaps dead.
+			for i := len(r.dead)/2 - 1; i >= 0; i-- {
+				r.deadDown(i)
+			}
+			r.heaped = true
+		}
+		if d := &r.dead[0]; d.size() < vSize || d.size() == vSize && d.key < vKey {
+			victim, vSize, rest = -1, d.size(), vSize
 		}
 	}
 	if newSize <= vSize {
@@ -259,12 +268,8 @@ func (r *GapResource) evict(g gap) {
 		g.key = r.removeDead(0).key
 		r.insert(g)
 	} else {
-		// Same key, same place: key order holds.
 		g.key = r.live[victim].key
-		r.live[victim] = g
-		if g.end < r.liveMinEnd {
-			r.liveMinEnd = g.end
-		}
+		r.place(victim, g)
 	}
 	if newSize < rest {
 		rest = newSize
@@ -275,46 +280,63 @@ func (r *GapResource) evict(g gap) {
 	r.minGapSize = rest
 }
 
-// retire moves the live gaps that ended before the clock's Now() to the
-// dead heap: none can fit a reservation made at or after it. It scans only
-// once the clock has passed liveMinEnd.
+// retire moves the live gaps that ended before the clock's Now() to dead:
+// none can fit a reservation made at or after it. In start order they are
+// a prefix of live, and live begins where dead ends, so retiring moves
+// that boundary.
 func (r *GapResource) retire() {
-	if r.clock.now <= r.liveMinEnd {
-		return
-	}
 	now := r.clock.now
-	minEnd := Time(math.MaxInt64)
-	n := 0
-	for i := range r.live {
-		g := &r.live[i]
-		if g.end < now {
-			r.pushDead(*g)
-			continue
+	for len(r.live) > 0 && r.live[0].end < now {
+		r.deadMaxEnd = max(r.deadMaxEnd, r.live[0].end)
+		r.live = r.live[1:]
+		r.dead = r.dead[:len(r.dead)+1]
+		if r.heaped {
+			r.deadUp(len(r.dead) - 1)
 		}
-		if g.end < minEnd {
-			minEnd = g.end
-		}
-		r.live[n] = *g
-		n++
 	}
-	r.live = r.live[:n]
-	r.liveMinEnd = minEnd
 }
 
-// insert files g into live at its key-order position (appends carry the
-// largest key and land last). A gap that already ended retires at the next
-// retire, like any other.
+// insert files g into live at its start-order place: a frontier window
+// appends, a remnant lands right after the window it came from. The table
+// must have room.
 func (r *GapResource) insert(g gap) {
-	if len(r.live) == 0 || g.end < r.liveMinEnd {
-		r.liveMinEnd = g.end
+	if r.live == nil {
+		// Size the table once: it reaches maxGaps quickly on any busy
+		// resource, and incremental regrowth shows up in cold-cell
+		// allocation counts.
+		r.live = make([]gap, 0, maxGaps)
+		r.dead = r.live
 	}
-	i := len(r.live)
 	r.live = append(r.live, g)
-	for i > 0 && r.live[i-1].key > g.key {
-		r.live[i] = r.live[i-1]
-		i--
+	r.place(len(r.live)-1, g)
+}
+
+// place overwrites live[i] with g and moves it to its start-order place.
+func (r *GapResource) place(i int, g gap) {
+	l := r.live
+	for ; i+1 < len(l) && l[i+1].start < g.start; i++ {
+		l[i] = l[i+1]
 	}
-	r.live[i] = g
+	for ; i > 0 && l[i-1].start > g.start; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = g
+}
+
+// removeDead deletes dead[i], keeping the heap if there is one, closes the
+// hole by moving live down one slot and returns the window.
+func (r *GapResource) removeDead(i int) gap {
+	d := r.dead
+	out, last := d[i], len(d)-1
+	d[i] = d[last]
+	r.dead = d[:last]
+	if r.heaped && i < last {
+		r.deadDown(r.deadUp(i))
+	}
+	live := r.live
+	r.live = d[last : last+len(live)]
+	copy(r.live, live)
+	return out
 }
 
 // deadLess orders the dead heap by (size, key): its top is the eviction
@@ -324,32 +346,6 @@ func deadLess(a, b *gap) bool {
 		return sa < sb
 	}
 	return a.key < b.key
-}
-
-func (r *GapResource) pushDead(g gap) {
-	if g.end > r.deadMaxEnd {
-		r.deadMaxEnd = g.end
-	}
-	if r.dead == nil {
-		// Only a table whose clock passes its gaps pays for the heap,
-		// sized once like live.
-		r.dead = make([]gap, 0, maxGaps)
-	}
-	r.dead = append(r.dead, g)
-	r.deadUp(len(r.dead) - 1)
-}
-
-// removeDead deletes heap element i and returns it.
-func (r *GapResource) removeDead(i int) gap {
-	h := r.dead
-	out := h[i]
-	n := len(h) - 1
-	h[i] = h[n]
-	r.dead = h[:n]
-	if i < n {
-		r.deadDown(r.deadUp(i))
-	}
-	return out
 }
 
 // deadUp sifts dead[i] toward the root and returns where it settled.
@@ -394,13 +390,13 @@ func (r *GapResource) deadDown(i int) {
 func (r *GapResource) Reset() {
 	r.freeAt = 0
 	r.busy = 0
-	r.live = r.live[:0]
 	r.dead = r.dead[:0]
+	r.live = r.dead
+	r.heaped = false
 	r.nextKey = 0
 	r.maxGapEnd = 0
 	r.maxGapSize = 0
 	r.minGapSize = 0
-	r.liveMinEnd = 0
 	r.deadMaxEnd = 0
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,52 @@ func requireSameTable(t *testing.T, when string, r *GapResource, ref *refGapReso
 	}
 }
 
+// shapeChecker checks the table's invariant after every operation: live is
+// in strictly increasing start order, no two windows overlap across live
+// and dead, and the table holds at most maxGaps windows. It re-sorts the
+// dead windows' starts and ends only when dead changed since the last
+// check.
+type shapeChecker struct {
+	dead         []gap  // dead at the last check
+	starts, ends []Time // its windows' starts and ends, each sorted
+}
+
+func (c *shapeChecker) check(t *testing.T, when string, op int, r *GapResource) {
+	t.Helper()
+	if n := len(r.live) + len(r.dead); n > maxGaps {
+		t.Fatalf("%s op %d: %d windows, more than maxGaps", when, op, n)
+	}
+	for i := 1; i < len(r.live); i++ {
+		if a, b := r.live[i-1], r.live[i]; a.start >= b.start || a.end > b.start {
+			t.Fatalf("%s op %d: live %d %+v and live %d %+v are out of order or overlap", when, op, i-1, a, i, b)
+		}
+	}
+	if !slices.Equal(c.dead, r.dead) {
+		c.dead = append(c.dead[:0], r.dead...)
+		c.starts, c.ends = c.starts[:0], c.ends[:0]
+		for _, g := range r.dead {
+			c.starts, c.ends = append(c.starts, g.start), append(c.ends, g.end)
+		}
+		slices.Sort(c.starts)
+		slices.Sort(c.ends)
+		// Non-empty windows are pairwise disjoint exactly when, with their
+		// starts and ends sorted apart, each end is at or before the next
+		// start.
+		for i := 1; i < len(c.starts); i++ {
+			if c.ends[i-1] > c.starts[i] {
+				t.Fatalf("%s op %d: dead windows overlap at %d", when, op, c.starts[i])
+			}
+		}
+	}
+	for _, l := range r.live {
+		// Among the dead windows starting before l ends, only the latest
+		// can reach into l: any earlier one ends before that one starts.
+		if k, _ := slices.BinarySearch(c.starts, l.end); k > 0 && c.ends[k-1] > l.start {
+			t.Fatalf("%s op %d: live %+v overlaps a dead window", when, op, l)
+		}
+	}
+}
+
 // TestGapResourceMatchesReference hammers the optimized GapResource, on a
 // clock that stays at zero, and the reference with an identical random
 // operation stream — bursty times, zero and large durations, future
@@ -313,6 +360,7 @@ func TestGapResourceMatchesReference(t *testing.T) {
 	rng := NewRng(7)
 	r := newTable()
 	ref := &refGapResource{}
+	var shape shapeChecker
 	var base Time
 	for op := 0; op < 200000; op++ {
 		// Drift a base time forward with occasional rewinds so both the
@@ -349,6 +397,7 @@ func TestGapResourceMatchesReference(t *testing.T) {
 			t.Fatalf("op %d: frontier/busy (%d,%d) != reference (%d,%d)",
 				op, r.FreeAt(), r.Busy(), ref.freeAt, ref.busy)
 		}
+		shape.check(t, "idle clock", op, r)
 	}
 	requireSameTable(t, "end", r, ref)
 }
@@ -383,6 +432,7 @@ func TestGapResourceClockedMatchesReference(t *testing.T) {
 	r := pools.GapResource()
 	clock := startClock(pools)
 	ref := &refGapResource{}
+	var shape shapeChecker
 	var now Time
 	var below, deadFits, fullWithDead int
 	for op := 0; op < 200000; op++ {
@@ -432,6 +482,7 @@ func TestGapResourceClockedMatchesReference(t *testing.T) {
 			t.Fatalf("op %d: frontier/busy (%d,%d) != reference (%d,%d)",
 				op, r.FreeAt(), r.Busy(), ref.freeAt, ref.busy)
 		}
+		shape.check(t, "clocked", op, r)
 		if op%5000 == 0 {
 			requireSameTable(t, "checkpoint", r, ref)
 		}
@@ -446,8 +497,10 @@ func TestGapResourceClockedMatchesReference(t *testing.T) {
 
 // TestGapResourceClockedEvictionTies drives clocked tables with few
 // distinct gap sizes, so eviction keeps choosing among equal-sized gaps and
-// must take the lowest key. That holds only if live stays in key order when
-// a replacement inherits a dead victim's key.
+// must take the lowest key. live is in start order, not key order, so that
+// holds only if the eviction scan compares keys on equal sizes and a
+// replacement inheriting a dead victim's key still takes its own place in
+// start order.
 func TestGapResourceClockedEvictionTies(t *testing.T) {
 	for seed := uint64(1); seed <= 16; seed++ {
 		rng := NewRng(seed)
@@ -455,6 +508,8 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 		r := pools.GapResource()
 		clock := startClock(pools)
 		ref := &refGapResource{}
+		var shape shapeChecker
+		label := fmt.Sprintf("seed %d", seed)
 		var now Time
 		for op := 0; op < 30000; op++ {
 			now += Time(rng.Intn(3))
@@ -472,9 +527,107 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 			if s1 != s2 || e1 != e2 {
 				t.Fatalf("seed %d op %d: grant (%d,%d) != reference (%d,%d)", seed, op, s1, e1, s2, e2)
 			}
+			shape.check(t, label, op, r)
 		}
 		requireSameTable(t, fmt.Sprintf("seed %d", seed), r, ref)
 	}
+}
+
+// lockstep applies one operation to a table and to the reference (ReserveAt
+// when exact, else Reserve) and requires the same grant, the same table in
+// key order and the table's invariant afterwards.
+func lockstep(t *testing.T, r *GapResource, ref *refGapResource, exact bool, at, dur Time) {
+	t.Helper()
+	var s1, e1, s2, e2 Time
+	if exact {
+		s1, e1 = r.ReserveAt(at, dur)
+		s2, e2 = ref.reserveAt(at, dur)
+	} else {
+		s1, e1 = r.Reserve(at, dur)
+		s2, e2 = ref.reserve(at, dur)
+	}
+	when := fmt.Sprintf("exact=%v at=%d dur=%d", exact, at, dur)
+	if s1 != s2 || e1 != e2 {
+		t.Fatalf("%s: grant (%d,%d) != reference (%d,%d)", when, s1, e1, s2, e2)
+	}
+	requireSameTable(t, when, r, ref)
+	var shape shapeChecker
+	shape.check(t, when, 0, r)
+}
+
+// TestGapResourceEdgeTieInheritedKey: a zero-length reservation at the
+// shared edge of two adjacent windows fits both at the same instant, and
+// the lower key must win even when it belongs to the later window, which
+// inherited it from an eviction victim.
+func TestGapResourceEdgeTieInheritedKey(t *testing.T) {
+	r, ref := newTable(), &refGapResource{}
+	lockstep(t, r, ref, true, 1, 1) // [0, 1): the smallest window, key 0
+	for len(r.live) < maxGaps-1 {
+		lockstep(t, r, ref, true, r.FreeAt()+10, 1)
+	}
+	a := r.FreeAt()
+	lockstep(t, r, ref, true, a+20, 0) // [a, a+20) fills the table
+	b := r.FreeAt()
+	lockstep(t, r, ref, true, b+20, 0) // [b, b+20) evicts [0, 1), takes key 0
+	n := len(r.live)
+	if w, v := r.live[n-2], r.live[n-1]; w.start != a || w.end != b || v.start != b || v.key >= w.key {
+		t.Fatalf("setup: want adjacent windows with the later one on the lower key, got %+v %+v", w, v)
+	}
+	lockstep(t, r, ref, false, b, 0)
+}
+
+// TestGapResourceBelowClockUnheapedDead: a reservation behind the clock
+// consumes a dead window from the middle of the unheaped dead array, and
+// the evictions that follow must still find the smallest window, here a
+// remnant of that reservation filed after the older dead windows.
+func TestGapResourceBelowClockUnheapedDead(t *testing.T) {
+	pools := &Pools{}
+	r, ref := pools.GapResource(), &refGapResource{}
+	clock := startClock(pools)
+	var mid Time
+	for i := 0; i < 100; i++ {
+		size := Time(10)
+		switch i {
+		case 2:
+			size = 3
+		case 5:
+			size, mid = 20, r.FreeAt()
+		}
+		lockstep(t, r, ref, true, r.FreeAt()+size, 1)
+	}
+	advance(clock, r.FreeAt()+1)
+	// Only the size-20 window fits: remnants of sizes 2 and 3 are left.
+	lockstep(t, r, ref, false, mid+2, 15)
+	if len(r.dead) != 99 || r.heaped {
+		t.Fatalf("setup: want 99 unheaped dead windows, got %d (heaped %v)", len(r.dead), r.heaped)
+	}
+	for len(r.live)+len(r.dead) < maxGaps {
+		lockstep(t, r, ref, true, r.FreeAt()+10, 1)
+	}
+	lockstep(t, r, ref, true, r.FreeAt()+10, 1) // evicts the size-2 remnant
+	lockstep(t, r, ref, true, r.FreeAt()+10, 1) // the size-3 window on the lower key
+	if !r.heaped {
+		t.Fatal("eviction left dead unheaped")
+	}
+}
+
+// TestGapResourceEvictionTieAcrossOrders: eviction among equal-sized live
+// windows whose start order and key order differ takes the lowest key, not
+// the earliest start.
+func TestGapResourceEvictionTieAcrossOrders(t *testing.T) {
+	r, ref := newTable(), &refGapResource{}
+	lockstep(t, r, ref, true, 100, 1)          // [0, 100), key 0
+	lockstep(t, r, ref, true, r.FreeAt()+4, 1) // [101, 105), key 1
+	for len(r.live) < maxGaps-1 {
+		lockstep(t, r, ref, true, r.FreeAt()+10, 1)
+	}
+	// Consuming the middle of [0, 100) leaves [0, 4) and [96, 100), both
+	// of size 4, on the newest keys, and fills the table.
+	lockstep(t, r, ref, false, 4, 92)
+	if w := r.live[0]; w.start != 0 || w.end != 4 || w.key <= r.live[2].key {
+		t.Fatalf("setup: want [0, 4) first on a newer key than [101, 105), got %+v %+v", w, r.live[2])
+	}
+	lockstep(t, r, ref, true, r.FreeAt()+50, 1) // evicts [101, 105)
 }
 
 // TestGapResourceSteadyStateAllocFree: once a table is full, Reserve and

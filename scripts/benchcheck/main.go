@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchcheck -baseline BENCH_19.json -current /tmp/BENCH_CI.json
+//	go run ./scripts/benchcheck -baseline BENCH_24.json -current /tmp/BENCH_CI.json
 package main
 
 import (
@@ -86,10 +86,10 @@ func majorMinor(v string) string {
 const allocsSlack = 1.001
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_19.json", "committed baseline snapshot")
+	baseline := flag.String("baseline", "BENCH_24.json", "committed baseline snapshot")
 	current := flag.String("current", "", "freshly generated snapshot to check")
 	benches := flag.String("benches",
-		"BenchmarkKernelScheduleID,BenchmarkAccess,BenchmarkAddEnergyHandle",
+		"BenchmarkKernelScheduleID,BenchmarkAccess,BenchmarkAddEnergyHandle,BenchmarkGapResourceBackfillClocked",
 		"comma-separated guarded kernel benchmark names (0 allocs/op + ns/op ratio)")
 	maxRatio := flag.Float64("max-ratio", 2.0, "fail when kernel ns/op exceeds baseline by this factor")
 	sweepBenches := flag.String("sweep-benches", "BenchmarkSweepCold",
