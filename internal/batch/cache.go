@@ -119,6 +119,14 @@ func (c *MemCache) Get(key string) (stats.Report, bool) {
 	return rep, true
 }
 
+// has reports whether the cache holds key, without decoding the entry.
+func (c *MemCache) has(key string) bool {
+	c.mu.RLock()
+	_, ok := c.m[key]
+	c.mu.RUnlock()
+	return ok
+}
+
 // Put stores the report's serialized form.
 func (c *MemCache) Put(key string, rep stats.Report) error {
 	data, err := json.Marshal(rep)
@@ -255,6 +263,13 @@ func NewBoundedDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 
 func (c *DiskCache) path(key string) string {
 	return filepath.Join(c.Dir, key[:2], key+".json")
+}
+
+// has reports whether key's entry file exists, without reading it or
+// refreshing its recency.
+func (c *DiskCache) has(key string) bool {
+	_, err := os.Stat(c.path(key))
+	return err == nil
 }
 
 // Get loads a cached report; a missing or unreadable entry is a miss, a

@@ -35,7 +35,7 @@ var _ Executor = LocalExecutor{}
 // remote workers use for the cells they lease. A computed cell's cache
 // write has returned by the time RunCell does.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (stats.Report, Outcome, error) {
-	rep, o, write, err := r.runCell(ctx, c)
+	rep, o, write, err := r.runCell(ctx, c, nil)
 	if write != nil {
 		rep = r.land(write)
 	}

@@ -30,6 +30,12 @@ import (
 // cache keys, so two jobs that request the same cell at the same time
 // simulate it once and share the result.
 //
+// A call whose runner has fewer slots than GOMAXPROCS also generates its
+// cells' traces a cell ahead of its simulations, on one goroutine of its
+// own that runs outside the simulation cap (see sweepTraces): beside the
+// capped simulations, each such call has at most one trace generation in
+// flight.
+//
 // A computed cell's result reaches the cache before anyone is told the
 // cell is done: its progress report, its single-flight followers and the
 // return of the call that computed it all wait for its cache write. Within
@@ -37,8 +43,9 @@ import (
 // before it.
 type Runner struct {
 	// Workers caps the number of concurrently executing simulations across
-	// all Run/RunContext calls on this Runner; <=0 means GOMAXPROCS. It must
-	// be set before the first Run.
+	// all Run/RunContext calls on this Runner; <=0 means GOMAXPROCS. Below
+	// GOMAXPROCS, each call also generates one trace at a time ahead of its
+	// simulations, outside this cap. It must be set before the first Run.
 	Workers int
 	// Cache, when non-nil, short-circuits cells whose content address has a
 	// stored report and stores fresh results.
@@ -272,37 +279,21 @@ func (r *Runner) Run(cells []Cell) ([]stats.Report, error) {
 // A computed cell's cache write runs on one of the call's writers (at most
 // cellWriters at once) while its worker goes on to the next cell, and the
 // writer fills in the cell's report, in the stored form the cache hands
-// back. RunContext returns only after every write it started has
-// returned, cancelled or not.
+// back. Where a core is spare, each simulation also starts generating the
+// next cell's trace on the call's own goroutine (see sweepTraces).
+// RunContext returns only after every write it started has returned and
+// the trace generation in flight has finished, cancelled or not.
 func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress) ([]stats.Report, error) {
 	reports := make([]stats.Report, len(cells))
 	errs := make([]error, len(cells))
+	traces := r.pinTraces(ctx, cells)
+	defer traces.release()
 
-	// Pin every distinct trace this sweep will read before any cell runs:
-	// cells then borrow the one resident trace from the registry, and its
-	// LRU bound cannot evict a sweep's trace between two cells that share
-	// it (which would generate it twice). Pinning is an upper bound — a
-	// cell served from the result cache, or running a phased trace, never
-	// touches the registry.
-	var pins trace.Pins
-	defer pins.Release()
-	for i := range cells {
-		c := &cells[i]
-		if c.Exec == config.ExecAnalytical || r.fakes(c) {
-			// Analytical cells never read a trace — the twin evaluates the
-			// trace's distribution in closed form — and RunFn is opaque.
-			continue
-		}
-		if w, ok := c.definition(); ok {
-			pins.Add(w, &c.Config)
-		}
-	}
-
-	// pmu serializes progress and guards tally. The first computed cell
-	// to store makes the call's writers, so a call whose cells all hit, or
-	// whose runner has no cache, makes none.
-	var pmu sync.Mutex
+	// tally.mu serializes progress and guards the rest of tally. The first
+	// computed cell to store makes the call's writers, so a call whose
+	// cells all hit, or whose runner has no cache, makes none.
 	var tally struct {
+		mu        sync.Mutex
 		completed int
 		writes    *cellWrites
 	}
@@ -310,10 +301,10 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 		if progress == nil {
 			return
 		}
-		pmu.Lock()
+		tally.mu.Lock()
 		tally.completed++
 		progress(tally.completed, len(cells), o)
-		pmu.Unlock()
+		tally.mu.Unlock()
 	}
 
 	do := func(i int) {
@@ -321,17 +312,17 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 			errs[i] = err
 			return
 		}
-		rep, o, write, err := r.runCell(ctx, cells[i])
+		rep, o, write, err := r.runCell(ctx, cells[i], func() { traces.started(i) })
 		reports[i], errs[i] = rep, err
 		switch {
 		case err != nil:
 		case write != nil:
-			pmu.Lock()
+			tally.mu.Lock()
 			if tally.writes == nil {
 				tally.writes = &cellWrites{slots: make(chan struct{}, cellWriters)}
 			}
 			writes := tally.writes
-			pmu.Unlock()
+			tally.mu.Unlock()
 			writes.start(func() {
 				reports[i] = r.land(write)
 				note(o)
@@ -377,14 +368,177 @@ func (r *Runner) RunContext(ctx context.Context, cells []Cell, progress Progress
 	return reports, nil
 }
 
+// registryTrace returns the workload whose registry trace the cell reads
+// when it simulates. Analytical cells read none (the twin evaluates the
+// trace's distribution in closed form), nor do cells RunFn fakes (it is
+// opaque) or Phased cells, which generate a private trace. Neither does a
+// cell whose variant or config core.Run rejects before reading its trace:
+// Config.Validate's budget is what keeps an untrusted spec from demanding
+// a trace of many gigabytes, so no trace is generated ahead unchecked.
+func (r *Runner) registryTrace(c *Cell) (config.Workload, bool) {
+	if c.Exec == config.ExecAnalytical || r.fakes(c) || !c.Variant.SharedTrace() || c.Config.Validate() != nil {
+		return config.Workload{}, false
+	}
+	return c.definition()
+}
+
+// sweepTraces is one RunContext call's hold on the registry traces its
+// cells read. It pins each of them for the call, so the registry's LRU
+// bound cannot evict a trace between two cells that share it (which would
+// generate it twice). And where a core is spare it generates them a cell
+// ahead: when a cell starts simulating, the call generates, on a goroutine
+// of its own, the trace of the next cell in sweep order whose trace is not
+// yet resident. That cell then finds its trace ready, or waits only for
+// the rest of its generation, instead of generating it on the goroutine
+// that simulates. The goroutine generates one trace at a time; a cell that
+// starts while it is busy has its request served once the generation in
+// flight ends.
+//
+// The goroutine runs outside the runner's simulation cap, so a call
+// generates ahead only when the runner has fewer slots than GOMAXPROCS;
+// with every core claimed by a slot, the generation would only take a core
+// from a simulation. And it generates no trace for a cell the result cache
+// holds, which reads none: such a request is dropped, and the next cell to
+// simulate makes its own. The call asks the cache whether it holds a key
+// without reading the entry (holder), so it generates ahead only with no
+// cache, a MemCache or a DiskCache.
+type sweepTraces struct {
+	ctx   context.Context
+	pins  trace.Pins
+	cells []traceCell
+	// ahead is set when the call generates traces ahead; cached, when
+	// non-nil, is the result cache it asks before each generation.
+	ahead  bool
+	cached holder
+
+	mu sync.Mutex
+	// next indexes cells: the goroutine looks for a trace to generate from
+	// here on, past the latest cell to start simulating and the latest cell
+	// it took. asked is set while that cell's request waits for the
+	// goroutine, running while the goroutine runs.
+	next    int
+	asked   bool
+	running bool
+	wg      sync.WaitGroup
+}
+
+// holder is a result cache that can tell whether it holds a key without
+// reading the entry.
+type holder interface{ has(key string) bool }
+
+// traceCell is what one cell of the sweep reads from the registry: if c is
+// set, the trace of workload w under c's config, and whether c is the first
+// cell in sweep order to read that trace.
+type traceCell struct {
+	c     *Cell
+	w     config.Workload
+	first bool
+}
+
+// pinTraces pins every distinct trace the cells read, before any cell
+// runs. Pinning is an upper bound: a cell served from the result cache
+// never touches the registry.
+func (r *Runner) pinTraces(ctx context.Context, cells []Cell) *sweepTraces {
+	s := &sweepTraces{ctx: ctx, cells: make([]traceCell, len(cells))}
+	if r.workers() < runtime.GOMAXPROCS(0) {
+		switch c := r.Cache.(type) {
+		case nil:
+			s.ahead = true
+		case holder:
+			s.ahead, s.cached = true, c
+		}
+	}
+	for i := range cells {
+		c := &cells[i]
+		if w, ok := r.registryTrace(c); ok {
+			s.cells[i] = traceCell{c: c, w: w, first: s.pins.Add(w, &c.Config)}
+		}
+	}
+	return s
+}
+
+// started is called as cell i starts simulating. If the call generates
+// ahead and that cell reads a registry trace, it asks for the trace of the
+// first later cell whose trace no earlier cell reads and is not yet
+// resident (never cell i's own), and starts the goroutine on it; a busy
+// goroutine takes the request when its generation ends.
+func (s *sweepTraces) started(i int) {
+	if !s.ahead || s.cells[i].c == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.next, s.asked = max(s.next, i+1), true
+	if s.running {
+		return
+	}
+	if t, ok := s.takeLocked(); ok {
+		s.running = true
+		s.wg.Add(1)
+		go s.generate(t)
+	}
+}
+
+// generate is the call's goroutine: it generates t's trace into the
+// registry, unless t's cell hits the result cache, then the traces of the
+// requests made meanwhile, until none is waiting.
+func (s *sweepTraces) generate(t traceCell) {
+	defer s.wg.Done()
+	for ok := true; ok; {
+		if !s.hits(t.c) {
+			trace.Cached(t.w, &t.c.Config)
+		}
+		s.mu.Lock()
+		t, ok = s.takeLocked()
+		s.running = ok
+		s.mu.Unlock()
+	}
+}
+
+// hits reports whether the result cache holds c's result, so that c will
+// read no trace. A cell whose key does not hash fails before reading one.
+func (s *sweepTraces) hits(c *Cell) bool {
+	if s.cached == nil {
+		return false
+	}
+	key, err := c.Key()
+	return err != nil || s.cached.has(key)
+}
+
+// takeLocked returns the trace the waiting request asks for; false means
+// there is none. A cancelled call generates nothing more: its waiting
+// request is dropped. Caller holds s.mu.
+func (s *sweepTraces) takeLocked() (traceCell, bool) {
+	if !s.asked || s.ctx.Err() != nil {
+		return traceCell{}, false
+	}
+	s.asked = false
+	// Traces once resident stay so: they are pinned.
+	for s.next < len(s.cells) {
+		t := s.cells[s.next]
+		s.next++
+		if t.first && !trace.Resident(t.w, &t.c.Config) {
+			return t, true
+		}
+	}
+	return traceCell{}, false
+}
+
+// release waits for the goroutine, then unpins the traces.
+func (s *sweepTraces) release() {
+	s.wg.Wait()
+	s.pins.Release()
+}
+
 // runCell resolves one cell, feeds its wall time and outcome to the
 // process metrics and returns the outcome. A computed cell's flight is
 // returned with its cache write still to run, and the wall time excludes
 // the write: the caller must land it, at once or on a writer, and take the
-// report land returns.
-func (r *Runner) runCell(ctx context.Context, c Cell) (stats.Report, Outcome, *flightCall, error) {
+// report land returns. started, when non-nil, is called as the cell
+// starts simulating (see simulate).
+func (r *Runner) runCell(ctx context.Context, c Cell, started func()) (stats.Report, Outcome, *flightCall, error) {
 	start := time.Now()
-	rep, hit, ph, write, err := r.resolveCell(ctx, c)
+	rep, hit, ph, write, err := r.resolveCell(ctx, c, started)
 	if err != nil {
 		return rep, Outcome{}, nil, err
 	}
@@ -430,7 +584,7 @@ func (r *Runner) NoteExternalResolve(exec config.ExecMode, shared bool) {
 // here comes back as computed, together with its flight for land; landing
 // stores the result, ends the flight and yields the stored form, which is
 // what callers are handed, so fresh and cached results are byte-identical.
-func (r *Runner) resolveCell(ctx context.Context, c Cell) (stats.Report, bool, obs.Phases, *flightCall, error) {
+func (r *Runner) resolveCell(ctx context.Context, c Cell, started func()) (stats.Report, bool, obs.Phases, *flightCall, error) {
 	var key string
 	if r.Cache != nil {
 		k, err := c.Key()
@@ -445,7 +599,7 @@ func (r *Runner) resolveCell(ctx context.Context, c Cell) (stats.Report, bool, o
 		}
 	}
 	if key == "" {
-		rep, ph, err := r.simulate(ctx, c)
+		rep, ph, err := r.simulate(ctx, c, started)
 		return rep, false, ph, nil, err
 	}
 
@@ -496,7 +650,7 @@ joinFlight:
 		return rep, true, obs.Phases{}, nil, nil
 	}
 
-	rep, ph, err := r.simulate(ctx, c)
+	rep, ph, err := r.simulate(ctx, c, started)
 	if err != nil {
 		call.err = err
 		r.endFlight(call)
@@ -511,13 +665,14 @@ joinFlight:
 // cancellation while queued for a slot never simulated, and Stats.Misses
 // documents "misses that ran a simulation". The phase split is measured
 // by core.Run; a fake RunFn is opaque, so its phases stay zero and only
-// the cell's wall time is observable.
+// the cell's wall time is observable. started, when non-nil, is called
+// once the slot is held and before core.Run.
 //
 // core.Run builds the platform into a pooled core.RunState, so
 // consecutive cells on one worker reuse the previous cell's device arrays
 // and arenas instead of reallocating them. Reports are value snapshots,
 // so releasing the state after the run never aliases a returned report.
-func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases, error) {
+func (r *Runner) simulate(ctx context.Context, c Cell, started func()) (stats.Report, obs.Phases, error) {
 	if c.Exec == config.ExecAnalytical {
 		return r.estimate(ctx, c)
 	}
@@ -535,6 +690,9 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (stats.Report, obs.Phases
 	if !ok {
 		return stats.Report{}, obs.Phases{}, fmt.Errorf("batch: unknown workload %q (Table II names: %v)",
 			c.Workload, config.WorkloadNames())
+	}
+	if started != nil {
+		started()
 	}
 	st := core.AcquireRunState()
 	defer core.ReleaseRunState(st)

@@ -65,6 +65,15 @@ func (v Variant) phases() (int, error) {
 	return 0, fmt.Errorf("core: unknown run variant %q", v)
 }
 
+// SharedTrace reports whether Run reads the variant's trace from the
+// shared registry: true for every known variant but the Phased ones,
+// which generate a private trace, and false for an unknown one, which
+// Run rejects before reading any trace.
+func (v Variant) SharedTrace() bool {
+	n, err := v.phases()
+	return err == nil && n == 0
+}
+
 // fig3SSD returns the SSD configuration for the motivation study. The
 // device's latencies and bandwidths are scaled up by the footprint
 // scale-down (~150x): compute time does not shrink with MemScale (the GPU

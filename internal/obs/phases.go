@@ -3,9 +3,12 @@ package obs
 import "time"
 
 // Phases is one simulation's wall-clock split into the three per-cell
-// stages: workload trace generation (near zero when the in-process trace
-// registry already holds the trace), platform construction (device
-// arrays, caches, channel models), and the discrete-event loop itself.
+// stages: the wait for the workload trace (its generation, or the rest of
+// it when another goroutine is generating it; near zero when the
+// in-process trace registry already holds the trace, as it does when a
+// sweep generated it ahead while the previous cell simulated), platform
+// construction (device arrays, caches, channel models), and the
+// discrete-event loop itself.
 // Durations marshal as integer nanoseconds, so the breakdown is
 // machine-readable from the job API and the worker wire protocol.
 type Phases struct {

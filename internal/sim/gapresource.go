@@ -80,6 +80,9 @@ func (g *gap) size() Time { return g.end - g.start }
 // smallest window is evicted. The bound is part of the model, not just a
 // capacity: which windows survive eviction decides which later requests
 // can backfill, so changing it changes grants and the golden reports.
+// Most slots hold dead windows, which only eviction reads: at 20,000
+// instructions per warp, tables held 11-16 live and 141-196 dead windows
+// on average, so reservations backfill into about a dozen windows.
 const maxGaps = 256
 
 // FreeAt returns the frontier: the earliest time a reservation is

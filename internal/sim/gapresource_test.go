@@ -649,7 +649,13 @@ func TestGapResourceSteadyStateAllocFree(t *testing.T) {
 			r.Reserve(at, 3)
 			r.Reserve(at+7, 0)
 		}
-		for len(r.live)+len(r.dead) < maxGaps {
+		// A step leaves two windows behind, so the table fills in
+		// maxGaps/2 steps; one still short after 4*maxGaps has stopped
+		// filling, and looping on would hang the package.
+		for steps := 0; len(r.live)+len(r.dead) < maxGaps; steps++ {
+			if steps == 4*maxGaps {
+				t.Fatalf("%s: %d windows after %d steps, the table never fills to %d", name, len(r.live)+len(r.dead), steps, maxGaps)
+			}
 			step()
 		}
 		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {

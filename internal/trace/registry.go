@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 )
@@ -35,6 +36,9 @@ type traceKey struct {
 type traceEntry struct {
 	once sync.Once
 	tr   *Trace
+	// claimed is set, under regMu, by the first Cached call: from then on
+	// the trace is resident or being generated.
+	claimed bool
 
 	// pins counts live sweep-level holds (see Pins); a pinned entry is
 	// never evicted. lastUse is the registry's logical clock at the last
@@ -55,6 +59,9 @@ var (
 	regMu    sync.Mutex
 	registry = make(map[traceKey]*traceEntry)
 	regTick  uint64
+
+	// generations counts the traces the registry has generated.
+	generations atomic.Uint64
 )
 
 // entryLocked returns the (possibly new) entry for k, stamping its use
@@ -114,16 +121,30 @@ func keyFor(w config.Workload, c *config.Config) traceKey {
 func Cached(w config.Workload, c *config.Config) *Trace {
 	regMu.Lock()
 	e := entryLocked(keyFor(w, c))
+	e.claimed = true
 	regMu.Unlock()
-	e.once.Do(func() { e.tr = Generate(w, c) })
+	e.once.Do(func() {
+		e.tr = Generate(w, c)
+		generations.Add(1)
+	})
 	return e.tr
+}
+
+// Resident reports whether the registry holds the trace for (w, c) or a
+// Cached call is generating it; a pinned key no one has read yet is not
+// resident. It neither creates an entry nor counts as a use.
+func Resident(w config.Workload, c *config.Config) bool {
+	regMu.Lock()
+	defer regMu.Unlock()
+	e := registry[keyFor(w, c)]
+	return e != nil && e.claimed
 }
 
 // Pins keeps a set of trace keys resident across a sweep: the batch
 // runner pins every distinct key its cells will read before any cell
 // runs, so the registry's LRU bound cannot evict a trace mid-sweep and
-// force a second generation. Pinning does not generate — the trace is
-// still built lazily by the first cell that borrows it via Cached.
+// force a second generation. Pinning does not generate; the first Cached
+// call for a key does.
 //
 // The zero value is ready to use. Safe for concurrent use.
 type Pins struct {
@@ -131,9 +152,10 @@ type Pins struct {
 	entries map[*traceEntry]struct{}
 }
 
-// Add pins the trace key for (w, c). Duplicate adds of one key are
-// deduplicated, so callers can feed every cell of a sweep through Add.
-func (p *Pins) Add(w config.Workload, c *config.Config) {
+// Add pins the trace key for (w, c) and reports whether the key is new to
+// p. Duplicate adds of one key are deduplicated, so callers can feed every
+// cell of a sweep through Add.
+func (p *Pins) Add(w config.Workload, c *config.Config) bool {
 	// Pin under the registry lock so no eviction can slip between the
 	// lookup and the increment.
 	regMu.Lock()
@@ -156,6 +178,7 @@ func (p *Pins) Add(w config.Workload, c *config.Config) {
 		e.pins--
 		regMu.Unlock()
 	}
+	return !dup
 }
 
 // Release unpins everything added so far. Idempotent; the pinned entries
@@ -196,9 +219,14 @@ func ResetCache() {
 	zipfMu.Unlock()
 }
 
-// CacheLen reports how many distinct traces are resident (diagnostics).
+// CacheLen reports how many trace keys the registry holds, generated or
+// only pinned (diagnostics).
 func CacheLen() int {
 	regMu.Lock()
 	defer regMu.Unlock()
 	return len(registry)
 }
+
+// Generations counts the traces the registry has generated since the
+// process started (diagnostics; ResetCache does not zero it).
+func Generations() uint64 { return generations.Load() }

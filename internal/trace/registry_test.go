@@ -83,3 +83,37 @@ func TestCachedByNameUnknown(t *testing.T) {
 		t.Fatal("unknown workload must error")
 	}
 }
+
+// TestResidentAndGenerations: a pinned key is not resident until a Cached
+// call claims it; Generations counts one generation per key, however many
+// calls read it; Pins.Add reports which keys are new to the set.
+func TestResidentAndGenerations(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	c := config.Default(config.Oracle, config.Planar)
+	c.MaxInstructions = 200
+	w, _ := config.WorkloadByName("lud")
+	other := c
+	other.Seed++
+
+	var p Pins
+	defer p.Release()
+	if !p.Add(w, &c) || p.Add(w, &c) || !p.Add(w, &other) {
+		t.Fatal("Add must report a key new to the set once, and only once")
+	}
+	if Resident(w, &c) || Resident(w, &other) {
+		t.Fatal("a pinned key no Cached call has read is resident")
+	}
+	before := Generations()
+	Cached(w, &c)
+	Cached(w, &c)
+	if !Resident(w, &c) || Resident(w, &other) {
+		t.Fatal("Resident must follow Cached, key by key")
+	}
+	if got := Generations() - before; got != 1 {
+		t.Fatalf("%d generations for one key read twice, want 1", got)
+	}
+	if n := CacheLen(); n != 2 {
+		t.Fatalf("registry holds %d keys, want the 2 pinned", n)
+	}
+}

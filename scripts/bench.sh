@@ -20,11 +20,15 @@
 #               BenchmarkSingleRun/* (one end-to-end simulation)
 #   - sweep:    BenchmarkSweepCold / BenchmarkSweepWarm (a real grid through
 #               batch.Runner; cells/sec and allocs/cell gate the run-state
-#               pool against per-cell allocation regressions)
+#               pool against per-cell allocation regressions), and
+#               BenchmarkSweepColdTraces/gomaxprocs={1,2} (perfbench
+#               des-compute's grid on fresh traces, so trace generation is
+#               timed too; recorded, not gated)
 #   - figures:  BenchmarkFig3 (the motivation study; warm iterations hit the
 #               in-process result cache, so run it cold-aware via benchtime)
-#   - twin:     BenchmarkTwinCell (one closed-form analytical cell; the
-#               acceptance bar is >=10^3x cheaper than a warm DES cell)
+#   - twin:     BenchmarkTwinCell (one closed-form analytical cell;
+#               benchcheck prints BenchmarkKernelWarmCell over it, the
+#               twin-vs-DES cost ratio, when the snapshot is recorded)
 #   - service:  BenchmarkDiskCachePut (one result-cache write, alone and
 #               beside a file fsynced every 20 ms as the job journal is;
 #               recorded, not gated)
@@ -44,6 +48,8 @@ echo "bench: single cells" >&2
 go test -run='^$' -bench='BenchmarkKernel.*Cell|BenchmarkSingleRun' -benchmem -benchtime=5x . | tee -a "$TMP" >&2
 echo "bench: sweep grid (cold simulate + warm result cache)" >&2
 go test -run='^$' -bench='BenchmarkSweepCold$|BenchmarkSweepWarm$' -benchmem -benchtime=5x . | tee -a "$TMP" >&2
+echo "bench: cold sweep with fresh traces (GOMAXPROCS 1 and 2)" >&2
+go test -run='^$' -bench='BenchmarkSweepColdTraces$' -benchmem -benchtime=20x . | tee -a "$TMP" >&2
 echo "bench: figure driver (cold first iteration + warm cache)" >&2
 go test -run='^$' -bench='BenchmarkFig3$' -benchmem -benchtime=3x . | tee -a "$TMP" >&2
 echo "bench: analytical twin (one closed-form cell)" >&2
@@ -112,7 +118,8 @@ END {
 # The snapshot must decode (-benches '' -sweep-benches '' makes benchcheck
 # a pure decode check, so recording a baseline with intentionally changed
 # benchmarks still works), and only lands under its real name once complete.
-go run ./scripts/benchcheck -baseline "$OUT.tmp" -current "$OUT.tmp" -benches '' -sweep-benches '' >/dev/null
+# The check prints the snapshot's twin-vs-DES cost ratio.
+go run ./scripts/benchcheck -baseline "$OUT.tmp" -current "$OUT.tmp" -benches '' -sweep-benches '' >&2
 mv "$OUT.tmp" "$OUT"
 
 echo "bench: wrote $OUT" >&2

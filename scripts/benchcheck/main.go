@@ -15,6 +15,10 @@
 //     baseline (the run-state pool makes this metric deterministic, so
 //     any growth is a real leak of per-cell allocations).
 //
+// It also prints, ungated, the twin-vs-DES cost ratio of each snapshot
+// that records both cells: BenchmarkKernelWarmCell's ns/op over
+// BenchmarkTwinCell's, how many analytical cells cost one warm DES cell.
+//
 // When the baseline and current snapshots were produced by different Go
 // major.minor versions, ratio checks still run but a warning is printed:
 // toolchain changes legitimately move both ns/op and allocation counts,
@@ -116,6 +120,11 @@ func main() {
 			baseGo, curGo)
 	}
 
+	printTwinRatio("baseline", *baseline, base)
+	if *current != *baseline {
+		printTwinRatio("current", *current, cur)
+	}
+
 	failed := false
 	lookup := func(name string) (entry, entry, bool) {
 		b, okB := base[name]
@@ -195,6 +204,18 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// printTwinRatio prints the snapshot's twin-vs-DES cost ratio, if it
+// records both cells.
+func printTwinRatio(label, path string, m map[string]entry) {
+	des, okD := m["BenchmarkKernelWarmCell"]
+	twin, okT := m["BenchmarkTwinCell"]
+	if !okD || !okT || twin.NsPerOp <= 0 {
+		return
+	}
+	fmt.Printf("benchcheck: twin-vs-DES cost ratio (%s %s): %.4g ms / %.4g us = %.0fx\n",
+		label, path, des.NsPerOp/1e6, twin.NsPerOp/1e3, des.NsPerOp/twin.NsPerOp)
 }
 
 func fail(failed *bool, format string, args ...interface{}) {

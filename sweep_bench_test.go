@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,4 +103,54 @@ func BenchmarkSweepWarm(b *testing.B) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	reportSweepMetrics(b, len(cells), elapsed, b.N, &m0, &m1)
+}
+
+// coldTraceSeed hands BenchmarkSweepColdTraces seeds no earlier run in the
+// process has used, so the trace registry never holds a grid's traces.
+var coldTraceSeed atomic.Uint64
+
+// BenchmarkSweepColdTraces runs perfbench des-compute's grid shape: Oracle,
+// planar, GRAMS, FDTD, backp and lud at 1,000 instructions per warp and two
+// seeds, so each of the 8 cells reads a trace of its own. Every grid run
+// takes fresh seeds, so it generates its 8 traces inside the timed region
+// as a cold sweep does (BenchmarkSweepCold primes its traces and cannot see
+// generation). One worker and no result cache, as in des-compute. The
+// sub-benchmarks fix GOMAXPROCS at 1 and 2: at 1 no core is spare, so the
+// sweep generates each trace in the cell that reads it; at 2 it generates
+// the next cell's trace beside the simulating core.
+func BenchmarkSweepColdTraces(b *testing.B) {
+	grid := func(b *testing.B) []batch.Cell {
+		seed := coldTraceSeed.Add(2)
+		cells, err := batch.SweepSpec{
+			Platforms:       []config.Platform{config.Oracle},
+			Modes:           []config.MemMode{config.Planar},
+			Workloads:       []string{"GRAMS", "FDTD", "backp", "lud"},
+			MaxInstructions: 1000,
+			Overrides:       batch.Overrides{"seed": batch.Axis{float64(seed), float64(seed + 1)}},
+		}.Cells()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cells
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			r := batch.NewRunner(1, nil)
+			if _, err := r.Run(grid(b)); err != nil { // prime the state pool and page tables
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(grid(b)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if elapsed := time.Since(start); elapsed > 0 {
+				b.ReportMetric(float64(b.N*8)/elapsed.Seconds(), "cells/sec")
+			}
+		})
+	}
 }
