@@ -318,7 +318,7 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 				if k := len(spPl); k > 0 {
 					rePl, spPl = spPl[k-1], spPl[:k-1]
 				}
-				b.planar = newPlanarStateIn(rePl, dramPerMC, xpPerMC, c.pageBytes, cfg.Memory.HotThreshold)
+				b.planar = newPlanarStateIn(rePl, dramPerMC, c.pageBytes, cfg.Memory.HotThreshold)
 			case config.TwoLevel:
 				// The tag-in-ECC design (Section III-B) only works while
 				// the direct-map tag fits the ECC region's spare bits. The

@@ -1,6 +1,8 @@
 package hmem
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/config"
@@ -86,6 +88,13 @@ func TestOracleLatencyIsDRAMClass(t *testing.T) {
 	}
 }
 
+// inDRAM reports whether a logical page is the DRAM-resident member of its
+// group.
+func (p *planarState) inDRAM(page int64) bool {
+	g := p.group(page)
+	return g < int64(len(p.groups)) && p.groups[g].owner() == page
+}
+
 func TestPlanarXPointSlowerThanDRAM(t *testing.T) {
 	c, _ := mkCtrl(t, config.OhmBase, config.Planar)
 	pb := uint64(c.cfg.Memory.PageBytes)
@@ -122,7 +131,7 @@ func TestPlanarHotPageSwaps(t *testing.T) {
 	// After the swap completes (the window is dominated by the 763ns XPoint
 	// media write), the page is served from DRAM: fast. Local page 1 maps
 	// to group 1 under the modulo layout.
-	probe := c.mcs[0].planar.migratingUntil[1] + sim.Microsecond
+	probe := c.mcs[0].planar.groups[1].until + sim.Microsecond
 	fast := c.Access(probe, xpAddr, false) - probe
 	if fast >= c.cfg.XPoint.ReadLatency {
 		t.Fatalf("post-swap access still XPoint-slow: %s", fast)
@@ -342,7 +351,7 @@ func TestConflictDetectionBlocksMigratingGroup(t *testing.T) {
 	for i := 0; i < c.cfg.Memory.HotThreshold; i++ {
 		at = c.Access(at, xpAddr, false)
 	}
-	until := c.mcs[0].planar.migratingUntil[1] // local page 1 -> group 1
+	until := c.mcs[0].planar.groups[1].until // local page 1 -> group 1
 	if until <= at {
 		t.Fatal("no migration window recorded")
 	}
@@ -412,6 +421,95 @@ func TestAccessSteadyStateAllocFree(t *testing.T) {
 			}
 			round++
 		}, func() uint64 { return pl.Swaps })
+	}
+}
+
+// TestPlanarRebuildScrubs: a pooled rebuild hands the next cell planar
+// state that reads as new even after the previous cell swapped pages,
+// heated one and touched every controller's highest group. Across the
+// arrays' whole capacity every slot owner reads -1 with no conflict
+// window and no cooldown, and every heat count reads 0; the rebuilt
+// controller then reports byte-identically to a fresh one.
+func TestPlanarRebuildScrubs(t *testing.T) {
+	cfg := config.Default(config.OhmWOM, config.Planar)
+	pools := new(sim.Pools)
+	c, err := NewIn(nil, pools, &cfg, stats.NewCollector(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nMC, pb := int64(len(c.mcs)), c.pageBytes
+	nGroups := c.mcs[0].planar.nGroups
+	thresh := int64(cfg.Memory.HotThreshold)
+	// cell swaps local page 1 into group 1's slot and the highest group's
+	// second page into its slot, then leaves page 2 one access short of
+	// hot, on every controller. Phases start 100 us apart, past the
+	// previous swap and its group's cooldown.
+	phases := []struct{ page, n int64 }{{1, thresh}, {2*nGroups - 1, thresh}, {2, thresh - 1}}
+	cell := func(c *Controller) sim.Time {
+		var at sim.Time
+		for mc := int64(0); mc < nMC; mc++ {
+			for _, ph := range phases {
+				at += 100 * sim.Microsecond
+				for i := int64(0); i < ph.n; i++ {
+					at = c.Access(at, uint64((ph.page*nMC+mc)*pb), false)
+				}
+			}
+		}
+		return at
+	}
+	cell(c)
+	for mc, b := range c.mcs {
+		pl := b.planar
+		if pl.Swaps != 2 || pl.heat[2] != uint32(thresh-1) || int64(len(pl.groups)) != nGroups || !pl.inDRAM(2*nGroups-1) {
+			t.Fatalf("mc %d before rebuild: %d swaps, page 2 heat %d, %d of %d groups touched; want 2 swaps, heat %d and every group",
+				mc, pl.Swaps, pl.heat[2], len(pl.groups), nGroups, thresh-1)
+		}
+	}
+
+	// Rebuild for a new cell, as a pooled run state does.
+	pools.Reset()
+	col := stats.NewCollector()
+	if c, err = NewIn(c, pools, &cfg, col, nil); err != nil {
+		t.Fatal(err)
+	}
+	recycled := 0
+	for mc, b := range c.mcs {
+		pl := b.planar
+		if len(pl.groups) != 0 || len(pl.heat) != 0 || pl.Swaps != 0 || pl.swapBusyUntil != 0 {
+			t.Fatalf("mc %d after rebuild: %d groups and %d pages touched, %d swaps, swap busy until %s; want none",
+				mc, len(pl.groups), len(pl.heat), pl.Swaps, pl.swapBusyUntil)
+		}
+		for g, gr := range pl.groups[:cap(pl.groups)] {
+			if gr.owner() != -1 || gr.evicted != 0 || gr.until != 0 {
+				t.Fatalf("mc %d group %d after rebuild: owner %d, evicted %d, last swap %s; want a group that never swapped",
+					mc, g, gr.owner(), gr.evicted, gr.until)
+			}
+		}
+		for page, h := range pl.heat[:cap(pl.heat)] {
+			if h != 0 {
+				t.Fatalf("mc %d page %d after rebuild: heat %d, want 0", mc, page, h)
+			}
+		}
+		if cap(pl.heat) > 0 {
+			recycled++
+		}
+	}
+	if recycled != int(nMC) {
+		t.Fatalf("%d of %d controllers kept their planar arrays across the rebuild", recycled, nMC)
+	}
+
+	fresh, freshCol := mkCtrl(t, config.OhmWOM, config.Planar)
+	end, freshEnd := cell(c), cell(fresh)
+	got, err := json.Marshal(col.Snapshot(end, cfg.GPU.CoreFreqHz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(freshCol.Snapshot(freshEnd, cfg.GPU.CoreFreqHz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != freshEnd || !bytes.Equal(got, want) {
+		t.Fatalf("rebuilt controller ends at %s with report\n%s\nfresh one at %s with\n%s", end, got, freshEnd, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package hmem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ddrt"
 	"repro/internal/sim"
@@ -19,24 +20,22 @@ import (
 // The design is the OS-transparent migration of [65].
 type planarState struct {
 	nGroups   int64
-	ratio     int64
-	pageBytes int64
 	hotThresh int
 
-	// slotOwner[g] is the logical kernel page currently occupying group g's
-	// DRAM slot; absent means the slot still holds its initial cold data.
-	slotOwner map[int64]int64
-	// heat counts accesses to non-resident pages since their last swap.
-	heat map[int64]int
-	// migratingUntil blocks conflicting accesses while a group's swap is in
-	// flight (the conflict-detection mechanism of Section IV-B). Only the
-	// two pages participating in the swap conflict; other pages of the
-	// group proceed.
-	migratingUntil map[int64]sim.Time
-	swapPages      map[int64][2]int64
-	// lastSwap enforces a per-group cooldown so two hot pages sharing a
-	// group do not ping-pong the DRAM slot.
-	lastSwap map[int64]sim.Time
+	// groups[g] is group g's migration state and heat[page] counts the
+	// accesses to a non-resident page since its last swap. Both are
+	// indexed directly and grow to the highest page the cell touches: heat
+	// to page+1 entries and groups to min(page+1, nGroups), so one length
+	// check covers both. Past their lengths both hold zeros, which read as
+	// a cold page and a group that never swapped: fresh memory is zeroed,
+	// and a rebuild clears both up to their lengths. Clearing every touched
+	// group, not only those a swap set, also brings the array back into
+	// cache before the cell reads it. A count never wraps, since a cell
+	// makes at most two accesses per memory instruction, 2^29 in all.
+	groups []planarGroup
+	heat   []uint32
+	// cooldown is the per-group gap between swaps, so two hot pages
+	// sharing a group do not ping-pong the DRAM slot.
 	cooldown sim.Time
 	// swapBusyUntil serializes swaps per controller: a new SWAP-CMD is only
 	// issued after the previous swap's completion handshake (Figure 11
@@ -47,49 +46,45 @@ type planarState struct {
 	Swaps uint64
 }
 
-func newPlanarState(dramBytes, xpBytes, pageBytes int64, hotThresh int) *planarState {
-	return newPlanarStateIn(nil, dramBytes, xpBytes, pageBytes, hotThresh)
+// planarGroup is one group's DRAM slot and its last swap. The zero value
+// is a group that never swapped, whose slot holds its initial cold data.
+type planarGroup struct {
+	// resident is 1 + the logical kernel page in the DRAM slot, or 0 while
+	// the slot holds its initial data.
+	resident int64
+	// evicted is the page the last swap moved out of the slot. It and the
+	// resident page took part in that swap, and only they wait for it to
+	// complete (the conflict detection of Section IV-B); other pages of
+	// the group proceed.
+	evicted int64
+	// until is when the last swap completed: its conflict window ends and
+	// the group's cooldown starts.
+	until sim.Time
 }
 
-// newPlanarStateIn is newPlanarState rebuilding into a recycled state: the
-// five tracking maps are emptied with clear(), which keeps their buckets —
-// map churn is proportional to the pages a run actually touched, so reuse
-// costs O(touched), never O(capacity).
-func newPlanarStateIn(re *planarState, dramBytes, xpBytes, pageBytes int64, hotThresh int) *planarState {
+// owner returns the logical kernel page resident in the group's DRAM slot,
+// or -1 while the slot still holds its initial non-kernel data.
+func (gr *planarGroup) owner() int64 { return gr.resident - 1 }
+
+// newPlanarStateIn builds the planar state of one controller into re, or
+// into a new state when re is nil. A recycled state keeps its arrays and
+// clears only the entries the previous cell touched.
+func newPlanarStateIn(re *planarState, dramBytes, pageBytes int64, hotThresh int) *planarState {
 	n := dramBytes / pageBytes
 	if n < 1 {
 		n = 1
 	}
-	ratio := xpBytes / dramBytes
-	if ratio < 1 {
-		ratio = 1
-	}
 	if re == nil {
-		re = &planarState{
-			slotOwner:      make(map[int64]int64),
-			heat:           make(map[int64]int),
-			migratingUntil: make(map[int64]sim.Time),
-			swapPages:      make(map[int64][2]int64),
-			lastSwap:       make(map[int64]sim.Time),
-		}
-	} else {
-		clear(re.slotOwner)
-		clear(re.heat)
-		clear(re.migratingUntil)
-		clear(re.swapPages)
-		clear(re.lastSwap)
+		re = &planarState{}
 	}
+	clear(re.groups)
+	clear(re.heat)
 	*re = planarState{
-		nGroups:        n,
-		ratio:          ratio,
-		pageBytes:      pageBytes,
-		hotThresh:      hotThresh,
-		slotOwner:      re.slotOwner,
-		heat:           re.heat,
-		migratingUntil: re.migratingUntil,
-		swapPages:      re.swapPages,
-		lastSwap:       re.lastSwap,
-		cooldown:       25 * sim.Microsecond,
+		nGroups:   n,
+		hotThresh: hotThresh,
+		groups:    re.groups[:0],
+		heat:      re.heat[:0],
+		cooldown:  25 * sim.Microsecond,
 	}
 	return re
 }
@@ -99,40 +94,36 @@ func (p *planarState) group(page int64) int64 {
 	return page % p.nGroups
 }
 
-// owner returns the logical kernel page resident in group g's DRAM slot, or
-// -1 while the slot still holds its initial non-kernel data.
-func (p *planarState) owner(g int64) int64 {
-	if o, ok := p.slotOwner[g]; ok {
-		return o
-	}
-	return -1
-}
-
-// inDRAM reports whether a logical page is the DRAM-resident member of its
-// group.
-func (p *planarState) inDRAM(page int64) bool {
-	return p.owner(p.group(page)) == page
+// grow lengthens heat to cover page and groups to cover its group. It is
+// called only for a page past heat's end, and groups then holds
+// min(len(heat), nGroups) entries, so neither shrinks.
+func (p *planarState) grow(page int64) {
+	n, ng := int(page+1), int(min(page+1, p.nGroups))
+	p.heat = slices.Grow(p.heat, n-len(p.heat))[:n]
+	p.groups = slices.Grow(p.groups, ng-len(p.groups))[:ng]
 }
 
 // accessPlanar serves one request in planar mode on controller mc.
 func (c *Controller) accessPlanar(mc int, b *bank, at sim.Time, local uint64, write bool) sim.Time {
 	p := b.planar
 	page := int64(local) / c.pageBytes
+	if page >= int64(len(p.heat)) {
+		p.grow(page)
+	}
 	g := p.group(page)
+	gr := &p.groups[g]
 
 	// Conflict detection: only requests to the two pages participating in
 	// an in-flight swap wait for it (Section IV-B); other pages — even in
 	// the same group — proceed.
 	start := at
-	if until, ok := p.migratingUntil[g]; ok && until > start {
-		if sp := p.swapPages[g]; sp[0] == page || sp[1] == page {
-			start = until
-			c.col.AddExtraH(c.hConflict, float64(until-at))
-		}
+	if gr.until > start && (gr.owner() == page || gr.evicted == page) {
+		start = gr.until
+		c.col.AddExtraH(c.hConflict, float64(gr.until-at))
 	}
 
 	var done sim.Time
-	if p.inDRAM(page) {
+	if gr.owner() == page {
 		done = c.dramAccess(mc, b, start, c.dramSlotAddr(p, g, local), write, stats.RegularRequest)
 		c.noteDRAMLat(int64(done - at))
 	} else {
@@ -141,9 +132,8 @@ func (c *Controller) accessPlanar(mc int, b *bank, at sim.Time, local uint64, wr
 		// Heat tracking drives hot-page detection; the per-group cooldown
 		// prevents two hot pages from ping-ponging the single DRAM slot.
 		p.heat[page]++
-		last, swappedBefore := p.lastSwap[g]
-		if p.heat[page] >= p.hotThresh && done >= p.swapBusyUntil &&
-			(!swappedBefore || done >= last+p.cooldown) {
+		if int(p.heat[page]) >= p.hotThresh && done >= p.swapBusyUntil &&
+			(gr.resident == 0 || done >= gr.until+p.cooldown) {
 			p.heat[page] = 0
 			c.swapPlanar(mc, b, done, g, page)
 		}
@@ -175,7 +165,8 @@ func (c *Controller) dramSlotAddr(p *planarState, g int64, local uint64) uint64 
 //     (3/2 request serialization while active); BW avoids the penalty.
 func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 	p := b.planar
-	evict := p.owner(g)
+	gr := &p.groups[g]
+	evict := gr.owner()
 	if evict < 0 {
 		// The slot's initial cold data evicts into the hot page's old
 		// XPoint slot; model its XPoint address by the group index.
@@ -262,11 +253,8 @@ func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 	}
 
 	// Record the swap window: only the two participating pages conflict.
-	p.migratingUntil[g] = done
-	p.swapPages[g] = [2]int64{page, evict}
-	p.lastSwap[g] = done
+	*gr = planarGroup{resident: page + 1, evicted: evict, until: done}
 	p.swapBusyUntil = done
-	p.slotOwner[g] = page
 	p.Swaps++
 	c.col.Migrations++
 	c.col.MigratedBytes += 2 * uint64(c.pageBytes)

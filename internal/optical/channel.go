@@ -232,12 +232,6 @@ func (c *Channel) DataFreeAt(vc int, dir Direction) sim.Time {
 	return c.data[2*vc+int(dir)].FreeAt()
 }
 
-// MemFreeAt returns when vc's memory route frees.
-func (c *Channel) MemFreeAt(vc int) sim.Time {
-	c.checkVC(vc)
-	return c.mem[vc].FreeAt()
-}
-
 // DataBusy returns total data-route occupancy across VCs.
 func (c *Channel) DataBusy() sim.Time {
 	var t sim.Time

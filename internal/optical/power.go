@@ -115,14 +115,14 @@ func (m *PowerModel) BER(p PathKind) float64 {
 	return 0.5 * math.Erfc(q/math.Sqrt2)
 }
 
-// MeetsReliability reports whether the path satisfies the paper's 1e-15
-// BER requirement.
-func (m *PowerModel) MeetsReliability(p PathKind) bool {
-	return m.BER(p) < 1e-15
-}
-
 // ReliabilityRequirement is the paper's end-to-end BER target.
 const ReliabilityRequirement = 1e-15
+
+// MeetsReliability reports whether the path's BER is below
+// ReliabilityRequirement.
+func (m *PowerModel) MeetsReliability(p PathKind) bool {
+	return m.BER(p) < ReliabilityRequirement
+}
 
 // TuningEnergyPJ returns MRR tuning energy for transferring n bytes
 // (Table I: 200 fJ/bit).

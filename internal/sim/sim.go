@@ -66,19 +66,25 @@ func FreqToPeriod(hz float64) Time {
 	return Time(1e12/hz + 0.5)
 }
 
-// entry is one slot's pending event: its ordering key, inline, and the slot
-// it belongs to. Events with equal time fire in the order of their sequence
-// numbers (i.e. scheduling order), which makes simulations deterministic
-// regardless of the tree's internals.
+// entry is one slot's pending event in 16 bytes: its time, then its
+// sequence number and slot packed as seq<<32 | slot. Events with equal time
+// fire in the order of their sequence numbers (i.e. scheduling order),
+// which makes simulations deterministic regardless of the tree's
+// internals; sequence numbers are unique, so the slot bits below them
+// never decide a match.
 type entry struct {
-	at   Time
-	seq  uint64
-	slot uint64
+	at  Time
+	key uint64
 }
 
+// slot is the slot an entry belongs to.
+func (x entry) slot() int { return int(uint32(x.key)) }
+
 // idle is the key of a leaf with no pending event, a retired slot or the
-// padding past the last one. It loses every match.
-var idle = entry{at: math.MaxInt64, seq: math.MaxUint64}
+// padding past the last one. It loses every match, and no pending event's
+// key equals it: a slot is below the slot count, itself below 2^32, so the
+// low word of a pending key is never all ones.
+var idle = entry{at: math.MaxInt64, key: math.MaxUint64}
 
 // Engine is a single-threaded discrete-event scheduler over a fixed set of
 // slots. A slot is one component's place in the queue and holds at most one
@@ -90,9 +96,17 @@ var idle = entry{at: math.MaxInt64, seq: math.MaxUint64}
 // winner, the earliest (at, seq) key. Only the slot that just fired changes
 // its key, and every match it played lies on its leaf-to-root path, so a
 // reschedule or a retirement replays that one path: log2 of the padded
-// slot count compare-and-swaps (7 for 128 warps), with no child selection.
-// Keys are unique and the minimum always fires, so events fire in the same
-// order as from any correct priority queue.
+// slot count compare-and-swaps (7 for 128 warps) of 16-byte entries, with
+// no child selection. Keys are unique and the minimum always fires, so
+// events fire in the same order as from any correct priority queue.
+//
+// Slots and sequence numbers share one 64-bit word, so each Start takes
+// fewer than 2^32 slots (Start panics otherwise) and schedules at most 2^32
+// events: the n slots' first events plus every Reschedule, which panics
+// rather than wrap. A validated cell stays far below that: it simulates at
+// most 2^28 trace instructions (config.MaxTraceInstructions) on at most as
+// many warps, and each Reschedule follows an event that issued at least
+// one instruction, so it schedules at most 2^29 events per Start.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -120,8 +134,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Start makes slots 0..n-1 pending at time zero, in slot order, and rewinds
 // the clock, the sequence numbers and the fired count. It allocates only
-// when n needs more leaves than every earlier Start did.
+// when n needs more leaves than every earlier Start did, and panics when n
+// is 2^32 or more.
 func (e *Engine) Start(n int) {
+	if int64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("sim: %d slots, want fewer than 2^32", n))
+	}
 	size := 1
 	for size < n {
 		size <<= 1
@@ -149,7 +167,7 @@ func startEntry(s, n int) entry {
 	if s >= n {
 		return idle
 	}
-	return entry{seq: uint64(s), slot: uint64(s)}
+	return entry{key: uint64(s)<<32 | uint64(s)}
 }
 
 // Next fires the pending slot with the earliest (at, seq) key and advances
@@ -161,19 +179,20 @@ func (e *Engine) Next() (slot int, ok bool) {
 		e.replay(idle)
 	}
 	w := e.tree[0]
-	if w.seq == idle.seq {
+	if w.key == idle.key {
 		return 0, false
 	}
 	e.now = w.at
 	e.fired++
 	e.held = true
-	return int(w.slot), true
+	return w.slot(), true
 }
 
 // Reschedule gives the slot the last Next fired its next event, at absolute
 // time at. Rescheduling in the past panics: it is always a model bug, and
 // silently clamping would hide causality violations. So does rescheduling
-// when no fired slot is waiting for it.
+// when no fired slot is waiting for it, or once the Start has scheduled
+// 2^32 events.
 func (e *Engine) Reschedule(at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %s before now %s", at, e.now))
@@ -181,8 +200,11 @@ func (e *Engine) Reschedule(at Time) {
 	if !e.held {
 		panic("sim: reschedule with no fired slot")
 	}
+	if e.seq > math.MaxUint32 {
+		panic("sim: 2^32 events scheduled since Start")
+	}
 	e.held = false
-	e.replay(entry{at: at, seq: e.seq, slot: e.tree[0].slot})
+	e.replay(entry{at: at, key: e.seq<<32 | uint64(e.tree[0].slot())})
 	e.seq++
 }
 
@@ -195,17 +217,15 @@ func (e *Engine) Reschedule(at Time) {
 // negative, since nothing is scheduled before the clock, which starts at 0.
 func (e *Engine) replay(x entry) {
 	t := e.tree
-	for p := (len(t) + int(t[0].slot)) >> 1; p > 0; p >>= 1 {
+	for p := (len(t) + t[0].slot()) >> 1; p > 0; p >>= 1 {
 		n := &t[p]
-		_, b := bits.Sub64(n.seq, x.seq, 0)
+		_, b := bits.Sub64(n.key, x.key, 0)
 		_, b = bits.Sub64(uint64(n.at), uint64(x.at), b)
 		m := -b // all ones when the node's key is the smaller: it moves up
 		at := (uint64(n.at) ^ uint64(x.at)) & m
-		seq := (n.seq ^ x.seq) & m
-		slot := (n.slot ^ x.slot) & m
+		key := (n.key ^ x.key) & m
 		n.at, x.at = Time(uint64(n.at)^at), Time(uint64(x.at)^at)
-		n.seq, x.seq = n.seq^seq, x.seq^seq
-		n.slot, x.slot = n.slot^slot, x.slot^slot
+		n.key, x.key = n.key^key, x.key^key
 	}
 	t[0] = x
 }

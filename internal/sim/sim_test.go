@@ -166,6 +166,40 @@ func TestEngineRescheduleWithoutFiredSlotPanics(t *testing.T) {
 	})
 }
 
+// TestEngineSequenceLimit pins the limits of the packed seq<<32 | slot key:
+// Start refuses 2^32 slots before it allocates a leaf, the last two
+// sequence numbers still fire in scheduling order, and the Reschedule that
+// would need sequence number 2^32 panics instead of wrapping to 0.
+func TestEngineSequenceLimit(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected a panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	mustPanic("Start(2^32)", func() { e.Start(math.MaxUint32 + 1) })
+
+	e.Start(3)
+	fire(t, e, 0, 0)
+	e.SetSeq(math.MaxUint32 - 1)
+	e.Reschedule(5) // sequence number 2^32-2
+	fire(t, e, 1, 0)
+	e.Reschedule(5) // 2^32-1, the last one
+	fire(t, e, 2, 0)
+	mustPanic("Reschedule at sequence 2^32", func() { e.Reschedule(5) })
+	// Slot 2 stays fired and retires at the next Next; a wrapped sequence
+	// number would have made it fire first at 5.
+	fire(t, e, 0, 5)
+	fire(t, e, 1, 5)
+	if _, ok := e.Next(); ok {
+		t.Fatal("Next fired a slot after the engine drained")
+	}
+}
+
 func TestEngineFiredCount(t *testing.T) {
 	e := NewEngine()
 	e.Start(10)

@@ -54,11 +54,12 @@ echo "bench: figure driver (cold first iteration + warm cache)" >&2
 go test -run='^$' -bench='BenchmarkFig3$' -benchmem -benchtime=3x . | tee -a "$TMP" >&2
 echo "bench: analytical twin (one closed-form cell)" >&2
 go test -run='^$' -bench='BenchmarkTwinCell$' -benchmem -benchtime=10000x ./internal/twin | tee -a "$TMP" >&2
-echo "bench: micro (sim/cache/stats/dram/optical)" >&2
+echo "bench: micro (sim/cache/stats/dram/optical/hmem)" >&2
 # 10^6 iterations keep the gated ns-scale benches running for milliseconds,
 # long enough that one preemption cannot double their ns/op.
 go test -run='^$' -bench='.' -benchmem -benchtime=1000000x \
-  ./internal/sim ./internal/cache ./internal/stats ./internal/dram ./internal/optical | tee -a "$TMP" >&2
+  ./internal/sim ./internal/cache ./internal/stats ./internal/dram ./internal/optical \
+  ./internal/hmem | tee -a "$TMP" >&2
 echo "bench: trace generation and registry" >&2
 # At 20x, five recordings on a 2-vCPU Xeon read BenchmarkGenerate anywhere
 # from 1.68 to 1.96 ms; at 200x, 1.33-1.57 ms.
