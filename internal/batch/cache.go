@@ -28,10 +28,13 @@ const keyVersion = "ohm-batch-v1"
 // Key returns the cell's content address: a hash of the fully-resolved
 // configuration, the workload name and the run variant — plus, for inline
 // custom workloads, the full workload definition, so two custom workloads
-// sharing a name never collide. Table II cells hash exactly as they always
-// have, keeping caches warm across the spec redesign. Two cells with equal
-// keys produce byte-identical reports (the simulator is deterministic and
-// seeded from the config), which is what makes the cache safe.
+// sharing a name never collide. Two cells with equal keys produce
+// byte-identical reports (the simulator is deterministic and seeded from
+// the config), which is what makes the cache safe. The configuration
+// hashes as its JSON form, so adding or removing a Config field changes
+// every key once without a keyVersion bump: removing the six knobs no
+// model read (memory.hot_epoch_ns among them) did, and entries cached
+// before it are misses.
 func (c Cell) Key() (string, error) {
 	cfg, err := json.Marshal(c.Config)
 	if err != nil {
@@ -49,8 +52,7 @@ func (c Cell) Key() (string, error) {
 		// Salt analytical keys with the execution mode AND the twin's model
 		// version: estimates must never answer for simulations (or vice
 		// versa), and retuning the twin must invalidate stale estimates
-		// without touching any DES entry. DES cells write nothing here, so
-		// their keys stay byte-identical to every cache ever populated.
+		// without touching any DES entry. DES cells write nothing here.
 		h.Write([]byte{0})
 		h.Write([]byte("exec=analytical/" + twin.ModelVersion))
 	}
@@ -143,13 +145,6 @@ func (c *MemCache) Put(key string, rep stats.Report) error {
 	}
 	mCacheBytes.Add(int64(len(data) - len(old)))
 	return nil
-}
-
-// Len returns the number of cached entries.
-func (c *MemCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }
 
 // CacheStats reports the cache's entry count and stored bytes.

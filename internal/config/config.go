@@ -201,7 +201,6 @@ type GPUConfig struct {
 	SMs           int     // streaming multiprocessors
 	CoreFreqHz    float64 // SM clock
 	WarpsPerSM    int     // resident warps per SM
-	WarpSize      int     // threads per warp (lockstep group)
 	L1SizeBytes   int     // private L1D per SM
 	L1Ways        int
 	L2SizeBytes   int // shared L2
@@ -237,7 +236,6 @@ func DefaultGPU() GPUConfig {
 		SMs:           16,
 		CoreFreqHz:    1.2e9,
 		WarpsPerSM:    8,
-		WarpSize:      32,
 		L1SizeBytes:   48 << 10 / CacheScale,
 		L1Ways:        6,
 		L2SizeBytes:   6 << 20 / CacheScale,
@@ -294,7 +292,6 @@ type XPointConfig struct {
 	Partitions   int      // internal media parallelism (concurrent accesses)
 	StartGapK    int      // Start-Gap: move the gap every K writes
 	WearLimit    uint64   // per-line endurance budget (writes)
-	RegisterKB   int      // device-front register buffer (16 KB, Section III-A)
 }
 
 // DefaultXPoint returns Table I's XPoint latencies with controller defaults.
@@ -307,7 +304,6 @@ func DefaultXPoint() XPointConfig {
 		Partitions:   32,
 		StartGapK:    100,
 		WearLimit:    1_000_000,
-		RegisterKB:   16,
 	}
 }
 
@@ -396,18 +392,10 @@ func DefaultElectrical() ElectricalConfig {
 // unit-test speed but preserve the DRAM:XPoint capacity ratios (1:8 planar,
 // 1:64 two-level).
 type MemoryConfig struct {
-	Mode      MemMode
-	DRAMBytes int64 // DRAM capacity
-	// BaselineDRAMBytes is the heterogeneous baseline's DRAM capacity; the
-	// workload generator sizes footprints against it so all platforms in a
-	// mode run the identical trace (Oracle's larger DRAM must not inflate
-	// its workload).
-	BaselineDRAMBytes int64
-	XPointBytes       int64 // XPoint capacity (0 for Origin/Oracle)
-	PageBytes         int   // migration granularity (planar groups, 2-level lines)
-	HotThreshold      int   // planar: accesses within the epoch that mark a page hot
-	HotEpoch          sim.Time
-	Devices           int // number of memory devices on the channel (<=24, Table III)
+	DRAMBytes    int64 // DRAM capacity
+	XPointBytes  int64 // XPoint capacity (0 for Origin/Oracle)
+	PageBytes    int   // migration granularity (planar groups, 2-level lines)
+	HotThreshold int   // planar: accesses since the page's last swap that mark it hot
 }
 
 // MemScale is the capacity scale-down versus the paper's testbed (which
@@ -430,13 +418,9 @@ func DefaultMemory(mode MemMode) MemoryConfig {
 		dram /= 2 // Table III: 1GB x 6 instead of 1GB x 12
 	}
 	m := MemoryConfig{
-		Mode:              mode,
-		DRAMBytes:         dram,
-		BaselineDRAMBytes: dram,
-		PageBytes:         4 << 10,
-		HotThreshold:      4,
-		HotEpoch:          50 * sim.Microsecond,
-		Devices:           24,
+		DRAMBytes:    dram,
+		PageBytes:    4 << 10,
+		HotThreshold: 4,
 	}
 	switch mode {
 	case Planar:
@@ -499,7 +483,7 @@ func Default(p Platform, mode MemMode) Config {
 // Validate checks internal consistency; every experiment validates its
 // config before running so a typo fails loudly rather than skewing results.
 func (c *Config) Validate() error {
-	if c.GPU.SMs <= 0 || c.GPU.WarpsPerSM <= 0 || c.GPU.WarpSize <= 0 {
+	if c.GPU.SMs <= 0 || c.GPU.WarpsPerSM <= 0 {
 		return fmt.Errorf("config: GPU dimensions must be positive: %+v", c.GPU)
 	}
 	if c.GPU.LineBytes <= 0 || c.GPU.LineBytes&(c.GPU.LineBytes-1) != 0 {
@@ -529,6 +513,9 @@ func (c *Config) Validate() error {
 	if c.Memory.PageBytes <= 0 || c.Memory.PageBytes%c.GPU.LineBytes != 0 {
 		return fmt.Errorf("config: page size %d must be a positive multiple of line size %d",
 			c.Memory.PageBytes, c.GPU.LineBytes)
+	}
+	if c.Memory.HotThreshold < 1 {
+		return fmt.Errorf("config: memory.hot_threshold %d must be at least 1", c.Memory.HotThreshold)
 	}
 	if c.XPoint.ReadLatency <= 0 || c.XPoint.WriteLatency <= 0 {
 		return fmt.Errorf("config: XPoint latencies must be positive")

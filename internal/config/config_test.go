@@ -172,12 +172,27 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero core clock", func(c *Config) { c.GPU.CoreFreqHz = 0 }},
 		{"NaN optical clock", func(c *Config) { c.Optical.FreqHz = math.NaN() }},
 		{"negative electrical clock", func(c *Config) { c.Electrical.FreqHz = -15e9 }},
+		{"zero hot threshold", func(c *Config) { c.Memory.HotThreshold = 0 }},
+		{"negative hot threshold", func(c *Config) { c.Memory.HotThreshold = -4 }},
 	}
 	for _, m := range mutations {
 		c := Default(OhmBW, Planar)
 		m.mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate accepted config with %s", m.name)
+		}
+	}
+}
+
+// TestValidateNamesHotThreshold: a threshold below 1 is rejected with an
+// error naming its spec path, on every platform, not only the planar
+// migrating ones that read it.
+func TestValidateNamesHotThreshold(t *testing.T) {
+	for _, p := range AllPlatforms() {
+		c := Default(p, TwoLevel)
+		c.Memory.HotThreshold = 0
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "memory.hot_threshold") {
+			t.Errorf("%s: Validate with hot threshold 0 = %v, want an error naming memory.hot_threshold", p, err)
 		}
 	}
 }

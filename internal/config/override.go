@@ -20,8 +20,8 @@ import (
 // snake_case form of the Go field, with sim.Time fields suffixed "_ns"
 // (their spec values are nanoseconds, fractional allowed).
 //
-// Platform, Mode and Memory.Mode are deliberately not overridable: they are
-// the preset/mode identity of the scenario, set by Spec.Preset / Spec.Mode.
+// Platform and Mode are deliberately not overridable: they are the
+// preset/mode identity of the scenario, set by Spec.Preset / Spec.Mode.
 
 // OverridePath documents one settable field of Config.
 type OverridePath struct {
@@ -100,9 +100,6 @@ func buildOvTable() map[string]ovField {
 		if sec, ok := sectionNames[f.Name]; ok {
 			for j := 0; j < f.Type.NumField(); j++ {
 				leaf := f.Type.Field(j)
-				if leaf.Name == "Mode" {
-					continue // memory.mode is scenario identity too
-				}
 				k, ok := kindOf(leaf.Type)
 				if !ok {
 					continue

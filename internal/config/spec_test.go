@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -164,7 +165,7 @@ func TestOverridePathsSchema(t *testing.T) {
 		"gpu.mshr_entries":              "int",
 		"gpu.interconnect_latency_ns":   "duration_ns",
 		"dram.burst_ns":                 "duration_ns",
-		"memory.hot_epoch_ns":           "duration_ns",
+		"dram.refresh_interval_ns":      "duration_ns",
 		"optical.waveguide_loss_db_cm":  "float",
 		"memory.xpoint_bytes":           "int",
 		"gpu.noc_detailed":              "bool",
@@ -312,17 +313,32 @@ func TestSnakeCase(t *testing.T) {
 	}
 }
 
-// TestSpecDocCoversEveryOverridePath keeps docs/reference/spec.md honest:
-// every registered override path must appear (backtick-quoted) in the
-// reference page, so the schema table can't drift from the code.
+// TestSpecDocCoversEveryOverridePath keeps docs/reference/spec.md's path
+// table and the override registry equal, both ways: every registered path
+// has a row with its wire type, and every row names a registered path, so
+// a row cannot outlive the knob it documents.
 func TestSpecDocCoversEveryOverridePath(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "reference", "spec.md"))
 	if err != nil {
 		t.Fatalf("reference page missing: %v", err)
 	}
+	row := regexp.MustCompile("(?m)^\\| `([^`]+)` \\| (int|uint|float|bool|duration_ns) \\|$")
+	rows := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = m[2]
+	}
+	registered := map[string]bool{}
 	for _, p := range OverridePaths() {
-		if !strings.Contains(string(doc), "`"+p.Path+"`") {
-			t.Errorf("docs/reference/spec.md does not document override path %q", p.Path)
+		registered[p.Path] = true
+		if typ, ok := rows[p.Path]; !ok {
+			t.Errorf("docs/reference/spec.md has no row for override path %q", p.Path)
+		} else if typ != p.Type {
+			t.Errorf("docs/reference/spec.md types %q as %s, want %s", p.Path, typ, p.Type)
+		}
+	}
+	for path := range rows {
+		if !registered[path] {
+			t.Errorf("docs/reference/spec.md documents %q, which is not an override path", path)
 		}
 	}
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,9 +18,10 @@ import (
 // state means) and once into a single RunState recycled across the grid,
 // and every report — including the Extra map — must be byte-identical
 // between the two. The shuffle makes each CI run exercise a different
-// platform/mode adjacency (the spare-stash and scrub paths depend on what
-// the previous cell left behind); the seed is logged so a failure
-// reproduces. One cell per run variant covers what default reports cannot
+// platform/mode adjacency (what a cell finds in the slots its platform
+// uses, and in those it leaves alone, depends on the cells before it); the
+// seed is logged so a failure reproduces. TestPooledSlotAdjacencies pins
+// the adjacencies a shuffle only sometimes draws. One cell per run variant covers what default reports cannot
 // see: a recycled state after a non-default host link, XPoint wear read
 // back after the scrub, and a probe of a component the platform lacks.
 func TestPooledRunsByteIdentical(t *testing.T) {
@@ -96,29 +100,49 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 }
 
 // TestPooledRebuildAllocs pins down what the pool buys: once a RunState
-// has run a configuration, rebuilding the same platform into it allocates
-// a small constant (the System value, the link header and per-run handles)
-// instead of the full device-array footprint a cold build pays.
+// has built every platform in both modes, rebuilding any of them into it,
+// after any other, allocates a small constant instead of the full
+// device-array footprint a cold build pays. Every component keeps its slot
+// in hmem.Controller, so alternating platforms costs what repeating one
+// does.
 func TestPooledRebuildAllocs(t *testing.T) {
-	cfg := fastCfg(config.OhmWOM, config.Planar)
-	st := AcquireRunState()
-	defer ReleaseRunState(st)
-	if _, err := NewSystemIn(st, cfg); err != nil {
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(20, func() {
-		if _, err := NewSystemIn(st, cfg); err != nil {
-			t.Fatal(err)
+	var cfgs []config.Config
+	for _, p := range config.AllPlatforms() {
+		for _, m := range config.AllModes() {
+			cfgs = append(cfgs, fastCfg(p, m))
 		}
-	})
+	}
+	st := new(RunState)
+	warm := make([]uint64, len(cfgs))
+	for i := range warm {
+		warm[i] = math.MaxUint64
+	}
+	var ms runtime.MemStats
+	// Round 0 builds cold. Another goroutine can only add to a count, so
+	// each rebuild keeps its smallest warm one.
+	for round := 0; round < 4; round++ {
+		for i, cfg := range cfgs {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if _, err := NewSystemIn(st, cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			if round > 0 {
+				warm[i] = min(warm[i], ms.Mallocs-before)
+			}
+		}
+	}
 	// A cold build allocates thousands of objects (wear arrays, cache tag
-	// arrays, per-bank resources, stats maps). The warm bound is the small
-	// fixed overhead of assembling a System around recycled state —
-	// measured at 3 objects (System value, link wrapper, escape of the
-	// config copy); 8 leaves slack for toolchain drift without letting a
-	// real regression hide.
-	if warm > 8 {
-		t.Fatalf("warm NewSystemIn allocates %.0f objects per rebuild, want <= 8", warm)
+	// arrays, per-bank resources, stats maps). A warm rebuild allocates 2,
+	// the System value and the escaping config copy; 8 leaves slack for
+	// toolchain drift without letting a real regression hide.
+	for i, n := range warm {
+		if n > 8 {
+			prev := cfgs[(i+len(cfgs)-1)%len(cfgs)]
+			t.Errorf("warm NewSystemIn of %s/%s after %s/%s allocates %d objects, want <= 8",
+				cfgs[i].Platform, cfgs[i].Mode, prev.Platform, prev.Mode, n)
+		}
 	}
 }
 
@@ -148,6 +172,73 @@ func TestPooledHostLinkRecycling(t *testing.T) {
 		report(st, v)
 		if got := report(st, DefaultRun); !bytes.Equal(got, fresh) {
 			t.Errorf("default Origin cell after a %q cell diverges from a new state\nnew:      %s\nrecycled: %s", v, fresh, got)
+		}
+	}
+}
+
+// TestPooledSlotAdjacencies runs, into one state and in a fixed order, the
+// adjacencies that depend on hmem.Controller leaving each slot the current
+// cell does not use as the previous cell left it. Each cell must be
+// byte-identical to the same cell built into a new state:
+//   - a probe of a component the platform lacks, after a cell that used it
+//     (borrows on Hetero after a dynamic-division Ohm-BW cell, wear on
+//     Oracle after an Ohm-BW cell), reads 0 rather than the stale count;
+//   - a two-level cell between two planar ones;
+//   - the controller count going 6 -> 3 -> 6, so the last cell reuses
+//     banks that the middle one left alone.
+func TestPooledSlotAdjacencies(t *testing.T) {
+	dynamic := func(c *config.Config) { c.Optical.DynamicDivision = true }
+	threeMCs := func(c *config.Config) { c.GPU.MemCtrls, c.Optical.VirtualChannels = 3, 3 }
+	cells := []struct {
+		p    config.Platform
+		m    config.MemMode
+		w    string
+		v    Variant
+		knob func(*config.Config)
+		// stale, when set, is the probe counter the cell must read above
+		// 0, so that the next cell has a stale count to ignore.
+		stale string
+	}{
+		{config.OhmBW, config.Planar, "pagerank", BorrowsProbe, dynamic, "borrows"},
+		{config.Hetero, config.Planar, "pagerank", BorrowsProbe, nil, ""},
+		{config.OhmBW, config.Planar, "backp", WearProbe, nil, "max-wear"},
+		{config.Oracle, config.Planar, "backp", WearProbe, nil, ""},
+		{config.OhmBase, config.Planar, "lud", DefaultRun, nil, ""},
+		{config.OhmBase, config.TwoLevel, "lud", DefaultRun, nil, ""},
+		{config.OhmBase, config.Planar, "lud", DefaultRun, nil, ""},
+		{config.OhmWOM, config.Planar, "bfstopo", DefaultRun, nil, ""},
+		{config.OhmWOM, config.Planar, "bfstopo", DefaultRun, threeMCs, ""},
+		{config.OhmWOM, config.Planar, "bfstopo", DefaultRun, nil, ""},
+	}
+	st := new(RunState)
+	for _, c := range cells {
+		w, ok := config.WorkloadByName(c.w)
+		if !ok {
+			t.Fatalf("%s missing", c.w)
+		}
+		cfg := fastCfg(c.p, c.m)
+		if c.knob != nil {
+			c.knob(&cfg)
+		}
+		label := fmt.Sprintf("%s/%s/%s#%s/%d MCs", c.p, c.m, c.w, c.v, cfg.GPU.MemCtrls)
+		run := func(dst *RunState) []byte {
+			rep, _, err := Run(dst, cfg, w, c.v)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if c.stale != "" && dst != nil && rep.Extra[ProbePrefix+c.stale] <= 0 {
+				t.Fatalf("%s: probe %q reads %v, want > 0", label, c.stale, rep.Extra[ProbePrefix+c.stale])
+			}
+			out, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		fresh, pooled := run(nil), run(st)
+		if !bytes.Equal(fresh, pooled) {
+			t.Errorf("%s: recycled-state report diverges from new-state report\nnew:      %s\nrecycled: %s",
+				label, fresh, pooled)
 		}
 	}
 }

@@ -117,8 +117,8 @@ func (s *System) fold(v Variant, dev *ssd.Device, extra map[string]float64) {
 		extra[ProbePrefix+"merges"] = float64(s.GPU.MSHRMerges)
 	case BorrowsProbe:
 		var borrows uint64
-		if s.Mem.Opt != nil {
-			borrows = s.Mem.Opt.Borrows
+		if ch := s.Mem.Optical(); ch != nil {
+			borrows = ch.Borrows
 		}
 		extra[ProbePrefix+"borrows"] = float64(borrows)
 	}

@@ -106,14 +106,6 @@ func Register(mux *http.ServeMux, d *Dispatcher) {
 	})
 }
 
-// Handler returns a standalone mux carrying only the worker protocol
-// (tests compose it; cmd/ohmserve registers onto its combined mux).
-func Handler(d *Dispatcher) http.Handler {
-	mux := http.NewServeMux()
-	Register(mux, d)
-	return mux
-}
-
 func decodeWire(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBytes))
 	if err := dec.Decode(v); err != nil {

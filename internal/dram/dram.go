@@ -196,9 +196,6 @@ func (d *Device) BankBusyUntil(addr uint64) sim.Time {
 	return d.banks[bi].res.FreeAt()
 }
 
-// Banks returns the bank count.
-func (d *Device) Banks() int { return len(d.banks) }
-
 // RowHitRate returns rowHits / totalAccesses.
 func (d *Device) RowHitRate() float64 {
 	total := d.RowHits + d.RowMisses + d.RowConfl

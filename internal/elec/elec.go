@@ -102,9 +102,6 @@ func (c *Channel) Transfer(ch int, dir Direction, at sim.Time, n int, class stat
 	return start, end
 }
 
-// FreeAt returns when channel ch's dir half frees.
-func (c *Channel) FreeAt(ch int, dir Direction) sim.Time { return c.lanes[2*ch+int(dir)].FreeAt() }
-
 // Busy returns total occupancy across channels.
 func (c *Channel) Busy() sim.Time {
 	var t sim.Time

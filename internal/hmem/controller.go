@@ -2,7 +2,9 @@
 // (Figures 4, 6 and 7): the planar and two-level heterogeneous memory
 // modes, migration via controller copies, auto-read/write (snarf), swap
 // (SWAP-CMD + DDR sequence generator) and reverse-write, with conflict
-// detection and dual-route scheduling over the optical channel.
+// detection and dual-route scheduling over the optical channel. One
+// controller logic drives either channel: only its data-route transfers
+// (Controller.request) branch on whether the platform is optical.
 //
 // Address interleaving: pages are interleaved across memory controllers
 // (rather than lines) so one migration is wholly owned by one controller —
@@ -63,70 +65,6 @@ func KindFor(p config.Platform) MigrationKind {
 // (request header, SWAP-CMD with DRAM/XPoint addresses and size).
 const cmdBytes = 16
 
-// link abstracts the memory channel so the controller logic is identical
-// over optical and electrical interconnects. toDevice selects the forward
-// (controller -> device) or backward (device -> controller) path.
-type link interface {
-	// request serializes n bytes between controller vc and device dev on
-	// the data route, returning the transfer end.
-	request(vc, dev int, toDevice bool, at sim.Time, n int, class stats.Class) sim.Time
-	// memRoute serializes n migration bytes on the second route (dual
-	// routes). wom selects WOM-coded sharing. Falls back to the data route
-	// when the link has no dual routes.
-	memRoute(vc int, at sim.Time, n int, wom bool) sim.Time
-	// dual reports whether a second route exists.
-	dual() bool
-}
-
-type opticalLink struct {
-	ch        *optical.Channel
-	dualRoute bool
-}
-
-func (l *opticalLink) request(vc, dev int, toDevice bool, at sim.Time, n int, class stats.Class) sim.Time {
-	dir := optical.Backward
-	if toDevice {
-		dir = optical.Forward
-	}
-	_, end := l.ch.Transfer(vc, dev, dir, at, n, class)
-	return end
-}
-
-func (l *opticalLink) memRoute(vc int, at sim.Time, n int, wom bool) sim.Time {
-	if !l.dualRoute {
-		_, end := l.ch.Transfer(vc, 1, optical.Forward, at, n, stats.DataCopy)
-		return end
-	}
-	if wom {
-		_, end := l.ch.TransferWOMShared(vc, at, n)
-		return end
-	}
-	_, end := l.ch.TransferMemRoute(vc, at, n)
-	return end
-}
-
-func (l *opticalLink) dual() bool { return l.dualRoute }
-
-type elecLink struct {
-	ch *elec.Channel
-}
-
-func (l *elecLink) request(vc, _ int, toDevice bool, at sim.Time, n int, class stats.Class) sim.Time {
-	dir := elec.Backward
-	if toDevice {
-		dir = elec.Forward
-	}
-	_, end := l.ch.Transfer(vc, dir, at, n, class)
-	return end
-}
-
-func (l *elecLink) memRoute(vc int, at sim.Time, n int, _ bool) sim.Time {
-	_, end := l.ch.Transfer(vc, elec.Forward, at, n, stats.DataCopy)
-	return end
-}
-
-func (l *elecLink) dual() bool { return false }
-
 // device ids on a virtual channel (for demux arbitration accounting).
 const (
 	devDRAM   = 0
@@ -135,11 +73,10 @@ const (
 
 // bank is one per-controller slice of the memory system.
 type bank struct {
-	dram *dram.Device
-	xp   *xpoint.Controller // nil on DRAM-only platforms
-
-	planar *planarState // nil unless planar heterogeneous
-	twolvl *twoLevelState
+	dram   *dram.Device
+	xp     *xpoint.Controller // heterogeneous platforms only
+	planar *planarState       // heterogeneous platforms in planar mode
+	twolvl *twoLevelState     // heterogeneous platforms in two-level mode
 }
 
 // HostLink stages pages between host and GPU memory (Origin's spill path
@@ -150,22 +87,33 @@ type HostLink interface {
 
 // Controller is the complete Ohm memory system: per-MC devices, the shared
 // channel, mode logic and migration machinery.
+//
+// Each component lives in one slot for the whole life of the controller:
+// a bank keeps its DRAM device, XPoint controller and mode state, and the
+// controller keeps both channel models, its default PCIe link and its
+// resident sets. NewIn reinitializes in place only the components the
+// configuration uses. The others keep their arrays, unread, for a later
+// cell, so a pooled sweep that alternates platforms does not drop the big
+// ones (XPoint wear, two-level tags) on every switch.
 type Controller struct {
 	cfg  *config.Config
 	col  *stats.Collector
 	kind MigrationKind
-	link link
 	mcs  []bank
 
-	// Optical/electrical concrete channels retained for accounting.
-	Opt  *optical.Channel
-	Elec *elec.Channel
+	// access serves a request on the configuration's path: origin, planar,
+	// two-level or flat. NewIn picks it once per build.
+	access func(c *Controller, mc int, b *bank, at sim.Time, local uint64, write bool) sim.Time
+
+	// The channel models. Optical platforms use opt, electrical ones elec.
+	opt  *optical.Channel
+	elec *elec.Channel
 
 	// Origin host-spill state.
 	host     HostLink
+	pcie     pcieHost // the default host link
 	resident []resSet // per-MC resident host pages
 	resCap   int64    // pages per MC before eviction
-	hostOnly bool     // spill path active (DRAM-only, small capacity)
 
 	pageBytes int64
 	lineBytes int64
@@ -191,19 +139,6 @@ type Controller struct {
 	DRAMWrites   uint64
 	XPointReads  uint64
 	XPointWrites uint64
-
-	// spare* stash recycled platform-dependent components that the current
-	// configuration does not use, so a pooled rebuild that alternates
-	// platforms (a sweep grid's inner loop) keeps the big arrays — XPoint
-	// wear, two-level tags — instead of dropping them on every platform
-	// switch. Invisible to simulation: only NewIn reads or writes them.
-	spareXP     []*xpoint.Controller
-	sparePlanar []*planarState
-	spareTwolvl []*twoLevelState
-	spareOpt    *optical.Channel
-	spareElec   *elec.Channel
-	spareHost   *pcieHost
-	spareRes    []resSet
 }
 
 // New assembles the memory system for cfg. col must not be nil. host may be
@@ -213,12 +148,11 @@ func New(cfg *config.Config, col *stats.Collector, host HostLink) (*Controller, 
 	return NewIn(nil, new(sim.Pools), cfg, col, host)
 }
 
-// NewIn is New rebuilding into a recycled controller: device structures,
-// per-MC state and channel models are reinitialized in place, and
-// platform-dependent components the new configuration does not need move
-// to the spare stashes for a later cell. re may be nil — New is exactly
-// NewIn(nil, new(sim.Pools), ...) — so fresh and pooled construction share
-// one code path, which is what keeps pooled results byte-identical.
+// NewIn is New rebuilding into a recycled controller: the components cfg
+// uses are reinitialized in their slots, and every other slot is left as
+// it is. re may be nil — New is exactly NewIn(nil, new(sim.Pools), ...) —
+// so fresh and pooled construction share one code path, which is what
+// keeps pooled results byte-identical.
 func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Collector, host HostLink) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -226,53 +160,36 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 	if col == nil {
 		return nil, fmt.Errorf("hmem: nil collector")
 	}
+	n := cfg.GPU.MemCtrls
+	dramPerMC := cfg.Memory.DRAMBytes / int64(n)
+	xpPerMC := cfg.Memory.XPointBytes / int64(n)
+	lineBytes := int64(cfg.GPU.LineBytes)
+	hetero := cfg.Platform.Heterogeneous()
+	if hetero && cfg.Mode == config.TwoLevel {
+		// The tag-in-ECC design (Section III-B) only works while the
+		// direct-map tag fits the ECC region's spare bits. The DRAM cache
+		// maps the XPoint space (inclusive), so the tag distinguishes
+		// XPoint lines aliasing onto one set.
+		if need := ecc.TagBitsNeeded(xpPerMC/lineBytes, dramPerMC/lineBytes); need > ecc.TagBits {
+			return nil, fmt.Errorf(
+				"hmem: two-level tag needs %d bits, exceeding the %d-bit ECC budget (capacity ratio too large)",
+				need, ecc.TagBits)
+		}
+	}
 	if re == nil {
 		re = &Controller{}
 	}
 	c := re
-
-	// Scavenge the previous incarnation's recyclable parts into locals
-	// before the struct is overwritten. Per-bank sub-objects are nil'ed in
-	// the retained bank slice so no component is ever reachable from two
-	// owners; dram devices stay with their slot (they are only ever owned
-	// by that slot).
-	spXP, spPl, spTL := c.spareXP, c.sparePlanar, c.spareTwolvl
-	spOpt, spElec, spHost, spRes := c.spareOpt, c.spareElec, c.spareHost, c.spareRes
-	if c.Opt != nil {
-		spOpt = c.Opt
-	}
-	if c.Elec != nil {
-		spElec = c.Elec
-	}
-	if ph, ok := c.host.(*pcieHost); ok {
-		spHost = ph
-	}
-	if c.resident != nil {
-		spRes = c.resident
-	}
-	mcs := c.mcs
-	for i := range mcs {
-		b := &mcs[i]
-		if b.xp != nil {
-			spXP = append(spXP, b.xp)
-			b.xp = nil
-		}
-		if b.planar != nil {
-			spPl = append(spPl, b.planar)
-			b.planar = nil
-		}
-		if b.twolvl != nil {
-			spTL = append(spTL, b.twolvl)
-			b.twolvl = nil
-		}
-	}
-
 	*c = Controller{
 		cfg:         cfg,
 		col:         col,
 		kind:        KindFor(cfg.Platform),
+		mcs:         slots(c.mcs, n),
+		opt:         c.opt,
+		elec:        c.elec,
+		resident:    c.resident,
 		pageBytes:   int64(cfg.Memory.PageBytes),
-		lineBytes:   int64(cfg.GPU.LineBytes),
+		lineBytes:   lineBytes,
 		ddrtMsgs:    c.ddrtMsgs[:0],
 		hDMAEnergy:  col.InternEnergy("dma"),
 		hStageWait:  col.InternExtra("origin-stage-wait"),
@@ -285,89 +202,57 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 	}
 
 	if cfg.Platform.Optical() {
-		c.Opt = optical.NewChannelIn(spOpt, pools, cfg.Optical, col)
-		spOpt = nil
-		c.link = &opticalLink{ch: c.Opt, dualRoute: c.kind == MigrAutoRW || c.kind == MigrWOM || c.kind == MigrBW}
+		c.opt = optical.NewChannelIn(c.opt, pools, cfg.Optical, col)
 	} else {
-		c.Elec = elec.NewIn(spElec, pools, cfg.Electrical, col)
-		spElec = nil
-		c.link = &elecLink{ch: c.Elec}
+		c.elec = elec.NewIn(c.elec, pools, cfg.Electrical, col)
 	}
 
-	n := cfg.GPU.MemCtrls
-	if cap(mcs) < n {
-		mcs = make([]bank, n)
-	} else {
-		mcs = mcs[:n]
-	}
-	c.mcs = mcs
-	dramPerMC := cfg.Memory.DRAMBytes / int64(n)
-	xpPerMC := cfg.Memory.XPointBytes / int64(n)
 	for i := range c.mcs {
 		b := &c.mcs[i]
 		b.dram = dram.NewIn(b.dram, pools, cfg.DRAM)
-		if cfg.Platform.Heterogeneous() {
-			var reXP *xpoint.Controller
-			if k := len(spXP); k > 0 {
-				reXP, spXP = spXP[k-1], spXP[:k-1]
-			}
-			b.xp = xpoint.NewControllerIn(reXP, pools, cfg.XPoint, xpPerMC, cfg.GPU.LineBytes)
-			switch cfg.Mode {
-			case config.Planar:
-				var rePl *planarState
-				if k := len(spPl); k > 0 {
-					rePl, spPl = spPl[k-1], spPl[:k-1]
-				}
-				b.planar = newPlanarStateIn(rePl, dramPerMC, c.pageBytes, cfg.Memory.HotThreshold)
-			case config.TwoLevel:
-				// The tag-in-ECC design (Section III-B) only works while
-				// the direct-map tag fits the ECC region's spare bits. The
-				// DRAM cache maps the XPoint space (inclusive), so the tag
-				// distinguishes XPoint lines aliasing onto one set.
-				totalLines := xpPerMC / c.lineBytes
-				nSets := dramPerMC / c.lineBytes
-				if need := ecc.TagBitsNeeded(totalLines, nSets); need > ecc.TagBits {
-					return nil, fmt.Errorf(
-						"hmem: two-level tag needs %d bits, exceeding the %d-bit ECC budget (capacity ratio too large)",
-						need, ecc.TagBits)
-				}
-				var reTL *twoLevelState
-				if k := len(spTL); k > 0 {
-					reTL, spTL = spTL[k-1], spTL[:k-1]
-				}
-				b.twolvl = newTwoLevelStateIn(reTL, dramPerMC, c.lineBytes)
-			}
+		if !hetero {
+			continue
 		}
-	}
-
-	if cfg.Platform == config.Origin {
-		c.hostOnly = true
-		c.host = host
-		if c.host == nil {
-			c.host = defaultHostLinkIn(spHost, pools)
-			spHost = nil
-		}
-		resident := spRes
-		spRes = nil
-		if cap(resident) < n {
-			resident = make([]resSet, n)
+		b.xp = xpoint.NewControllerIn(b.xp, pools, cfg.XPoint, xpPerMC, cfg.GPU.LineBytes)
+		if cfg.Mode == config.Planar {
+			b.planar = newPlanarStateIn(b.planar, dramPerMC, c.pageBytes, cfg.Memory.HotThreshold)
 		} else {
-			resident = resident[:n]
-			for i := range resident {
-				resident[i].reset()
-			}
-		}
-		c.resident = resident
-		c.resCap = dramPerMC / c.pageBytes
-		if c.resCap < 1 {
-			c.resCap = 1
+			b.twolvl = newTwoLevelStateIn(b.twolvl, dramPerMC, lineBytes)
 		}
 	}
 
-	// Whatever was not consumed stays stashed for the next rebuild.
-	c.spareXP, c.sparePlanar, c.spareTwolvl = spXP, spPl, spTL
-	c.spareOpt, c.spareElec, c.spareHost, c.spareRes = spOpt, spElec, spHost, spRes
+	switch {
+	case cfg.Platform == config.Origin:
+		c.access = (*Controller).accessOrigin
+		c.host = host
+		if host == nil {
+			c.pcie = defaultHostLink(pools)
+			c.host = &c.pcie
+		}
+		c.resident = slots(c.resident, n)
+		for i := range c.resident {
+			c.resident[i].reset()
+		}
+		c.resCap = max(dramPerMC/c.pageBytes, 1)
+	case hetero && cfg.Mode == config.Planar:
+		c.access = (*Controller).accessPlanar
+	case hetero:
+		c.access = (*Controller).accessTwoLevel
+	default:
+		c.access = (*Controller).accessFlat
+	}
 	return c, nil
+}
+
+// slots returns s resliced to n elements. An element past len(s) but
+// within its capacity keeps what an earlier build left in it, so a bank
+// keeps its components while the controller count shrinks and grows back.
+func slots[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s[:n]
 }
 
 // resSet tracks one controller's resident host pages: a direct-indexed
@@ -421,13 +306,18 @@ func (r *resSet) evictOldest() int64 {
 	return victim
 }
 
-// Kind returns the controller's migration machinery.
-func (c *Controller) Kind() MigrationKind { return c.kind }
+// Optical returns the optical channel, or nil on electrical platforms.
+func (c *Controller) Optical() *optical.Channel {
+	if !c.cfg.Platform.Optical() {
+		return nil
+	}
+	return c.opt
+}
 
 // XPointAt exposes controller mc's XPoint logic-layer controller (nil on
 // DRAM-only platforms); used by wear/endurance reporting.
 func (c *Controller) XPointAt(mc int) *xpoint.Controller {
-	if mc < 0 || mc >= len(c.mcs) {
+	if !c.cfg.Platform.Heterogeneous() || mc < 0 || mc >= len(c.mcs) {
 		return nil
 	}
 	return c.mcs[mc].xp
@@ -456,22 +346,51 @@ func (c *Controller) Access(at sim.Time, addr uint64, write bool) (done sim.Time
 		c.col.Reads++
 	}
 	mc, local := c.route(addr)
-	b := &c.mcs[mc]
-
-	switch {
-	case c.hostOnly:
-		done = c.accessOrigin(mc, b, at, local, write)
-	case b.planar != nil:
-		done = c.accessPlanar(mc, b, at, local, write)
-	case b.twolvl != nil:
-		done = c.accessTwoLevel(mc, b, at, local, write)
-	default:
-		// Oracle-style flat DRAM of sufficient capacity.
-		done = c.dramAccess(mc, b, at, local, write, stats.RegularRequest)
-		c.noteDRAMLat(int64(done - at))
-	}
+	done = c.access(c, mc, &c.mcs[mc], at, local, write)
 	c.col.MemLatency.Add(done - at)
 	return done
+}
+
+// accessFlat serves one request from flat DRAM of sufficient capacity
+// (Oracle).
+func (c *Controller) accessFlat(mc int, b *bank, at sim.Time, local uint64, write bool) sim.Time {
+	done := c.dramAccess(mc, b, at, local, write, stats.RegularRequest)
+	c.noteDRAMLat(int64(done - at))
+	return done
+}
+
+// request serializes n bytes between controller mc and device dev on the
+// data route of the platform's channel, toward the device when toDevice
+// is set, and returns the transfer end. Only the optical channel has a
+// demultiplexer that dev steers.
+func (c *Controller) request(mc, dev int, toDevice bool, at sim.Time, n int, class stats.Class) sim.Time {
+	if c.cfg.Platform.Optical() {
+		dir := optical.Backward
+		if toDevice {
+			dir = optical.Forward
+		}
+		_, end := c.opt.Transfer(mc, dev, dir, at, n, class)
+		return end
+	}
+	dir := elec.Backward
+	if toDevice {
+		dir = elec.Forward
+	}
+	_, end := c.elec.Transfer(mc, dir, at, n, class)
+	return end
+}
+
+// memRoute serializes n migration bytes on controller mc's memory route,
+// the optical channel's second route (Section IV-C). Only the MigrWOM and
+// MigrBW kinds migrate over it, and MigrWOM shares the request light with
+// WOM coding to do so.
+func (c *Controller) memRoute(mc int, at sim.Time, n int) sim.Time {
+	if c.kind == MigrWOM {
+		_, end := c.opt.TransferWOMShared(mc, at, n)
+		return end
+	}
+	_, end := c.opt.TransferMemRoute(mc, at, n)
+	return end
 }
 
 // dramAccess performs command transfer + DRAM access + data transfer.
@@ -479,14 +398,14 @@ func (c *Controller) dramAccess(mc int, b *bank, at sim.Time, local uint64, writ
 	lineB := int(c.lineBytes)
 	if write {
 		// Command+data to device, then the array write completes.
-		xfer := c.link.request(mc, devDRAM, true, at, cmdBytes+lineB, class)
+		xfer := c.request(mc, devDRAM, true, at, cmdBytes+lineB, class)
 		done := b.dram.Access(xfer, local, true)
 		c.DRAMWrites++
 		return done
 	}
-	cmd := c.link.request(mc, devDRAM, true, at, cmdBytes, class)
+	cmd := c.request(mc, devDRAM, true, at, cmdBytes, class)
 	ready := b.dram.Access(cmd, local, false)
-	done := c.link.request(mc, devDRAM, false, ready, lineB, class)
+	done := c.request(mc, devDRAM, false, ready, lineB, class)
 	c.DRAMReads++
 	return done
 }
@@ -495,14 +414,14 @@ func (c *Controller) dramAccess(mc int, b *bank, at sim.Time, local uint64, writ
 func (c *Controller) xpAccess(mc int, b *bank, at sim.Time, local uint64, write bool, class stats.Class) sim.Time {
 	lineB := int(c.lineBytes)
 	if write {
-		xfer := c.link.request(mc, devXPoint, true, at, cmdBytes+lineB, class)
+		xfer := c.request(mc, devXPoint, true, at, cmdBytes+lineB, class)
 		ack := b.xp.Write(xfer, local)
 		c.XPointWrites++
 		return ack
 	}
-	cmd := c.link.request(mc, devXPoint, true, at, cmdBytes, class)
+	cmd := c.request(mc, devXPoint, true, at, cmdBytes, class)
 	ready := b.xp.Read(cmd, local)
-	done := c.link.request(mc, devXPoint, false, ready, lineB, class)
+	done := c.request(mc, devXPoint, false, ready, lineB, class)
 	c.XPointReads++
 	return done
 }

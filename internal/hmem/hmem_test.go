@@ -208,7 +208,7 @@ func TestPlanarDualRoutesCarryMigration(t *testing.T) {
 	if col.DualRouteBytes < 2*pb {
 		t.Fatalf("dual-route bytes = %d, want >= both page transfers (%d)", col.DualRouteBytes, 2*pb)
 	}
-	if c.Opt.MemRouteBusy() == 0 {
+	if c.opt.MemRouteBusy() == 0 {
 		t.Fatal("memory route never used")
 	}
 }
@@ -324,11 +324,11 @@ func TestOriginFirstTouchSlow(t *testing.T) {
 
 func TestHeteroUsesElectricalChannel(t *testing.T) {
 	c, _ := mkCtrl(t, config.Hetero, config.Planar)
-	if c.Elec == nil || c.Opt != nil {
+	if c.elec == nil || c.Optical() != nil {
 		t.Fatal("Hetero must use the electrical channel")
 	}
 	c.Access(0, 0, false)
-	if c.Elec.Busy() == 0 {
+	if c.elec.Busy() == 0 {
 		t.Fatal("electrical channel unused")
 	}
 }
@@ -336,7 +336,7 @@ func TestHeteroUsesElectricalChannel(t *testing.T) {
 func TestOpticalPlatformsUseOpticalChannel(t *testing.T) {
 	for _, p := range config.OpticalPlatforms() {
 		c, _ := mkCtrl(t, p, config.Planar)
-		if c.Opt == nil {
+		if c.Optical() == nil {
 			t.Errorf("%s must use the optical channel", p)
 		}
 	}

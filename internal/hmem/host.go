@@ -15,18 +15,14 @@ type pcieHost struct {
 	bwBps float64
 }
 
-// defaultHostLinkIn builds the default link into a recycled one (re may be
-// nil) with the DMA resource drawn from pools.
-func defaultHostLinkIn(re *pcieHost, pools *sim.Pools) *pcieHost {
-	if re == nil {
-		re = &pcieHost{}
-	}
-	*re = pcieHost{
+// defaultHostLink returns the default link with its DMA resource drawn
+// from pools.
+func defaultHostLink(pools *sim.Pools) pcieHost {
+	return pcieHost{
 		dma:   pools.Resource(),
 		setup: 2 * sim.Microsecond,
 		bwBps: 18e9, // PCIe 3.0 x16-class staging
 	}
-	return re
 }
 
 // Stage transfers n bytes between host and GPU memory. Only the wire time

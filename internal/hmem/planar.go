@@ -180,15 +180,15 @@ func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 	case MigrCopy:
 		// Read the DRAM page to the controller buffer.
 		rd := b.dram.AccessScheduled(at, dramAddr, false)
-		t := c.link.request(mc, devDRAM, false, rd, pageB, stats.DataCopy)
+		t := c.request(mc, devDRAM, false, rd, pageB, stats.DataCopy)
 		// Write it into XPoint (evicted page's slot).
-		t = c.link.request(mc, devXPoint, true, t, pageB, stats.DataCopy)
+		t = c.request(mc, devXPoint, true, t, pageB, stats.DataCopy)
 		wDone := b.xp.MigrWrite(t, uint64(evict*c.pageBytes))
 		// Read the hot page from XPoint.
 		xr := b.xp.MigrRead(wDone, uint64(page*c.pageBytes))
-		t = c.link.request(mc, devXPoint, false, xr, pageB, stats.DataCopy)
+		t = c.request(mc, devXPoint, false, xr, pageB, stats.DataCopy)
 		// Write it into the DRAM slot.
-		t = c.link.request(mc, devDRAM, true, t, pageB, stats.DataCopy)
+		t = c.request(mc, devDRAM, true, t, pageB, stats.DataCopy)
 		done = b.dram.AccessScheduled(t, dramAddr, true)
 		c.DRAMReads++
 		c.DRAMWrites++
@@ -200,15 +200,15 @@ func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 		// controller snarfs the same light (Figure 9a) and writes the page
 		// internally — no MC -> XPoint transfer.
 		rd := b.dram.AccessScheduled(at, dramAddr, false)
-		t := c.link.request(mc, devDRAM, false, rd, pageB, stats.DataCopy)
+		t := c.request(mc, devDRAM, false, rd, pageB, stats.DataCopy)
 		b.xp.Snarf(uint64(pageB))
 		c.col.SnarfedBytes += uint64(pageB)
 		wDone := b.xp.SwapWrite(t, uint64(evict*c.pageBytes))
 		// XPoint -> DRAM still goes through the controller (DRAM cannot
 		// snarf): read XPoint -> MC, write MC -> DRAM.
 		xr := b.xp.MigrRead(wDone, uint64(page*c.pageBytes))
-		t = c.link.request(mc, devXPoint, false, xr, pageB, stats.DataCopy)
-		t = c.link.request(mc, devDRAM, true, t, pageB, stats.DataCopy)
+		t = c.request(mc, devXPoint, false, xr, pageB, stats.DataCopy)
+		t = c.request(mc, devDRAM, true, t, pageB, stats.DataCopy)
 		done = b.dram.AccessScheduled(t, dramAddr, true)
 		c.DRAMReads++
 		c.DRAMWrites++
@@ -231,17 +231,16 @@ func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 		if !hs.Done() {
 			panic("hmem: swap handshake incomplete")
 		}
-		cmdEnd := c.link.request(mc, devXPoint, true, at, cmdBytes, stats.DataCopy)
+		cmdEnd := c.request(mc, devXPoint, true, at, cmdBytes, stats.DataCopy)
 		bankReady := b.dram.Preset(cmdEnd, dramAddr)
-		wom := c.kind == MigrWOM
 		// DDR sequence generator reads the DRAM page and streams it to
 		// XPoint over the memory route.
-		t := c.link.memRoute(mc, bankReady, pageB, wom)
+		t := c.memRoute(mc, bankReady, pageB)
 		xw := b.xp.SwapWrite(t, uint64(evict*c.pageBytes))
 		// Then reads the hot page from XPoint and writes it to DRAM, still
 		// on the memory route.
 		xr := b.xp.ReverseRead(xw, uint64(page*c.pageBytes))
-		t = c.link.memRoute(mc, xr, pageB, wom)
+		t = c.memRoute(mc, xr, pageB)
 		done = b.dram.AccessScheduled(t, dramAddr, true)
 		c.DRAMReads++
 		c.DRAMWrites++

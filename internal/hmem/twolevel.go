@@ -35,12 +35,9 @@ type twoLevelState struct {
 	MissDirty uint64
 }
 
-func newTwoLevelState(dramBytes, lineBytes int64) *twoLevelState {
-	return newTwoLevelStateIn(nil, dramBytes, lineBytes)
-}
-
-// newTwoLevelStateIn is newTwoLevelState rebuilding into a recycled state,
-// scrubbing the retained tag/dirty arrays through the touched journal.
+// newTwoLevelStateIn builds the two-level state of one controller into
+// re, or into a new state when re is nil. A recycled state scrubs its
+// retained tag/dirty arrays through the touched journal.
 func newTwoLevelStateIn(re *twoLevelState, dramBytes, lineBytes int64) *twoLevelState {
 	n := dramBytes / lineBytes
 	if n < 1 {
@@ -140,9 +137,9 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 
 	// Miss path. The tag check itself is a DRAM read: command + line
 	// response (metadata rides the ECC bits of the same line).
-	cmd := c.link.request(mc, devDRAM, true, at, cmdBytes, stats.RegularRequest)
+	cmd := c.request(mc, devDRAM, true, at, cmdBytes, stats.RegularRequest)
 	tagRead := b.dram.Access(cmd, dramAddr, false)
-	tagResp := c.link.request(mc, devDRAM, false, tagRead, lineB, stats.RegularRequest)
+	tagResp := c.request(mc, devDRAM, false, tagRead, lineB, stats.RegularRequest)
 	c.DRAMReads++
 
 	victim := t.tag[set]
@@ -155,7 +152,7 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 		switch c.kind {
 		case MigrCopy:
 			// Controller pushes the victim over the data route.
-			tr := c.link.request(mc, devXPoint, true, tagResp, lineB, stats.DataCopy)
+			tr := c.request(mc, devXPoint, true, tagResp, lineB, stats.DataCopy)
 			evictDone = b.xp.MigrWrite(tr, uint64(victim)*uint64(c.lineBytes))
 			c.XPointWrites++
 		default:
@@ -180,7 +177,7 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 		// the copy baseline.
 		xr = evictDone
 	}
-	demandDone := c.link.request(mc, devXPoint, false, xr, lineB, stats.RegularRequest)
+	demandDone := c.request(mc, devXPoint, false, xr, lineB, stats.RegularRequest)
 	c.XPointReads++
 
 	// Install the line in DRAM.
@@ -198,11 +195,11 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 				panic(fmt.Sprintf("hmem: reverse-write protocol violation: %v", err))
 			}
 		}
-		tr := c.link.memRoute(mc, xr, lineB, c.kind == MigrWOM)
+		tr := c.memRoute(mc, xr, lineB)
 		fillDone = b.dram.AccessScheduled(tr, dramAddr, true)
 	default:
 		// Controller writes the fill over the data route.
-		tr := c.link.request(mc, devDRAM, true, demandDone, cmdBytes+lineB, stats.DataCopy)
+		tr := c.request(mc, devDRAM, true, demandDone, cmdBytes+lineB, stats.DataCopy)
 		fillDone = b.dram.AccessScheduled(tr, dramAddr, true)
 	}
 	c.DRAMWrites++

@@ -37,7 +37,6 @@ type Channel struct {
 	cfg  config.OpticalConfig
 	pm   *PowerModel
 	col  *stats.Collector
-	wom  WOM
 	data []*sim.GapResource // data route per VC x direction (2 per VC)
 	mem  []*sim.GapResource // memory route per virtual channel (dual routes)
 	last []int              // last device granted per VC x direction
@@ -120,9 +119,6 @@ func reuseSlice[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// PowerModel exposes the channel's power/BER model.
-func (c *Channel) PowerModel() *PowerModel { return c.pm }
 
 // serialization returns how long n bytes occupy one virtual channel.
 // womTaxed selects whether an active WOM sharing window (or being the

@@ -238,9 +238,6 @@ func jobSeq(id string) int {
 	return n
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Size returns the current journal size in bytes.
 func (j *Journal) Size() int64 {
 	j.mu.Lock()

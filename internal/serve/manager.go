@@ -70,19 +70,12 @@ func (r Request) Kind() string {
 	return "experiment"
 }
 
-// Validate checks that the request names exactly one runnable thing and
-// that it expands cleanly — bad override paths, unknown presets and
-// malformed workloads are rejected at submission with the offending path
-// in the error, not when the job runs.
-func (r Request) Validate() error {
-	_, _, err := r.prepare()
-	return err
-}
-
-// prepare validates and canonicalizes the request: the experiment id takes
-// its registry spelling, a scenario becomes its one-cell sweep, and sweep
-// specs are expanded and per-cell validated so a bad submission gets a 400
-// here rather than a failed job later. The returned cells exist for
+// prepare validates and canonicalizes the request: it must name exactly
+// one runnable thing, the experiment id takes its registry spelling, a
+// scenario becomes its one-cell sweep, and sweep specs are expanded and
+// per-cell validated. Bad override paths, unknown presets and malformed
+// workloads thus get a 400 naming the offending path at submission rather
+// than a failed job later. The returned cells exist for
 // validation only; Submit drops them (see its comment).
 func (r Request) prepare() (Request, []batch.Cell, error) {
 	n := 0

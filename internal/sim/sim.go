@@ -25,9 +25,6 @@ const (
 	Second      Time = 1_000_000_000_000
 )
 
-// Forever is a sentinel time later than any event a simulation schedules.
-const Forever Time = 1<<62 - 1
-
 // String renders the time with an adaptive unit, e.g. "1.234us".
 func (t Time) String() string {
 	switch {

@@ -312,23 +312,6 @@ func (d *zipfDist) missTopShare(t, stream, split float64) float64 {
 	return top / total
 }
 
-// topMass returns the popularity mass of the k hottest ranks.
-func (d *zipfDist) topMass(k float64) float64 {
-	var mass float64
-	for _, b := range d.buckets {
-		if k <= 0 {
-			break
-		}
-		take := b.items
-		if take > k {
-			take = k
-		}
-		mass += take * b.p
-		k -= take
-	}
-	return mass
-}
-
 // dramResidency models planar hot-page migration: pages whose expected
 // reference count reaches the hot threshold eventually swap into DRAM
 // (hottest first, bounded by maxPages — DRAM slots or the swap-rate

@@ -18,6 +18,8 @@ import (
 	"sort"
 
 	"repro/internal/config"
+	"repro/internal/energy"
+	"repro/internal/optical"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -51,9 +53,6 @@ const (
 	utilizationCap = 0.95
 	// xpInflateCap bounds XPoint partition-contention latency inflation.
 	xpInflateCap = 4.0
-	// womOverhead is the WOM-coded request serialization expansion while a
-	// swap shares the forward light (optical.Overhead).
-	womOverhead = 1.5
 	// hotFilterBlend interpolates the hottest-VC traffic concentration
 	// between the post-L2 miss stream (0: hot pages hit on-chip, traffic is
 	// near-uniform) and the raw popularity stream (1: no filtering). The L2
@@ -361,7 +360,7 @@ func (e *est) serMemRoute(n float64, wom bool) float64 {
 		t = e.slot
 	}
 	if wom {
-		t *= womOverhead
+		t *= optical.Overhead
 	}
 	return t + e.memTune
 }
@@ -635,7 +634,7 @@ func (e *est) passPlanar(elapsed float64, o *passOut) {
 		if womFrac > 1 {
 			womFrac = 1
 		}
-		o.busyFwdReg *= 1 + (womOverhead-1)*womFrac
+		o.busyFwdReg *= 1 + (optical.Overhead-1)*womFrac
 	}
 
 	// Demux retuning when DRAM- and XPoint-bound transfers alternate on a
@@ -660,7 +659,7 @@ func (e *est) passPlanar(elapsed float64, o *passOut) {
 	fwBusy := o.busyFwdReg + o.busyFwdCopy
 	fw := queueWait(fwBusy, float64(e.vcs), fwBusy/math.Max(reqs+4*swaps, 1), elapsed)
 	if wom {
-		fw += (womOverhead - 1) * womFrac * serCmd
+		fw += (optical.Overhead - 1) * womFrac * serCmd
 	}
 	bw := queueWait(o.busyBwdReg+o.busyBwdCopy, float64(e.vcs), serLine, elapsed)
 	dWait := e.hotBankWait((reads+writes)*dFrac, elapsed)
@@ -732,7 +731,7 @@ func (e *est) passTwoLevel(elapsed float64, o *passOut) {
 		if womFrac > 1 {
 			womFrac = 1
 		}
-		o.busyFwdReg *= 1 + (womOverhead-1)*womFrac
+		o.busyFwdReg *= 1 + (optical.Overhead-1)*womFrac
 	}
 	if e.optical {
 		pSwitch := 2 * (1 - hDC) * hDC
@@ -867,25 +866,21 @@ func (e *est) report() stats.Report {
 		rep.CopyFraction = busyCopy / (busyReg + busyCopy)
 	}
 
-	// Energy: the exact coefficient mirror of energy.Model plus the
-	// channel-incremental terms the concrete channels accumulate.
-	em := energyModel()
+	// Energy: energy.Model's coefficients and the optical power model's
+	// laser term, plus the channel-incremental terms the concrete channels
+	// accumulate.
+	em := energy.Default()
 	dramGB := float64(e.cfg.Memory.DRAMBytes) / float64(1<<30)
-	rep.EnergyPJ["dram-static"] = em.static * dramGB * sec * 1e9
-	rep.EnergyPJ["dram-dynamic"] = (o.dramReads + o.dramWrites) * em.dynamic
+	rep.EnergyPJ["dram-static"] = em.DRAMStaticMWPerGB * dramGB * sec * 1e9
+	rep.EnergyPJ["dram-dynamic"] = (o.dramReads + o.dramWrites) * em.DRAMDynamicPJPerAccess
 	if e.cfg.Platform.Heterogeneous() {
-		rep.EnergyPJ["xpoint"] = o.xpReads*em.xpRead + o.xpWrites*em.xpWrite
+		rep.EnergyPJ["xpoint"] = o.xpReads*em.XPointReadPJ + o.xpWrites*em.XPointWritePJ
 	}
 	allBytes := o.regBytes + o.copyBytes + o.dualBytes
 	if e.optical {
-		oc := &e.cfg.Optical
-		b := oc.LaserBoost
-		if b <= 0 {
-			b = 1
-		}
-		laserMW := oc.LaserPowerMW * b * float64(oc.VirtualChannels) * float64(oc.Waveguides)
+		laserMW := optical.NewPowerModel(e.cfg.Optical).LaserPowerMW()
 		rep.EnergyPJ["opti-network"] = laserMW*sec*1e9 +
-			allBytes*8*oc.MRRTuningFJPerBit/1000
+			allBytes*8*e.cfg.Optical.MRRTuningFJPerBit/1000
 	} else {
 		rep.EnergyPJ["elec-channel"] = allBytes * 8 * e.cfg.Electrical.PJPerBit
 	}
@@ -908,17 +903,6 @@ func p99Bucket(sec float64) sim.Time {
 	ns := uint64(sec * 1e9)
 	b := bits.Len64(ns)
 	return sim.Time(uint64(1)<<uint(b)) * sim.Nanosecond
-}
-
-// energyModel mirrors energy.Default's coefficients. Kept literal (the
-// values are part of the published calibration) so the twin does not import
-// the energy package's collector machinery.
-type energyCoeffs struct {
-	static, dynamic, xpRead, xpWrite float64
-}
-
-func energyModel() energyCoeffs {
-	return energyCoeffs{static: 5000, dynamic: 1000, xpRead: 6400, xpWrite: 19200}
 }
 
 // HitRates exposes the twin's L1/L2 hit-rate estimates for a configuration

@@ -255,9 +255,6 @@ func (c *Controller) noteWear(pline int64) {
 	c.wear[pline]++
 }
 
-// Device exposes the raw device (used by tests and energy accounting).
-func (c *Controller) Device() *Device { return c.dev }
-
 // Gap exposes the wear-levelling state (for tests/ablation).
 func (c *Controller) Gap() *StartGap { return c.sg }
 
