@@ -504,8 +504,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: clock frequencies must be positive: core %v Hz, optical %v Hz, electrical %v Hz",
 			c.GPU.CoreFreqHz, c.Optical.FreqHz, c.Electrical.FreqHz)
 	}
-	if c.Memory.DRAMBytes <= 0 {
-		return fmt.Errorf("config: DRAM capacity must be positive")
+	// Each memory controller's DRAM share divides Origin's addresses.
+	if c.Memory.DRAMBytes < int64(c.GPU.MemCtrls) {
+		return fmt.Errorf("config: memory.dram_bytes %d must be at least gpu.mem_ctrls (%d), a byte per memory controller",
+			c.Memory.DRAMBytes, c.GPU.MemCtrls)
 	}
 	if c.Platform.Heterogeneous() && c.Memory.XPointBytes <= 0 {
 		return fmt.Errorf("config: %s requires XPoint capacity", c.Platform)
@@ -514,8 +516,33 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: page size %d must be a positive multiple of line size %d",
 			c.Memory.PageBytes, c.GPU.LineBytes)
 	}
-	if c.Memory.HotThreshold < 1 {
-		return fmt.Errorf("config: memory.hot_threshold %d must be at least 1", c.Memory.HotThreshold)
+	// Sizes and divisors a component reads. Each binds only where that
+	// component is built: the electrical channel on Origin and Hetero, the
+	// optical one elsewhere, XPoint on the heterogeneous platforms. Below
+	// its bound a value panics a cell or makes its channel free.
+	elec, xp := !c.Platform.Optical(), c.Platform.Heterogeneous()
+	for _, b := range []struct {
+		path    string
+		v       int
+		applies bool
+	}{
+		{"memory.hot_threshold", c.Memory.HotThreshold, true},
+		{"dram.row_bytes", c.DRAM.RowBytes, true},
+		{"xpoint.read_buf_ent", c.XPoint.ReadBufEnt, xp},
+		{"xpoint.write_buf_ent", c.XPoint.WriteBufEnt, xp},
+		{"optical.channel_bits", c.Optical.ChannelBits, !elec},
+		{"electrical.lane_bits", c.Electrical.LaneBits, elec},
+	} {
+		if b.applies && b.v < 1 {
+			return fmt.Errorf("config: %s %d must be at least 1", b.path, b.v)
+		}
+	}
+	if elec && c.Electrical.Channels < c.GPU.MemCtrls {
+		return fmt.Errorf("config: electrical.channels %d must be at least gpu.mem_ctrls (%d), one channel per memory controller",
+			c.Electrical.Channels, c.GPU.MemCtrls)
+	}
+	if elec && !(c.Electrical.PJPerBit >= 0) {
+		return fmt.Errorf("config: electrical.pj_per_bit %v must not be negative", c.Electrical.PJPerBit)
 	}
 	if c.XPoint.ReadLatency <= 0 || c.XPoint.WriteLatency <= 0 {
 		return fmt.Errorf("config: XPoint latencies must be positive")

@@ -182,6 +182,52 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			t.Errorf("Validate accepted config with %s", m.name)
 		}
 	}
+
+	// Overrides that panicked a cell or made its channel free fail with an
+	// error naming their path, on the platforms that build the component,
+	// and bind nowhere else. memory.dram_bytes below one byte per
+	// controller panicked Origin's cells.
+	named := []struct {
+		p      Platform
+		m      MemMode
+		path   string
+		v      int
+		reject bool
+	}{
+		{Origin, Planar, "dram.row_bytes", 0, true},
+		{Origin, TwoLevel, "memory.dram_bytes", 5, true},
+		{OhmBW, TwoLevel, "dram.row_bytes", 0, true},
+		{Origin, Planar, "electrical.channels", 3, true},
+		{Hetero, Planar, "electrical.channels", 3, true},
+		{Hetero, TwoLevel, "electrical.channels", 0, true},
+		{Hetero, Planar, "electrical.channels", -1, true},
+		{OhmBW, Planar, "electrical.channels", 3, false},
+		{Hetero, Planar, "electrical.lane_bits", 0, true},
+		{OhmBW, Planar, "electrical.lane_bits", 0, false},
+		{Hetero, Planar, "electrical.pj_per_bit", -1, true},
+		{OhmBW, Planar, "electrical.pj_per_bit", -1, false},
+		{Hetero, TwoLevel, "xpoint.read_buf_ent", 0, true},
+		{OhmBW, Planar, "xpoint.read_buf_ent", -1, true},
+		{OhmBW, Planar, "xpoint.write_buf_ent", 0, true},
+		{Hetero, Planar, "xpoint.write_buf_ent", -1, true},
+		{Oracle, Planar, "xpoint.read_buf_ent", 0, false},
+		{OhmBW, Planar, "optical.channel_bits", 0, true},
+		{OhmBW, TwoLevel, "optical.channel_bits", -8, true},
+		{Hetero, Planar, "optical.channel_bits", 0, false},
+	}
+	for _, n := range named {
+		c := Default(n.p, n.m)
+		if err := c.Set(n.path, n.v); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Validate()
+		if n.reject && (err == nil || !strings.Contains(err.Error(), n.path)) {
+			t.Errorf("%s/%s %s=%d: Validate = %v, want an error naming the path", n.p, n.m, n.path, n.v, err)
+		}
+		if !n.reject && err != nil {
+			t.Errorf("%s/%s %s=%d: Validate = %v, want nil where the component is not built", n.p, n.m, n.path, n.v, err)
+		}
+	}
 }
 
 // TestValidateNamesHotThreshold: a threshold below 1 is rejected with an

@@ -57,7 +57,7 @@ func NewSystemIn(st *RunState, cfg config.Config) (*System, error) {
 // newSystem is NewSystemIn with a host/storage link for Origin's spill
 // path (nil means the default PCIe model). A new state and a recycled one
 // take the same path: the components are reinitialized through their NewIn
-// constructors from the state's pools, which is what guarantees a pooled
+// constructors on the state's engine, which is what guarantees a pooled
 // System produces byte-identical reports.
 func newSystem(st *RunState, cfg config.Config, host hmem.HostLink) (*System, error) {
 	if err := cfg.Validate(); err != nil {

@@ -10,12 +10,13 @@ import (
 )
 
 // RunState owns the recyclable allocations of one simulation run: the
-// device structures (GPU, memory controllers, caches, channel models), the
-// stats counter arenas, the event engine and the resource pools. Every
-// System is built into one: a new, empty state for a one-off build, or a
-// recycled one for a sweep cell, which acquires it, builds its System into
-// it, and releases it for the next cell — warm cells then reuse the
-// previous cell's arrays instead of reallocating them.
+// device structures (GPU, memory controllers, caches, channel models, and
+// the occupancy tables each of them keeps), the stats counter arenas and
+// the event engine. Every System is built into one: a new, empty state for
+// a one-off build, or a recycled one for a sweep cell, which acquires it,
+// builds its System into it, and releases it for the next cell — warm
+// cells then reuse the previous cell's arrays instead of reallocating
+// them.
 //
 // A RunState must never back two live Systems at once: the System returned
 // by NewSystemIn aliases the state's components, so release it only after

@@ -177,7 +177,7 @@ func TestPooledHostLinkRecycling(t *testing.T) {
 }
 
 // TestPooledSlotAdjacencies runs, into one state and in a fixed order, the
-// adjacencies that depend on hmem.Controller leaving each slot the current
+// adjacencies that depend on each component leaving every slot the current
 // cell does not use as the previous cell left it. Each cell must be
 // byte-identical to the same cell built into a new state:
 //   - a probe of a component the platform lacks, after a cell that used it
@@ -185,10 +185,20 @@ func TestPooledHostLinkRecycling(t *testing.T) {
 //     Oracle after an Ohm-BW cell), reads 0 rather than the stale count;
 //   - a two-level cell between two planar ones;
 //   - the controller count going 6 -> 3 -> 6, so the last cell reuses
-//     banks that the middle one left alone.
+//     banks that the middle one left alone;
+//   - each leaf count shrinking and growing back the same way, so the last
+//     cell reuses slots, occupancy tables included, that the middle one
+//     left alone: DRAM banks, XPoint partitions, SMs, the detailed NoC's
+//     ports and Hetero's electrical channels.
 func TestPooledSlotAdjacencies(t *testing.T) {
 	dynamic := func(c *config.Config) { c.Optical.DynamicDivision = true }
 	threeMCs := func(c *config.Config) { c.GPU.MemCtrls, c.Optical.VirtualChannels = 3, 3 }
+	fourBanks := func(c *config.Config) { c.DRAM.Banks = 4 }
+	fourParts := func(c *config.Config) { c.XPoint.Partitions = 4 }
+	fourSMs := func(c *config.Config) { c.GPU.SMs = 4 }
+	noc := func(c *config.Config) { c.GPU.NoCDetailed = true }
+	noc3 := func(c *config.Config) { noc(c); threeMCs(c) }
+	threeChannels := func(c *config.Config) { c.GPU.MemCtrls, c.Electrical.Channels = 3, 3 }
 	cells := []struct {
 		p    config.Platform
 		m    config.MemMode
@@ -209,9 +219,21 @@ func TestPooledSlotAdjacencies(t *testing.T) {
 		{config.OhmWOM, config.Planar, "bfstopo", DefaultRun, nil, ""},
 		{config.OhmWOM, config.Planar, "bfstopo", DefaultRun, threeMCs, ""},
 		{config.OhmWOM, config.Planar, "bfstopo", DefaultRun, nil, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, fourBanks, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, nil, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, fourParts, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, nil, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, fourSMs, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, nil, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, noc, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, noc3, ""},
+		{config.OhmBW, config.Planar, "sssp", DefaultRun, noc, ""},
+		{config.Hetero, config.Planar, "sssp", DefaultRun, nil, ""},
+		{config.Hetero, config.Planar, "sssp", DefaultRun, threeChannels, ""},
+		{config.Hetero, config.Planar, "sssp", DefaultRun, nil, ""},
 	}
 	st := new(RunState)
-	for _, c := range cells {
+	for i, c := range cells {
 		w, ok := config.WorkloadByName(c.w)
 		if !ok {
 			t.Fatalf("%s missing", c.w)
@@ -220,7 +242,7 @@ func TestPooledSlotAdjacencies(t *testing.T) {
 		if c.knob != nil {
 			c.knob(&cfg)
 		}
-		label := fmt.Sprintf("%s/%s/%s#%s/%d MCs", c.p, c.m, c.w, c.v, cfg.GPU.MemCtrls)
+		label := fmt.Sprintf("cell %d %s/%s/%s#%s/%d MCs", i, c.p, c.m, c.w, c.v, cfg.GPU.MemCtrls)
 		run := func(dst *RunState) []byte {
 			rep, _, err := Run(dst, cfg, w, c.v)
 			if err != nil {

@@ -29,14 +29,18 @@ const localHolder = "local"
 
 // Dispatcher is the coordinator-side Executor: cells enter a FIFO queue,
 // registered workers lease them over HTTP and ship reports back, and the
-// coordinator's own runner optionally consumes from the same queue (so a
-// coordinator with no workers degrades to exactly the single-process
-// path). Leases carry deadlines; a worker that stops heartbeating has its
-// cells requeued, an idle worker may steal a long-running cell (duplicate
-// execution is safe — results are content-addressed and deterministic,
-// first completion wins), and every returned report is inserted into the
-// runner's cache so warm reruns answer locally no matter who computed
-// what.
+// coordinator's own runner optionally consumes from the same queue, so a
+// coordinator with no workers returns the single-process path's reports.
+// It does not run a job the way batch.LocalExecutor does, though: each
+// local consumer resolves one cell at a time through Runner.RunCell, which
+// pins no traces for the job, lands each result in the cache before its
+// next cell starts and generates no trace ahead, so its timings are not a
+// LocalExecutor run's. Leases carry deadlines; a worker that stops
+// heartbeating has its cells requeued, an idle worker may steal a
+// long-running cell (duplicate execution is safe — results are
+// content-addressed and deterministic, first completion wins), and every
+// returned report is inserted into the runner's cache so warm reruns
+// answer locally no matter who computed what.
 //
 // One Dispatcher serves every job in the process, which preserves the
 // single-flight guarantee across jobs: two jobs requesting the same cell

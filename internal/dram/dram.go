@@ -21,7 +21,7 @@ import (
 // bank tracks one bank's row-buffer state and occupancy.
 type bank struct {
 	openRow int64 // -1 when precharged (no open row)
-	res     *sim.GapResource
+	res     sim.GapResource
 }
 
 // Device is one DRAM device on the memory channel.
@@ -43,24 +43,18 @@ func New(cfg config.DRAMConfig) *Device {
 	return NewIn(nil, new(sim.Pools), cfg)
 }
 
-// NewIn is New rebuilding into a recycled device: the bank slice keeps its
-// capacity and the per-bank gap resources come from pools. re may be nil
-// (New is NewIn(nil, new(sim.Pools), cfg)), so fresh and pooled
-// construction share one code path.
+// NewIn is New rebuilding into a recycled device: each bank, gap table
+// included, is rebuilt in its slot, and the tables are clocked by the
+// pools' engine. re may be nil (New is NewIn(nil, new(sim.Pools), cfg)),
+// so fresh and pooled construction share one code path.
 func NewIn(re *Device, pools *sim.Pools, cfg config.DRAMConfig) *Device {
 	if re == nil {
 		re = &Device{}
 	}
-	banks := re.banks
-	if cap(banks) < cfg.Banks {
-		banks = make([]bank, cfg.Banks)
-	} else {
-		banks = banks[:cfg.Banks]
-	}
-	*re = Device{cfg: cfg, banks: banks, lastActivate: -cfg.TRRD}
-	for i := range banks {
-		banks[i].openRow = -1
-		banks[i].res = pools.GapResource()
+	*re = Device{cfg: cfg, banks: sim.Slots(re.banks, cfg.Banks), lastActivate: -cfg.TRRD}
+	for i := range re.banks {
+		re.banks[i].openRow = -1
+		pools.Table(&re.banks[i].res)
 	}
 	return re
 }

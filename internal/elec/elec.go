@@ -29,7 +29,7 @@ const (
 type Channel struct {
 	cfg      config.ElectricalConfig
 	col      *stats.Collector
-	lanes    []*sim.GapResource
+	lanes    []sim.GapResource
 	wordTime sim.Time
 	laneB    float64
 
@@ -46,9 +46,10 @@ func New(cfg config.ElectricalConfig, col *stats.Collector) *Channel {
 	return NewIn(nil, new(sim.Pools), cfg, col)
 }
 
-// NewIn is New rebuilding into a recycled channel set with lane resources
-// drawn from pools; re may be nil (New is NewIn(nil, new(sim.Pools),
-// ...)), so fresh and pooled construction share one code path.
+// NewIn is New rebuilding into a recycled channel set: the lane tables are
+// rebuilt in their slots and clocked by the pools' engine. re may be nil
+// (New is NewIn(nil, new(sim.Pools), ...)), so fresh and pooled
+// construction share one code path.
 func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, col *stats.Collector) *Channel {
 	if cfg.Channels <= 0 {
 		panic("elec: need at least one channel")
@@ -60,24 +61,15 @@ func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, col *stat
 	if re == nil {
 		re = &Channel{}
 	}
-	lanes := re.lanes
-	if cap(lanes) < 2*cfg.Channels {
-		lanes = make([]*sim.GapResource, 2*cfg.Channels)
-	} else {
-		lanes = lanes[:2*cfg.Channels]
-	}
 	*re = Channel{
 		cfg:      cfg,
 		col:      col,
-		lanes:    lanes,
+		lanes:    pools.Tables(re.lanes, 2*cfg.Channels),
 		wordTime: sim.Time(float64(sim.FreqToPeriod(cfg.FreqHz))*scale + 0.5),
 		laneB:    float64(cfg.LaneBits) / 8,
 	}
 	if col != nil {
 		re.hEnergy = col.InternEnergy("elec-channel")
-	}
-	for i := range lanes {
-		lanes[i] = pools.GapResource()
 	}
 	return re
 }
@@ -105,8 +97,8 @@ func (c *Channel) Transfer(ch int, dir Direction, at sim.Time, n int, class stat
 // Busy returns total occupancy across channels.
 func (c *Channel) Busy() sim.Time {
 	var t sim.Time
-	for _, l := range c.lanes {
-		t += l.Busy()
+	for i := range c.lanes {
+		t += c.lanes[i].Busy()
 	}
 	return t
 }

@@ -32,7 +32,7 @@ type MemAccessor interface {
 
 // sm is one streaming multiprocessor.
 type sm struct {
-	issue *sim.Resource // one instruction per core cycle
+	issue sim.Resource // one instruction per core cycle
 	l1    *cache.Cache
 }
 
@@ -132,7 +132,7 @@ func New(cfg *config.Config, col *stats.Collector, mem MemAccessor) (*GPU, error
 // NewIn is New rebuilding into a recycled GPU: the SM array, per-SM L1s,
 // the shared L2, the MSHR table and the warp state keep their allocated
 // capacity and are reinitialized in place. The GPU runs on the pools'
-// engine, the clock behind their gap tables. re may be nil (New is
+// engine, the clock of the run's gap tables. re may be nil (New is
 // NewIn(nil, new(sim.Pools), ...)), so fresh and pooled construction share
 // one code path.
 func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, mem MemAccessor) (*GPU, error) {
@@ -149,12 +149,6 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 		re = &GPU{}
 	}
 	g := re
-	sms := g.sms
-	if cap(sms) < cfg.GPU.SMs {
-		sms = make([]sm, cfg.GPU.SMs)
-	} else {
-		sms = sms[:cfg.GPU.SMs]
-	}
 	mshrEntries := g.mshr.entries
 	*g = GPU{
 		cfg:   cfg,
@@ -162,7 +156,7 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 		mem:   mem,
 		eng:   pools.Engine(),
 		cycle: sim.FreqToPeriod(cfg.GPU.CoreFreqHz),
-		sms:   sms,
+		sms:   sim.Slots(g.sms, cfg.GPU.SMs),
 		l2:    g.l2,
 		warps: g.warps[:0],
 		xbar:  g.xbar,
@@ -172,7 +166,7 @@ func NewIn(re *GPU, pools *sim.Pools, cfg *config.Config, col *stats.Collector, 
 		if err != nil {
 			return nil, err
 		}
-		g.sms[i] = sm{issue: pools.Resource(), l1: l1}
+		g.sms[i] = sm{l1: l1}
 	}
 	l2, err := cache.NewIn(g.l2, "l2", cfg.GPU.L2SizeBytes, cfg.GPU.L2Ways, cfg.GPU.LineBytes)
 	if err != nil {

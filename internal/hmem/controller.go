@@ -184,7 +184,7 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 		cfg:         cfg,
 		col:         col,
 		kind:        KindFor(cfg.Platform),
-		mcs:         slots(c.mcs, n),
+		mcs:         sim.Slots(c.mcs, n),
 		opt:         c.opt,
 		elec:        c.elec,
 		resident:    c.resident,
@@ -226,10 +226,10 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 		c.access = (*Controller).accessOrigin
 		c.host = host
 		if host == nil {
-			c.pcie = defaultHostLink(pools)
+			c.pcie = defaultHostLink()
 			c.host = &c.pcie
 		}
-		c.resident = slots(c.resident, n)
+		c.resident = sim.Slots(c.resident, n)
 		for i := range c.resident {
 			c.resident[i].reset()
 		}
@@ -242,17 +242,6 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 		c.access = (*Controller).accessFlat
 	}
 	return c, nil
-}
-
-// slots returns s resliced to n elements. An element past len(s) but
-// within its capacity keeps what an earlier build left in it, so a bank
-// keeps its components while the controller count shrinks and grows back.
-func slots[T any](s []T, n int) []T {
-	s = s[:cap(s)]
-	if len(s) < n {
-		s = append(s, make([]T, n-len(s))...)
-	}
-	return s[:n]
 }
 
 // resSet tracks one controller's resident host pages: a direct-indexed

@@ -10,16 +10,14 @@ import (
 // (Section VI-A: Origin degrades 42% versus Hetero). The controller's
 // accessOrigin charges the staging energy, for this link and any other.
 type pcieHost struct {
-	dma   *sim.Resource
+	dma   sim.Resource
 	setup sim.Time
 	bwBps float64
 }
 
-// defaultHostLink returns the default link with its DMA resource drawn
-// from pools.
-func defaultHostLink(pools *sim.Pools) pcieHost {
+// defaultHostLink returns the default link with an idle DMA engine.
+func defaultHostLink() pcieHost {
 	return pcieHost{
-		dma:   pools.Resource(),
 		setup: 2 * sim.Microsecond,
 		bwBps: 18e9, // PCIe 3.0 x16-class staging
 	}

@@ -35,7 +35,7 @@ func Default() Config {
 // Crossbar is the contention-aware interconnect.
 type Crossbar struct {
 	cfg      Config
-	ports    []*sim.GapResource
+	ports    []sim.GapResource
 	flitTime sim.Time
 
 	Traversals uint64
@@ -46,9 +46,10 @@ func New(cfg Config) (*Crossbar, error) {
 	return NewIn(nil, new(sim.Pools), cfg)
 }
 
-// NewIn is New rebuilding into a recycled crossbar with port resources
-// drawn from pools; re may be nil (New is NewIn(nil, new(sim.Pools),
-// cfg)), so fresh and pooled construction share one code path.
+// NewIn is New rebuilding into a recycled crossbar: the port tables are
+// rebuilt in their slots and clocked by the pools' engine. re may be nil
+// (New is NewIn(nil, new(sim.Pools), cfg)), so fresh and pooled
+// construction share one code path.
 func NewIn(re *Crossbar, pools *sim.Pools, cfg Config) (*Crossbar, error) {
 	if cfg.Ports <= 0 {
 		return nil, fmt.Errorf("noc: need at least one port, got %d", cfg.Ports)
@@ -59,15 +60,10 @@ func NewIn(re *Crossbar, pools *sim.Pools, cfg Config) (*Crossbar, error) {
 	if re == nil {
 		re = &Crossbar{}
 	}
-	ports := re.ports
-	if cap(ports) < cfg.Ports {
-		ports = make([]*sim.GapResource, cfg.Ports)
-	} else {
-		ports = ports[:cfg.Ports]
-	}
-	*re = Crossbar{cfg: cfg, flitTime: sim.FreqToPeriod(cfg.FreqHz), ports: ports}
-	for i := range ports {
-		ports[i] = pools.GapResource()
+	*re = Crossbar{
+		cfg:      cfg,
+		ports:    pools.Tables(re.ports, cfg.Ports),
+		flitTime: sim.FreqToPeriod(cfg.FreqHz),
 	}
 	return re, nil
 }
@@ -82,7 +78,7 @@ func (x *Crossbar) port(addr uint64, lineBytes int) int {
 // returns when the message has fully arrived: hop latency plus the flit
 // serialization on the destination port, queued behind other traffic.
 func (x *Crossbar) Traverse(at sim.Time, addr uint64, n, lineBytes int) sim.Time {
-	p := x.ports[x.port(addr, lineBytes)]
+	p := &x.ports[x.port(addr, lineBytes)]
 	flits := (n + x.cfg.FlitBytes - 1) / x.cfg.FlitBytes
 	if flits < 1 {
 		flits = 1
@@ -99,8 +95,8 @@ func (x *Crossbar) Utilization(elapsed sim.Time) float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, p := range x.ports {
-		sum += p.Utilization(elapsed)
+	for i := range x.ports {
+		sum += x.ports[i].Utilization(elapsed)
 	}
 	return sum / float64(len(x.ports))
 }

@@ -37,9 +37,9 @@ type Channel struct {
 	cfg  config.OpticalConfig
 	pm   *PowerModel
 	col  *stats.Collector
-	data []*sim.GapResource // data route per VC x direction (2 per VC)
-	mem  []*sim.GapResource // memory route per virtual channel (dual routes)
-	last []int              // last device granted per VC x direction
+	data []sim.GapResource // data route per VC x direction (2 per VC)
+	mem  []sim.GapResource // memory route per virtual channel (dual routes)
+	last []int             // last device granted per VC x direction
 	// womActive marks VCs whose light is currently shared by a WOM-coded
 	// swap; request serialization on them pays the 3/2 overhead.
 	womActive []sim.Time // until when WOM sharing is active per VC
@@ -64,9 +64,10 @@ func NewChannel(cfg config.OpticalConfig, col *stats.Collector) *Channel {
 }
 
 // NewChannelIn is NewChannel rebuilding into a recycled channel: the
-// per-VC slices keep their capacity and the route resources come from
-// pools. re may be nil (NewChannel is NewChannelIn(nil, new(sim.Pools),
-// ...)), so fresh and pooled construction share one code path.
+// per-VC slices, route tables included, are rebuilt in their slots, and
+// the tables are clocked by the pools' engine. re may be nil (NewChannel
+// is NewChannelIn(nil, new(sim.Pools), ...)), so fresh and pooled
+// construction share one code path.
 func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *stats.Collector) *Channel {
 	if cfg.VirtualChannels <= 0 {
 		panic("optical: need at least one virtual channel")
@@ -85,20 +86,16 @@ func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *
 		cfg:       cfg,
 		pm:        pm,
 		col:       col,
-		data:      reuseSlice(c.data, 2*cfg.VirtualChannels),
-		mem:       reuseSlice(c.mem, cfg.VirtualChannels),
-		last:      reuseSlice(c.last, 2*cfg.VirtualChannels),
-		womActive: reuseSlice(c.womActive, cfg.VirtualChannels),
+		data:      pools.Tables(c.data, 2*cfg.VirtualChannels),
+		mem:       pools.Tables(c.mem, cfg.VirtualChannels),
+		last:      sim.Slots(c.last, 2*cfg.VirtualChannels),
+		womActive: sim.Slots(c.womActive, cfg.VirtualChannels),
 	}
 	if col != nil {
 		c.hEnergy = col.InternEnergy("opti-network")
 	}
-	for i := range c.data {
-		c.data[i] = pools.GapResource()
+	for i := range c.last {
 		c.last[i] = -1
-	}
-	for i := range c.mem {
-		c.mem[i] = pools.GapResource()
 	}
 	clear(c.womActive)
 	scale := cfg.BandwidthScale
@@ -109,15 +106,6 @@ func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *
 	vcBits := float64(cfg.ChannelBits) / float64(cfg.VirtualChannels)
 	c.vcBytes = vcBits / 8 * float64(cfg.Waveguides)
 	return c
-}
-
-// reuseSlice returns a slice of length n reusing s's backing array when
-// large enough; elements are overwritten by the caller.
-func reuseSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // serialization returns how long n bytes occupy one virtual channel.
@@ -231,8 +219,8 @@ func (c *Channel) DataFreeAt(vc int, dir Direction) sim.Time {
 // DataBusy returns total data-route occupancy across VCs.
 func (c *Channel) DataBusy() sim.Time {
 	var t sim.Time
-	for _, r := range c.data {
-		t += r.Busy()
+	for i := range c.data {
+		t += c.data[i].Busy()
 	}
 	return t
 }
@@ -240,8 +228,8 @@ func (c *Channel) DataBusy() sim.Time {
 // MemRouteBusy returns total memory-route occupancy across VCs.
 func (c *Channel) MemRouteBusy() sim.Time {
 	var t sim.Time
-	for _, r := range c.mem {
-		t += r.Busy()
+	for i := range c.mem {
+		t += c.mem[i].Busy()
 	}
 	return t
 }

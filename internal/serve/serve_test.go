@@ -622,6 +622,8 @@ func TestSpecValidationAt400(t *testing.T) {
 		{`{"scenario":{"preset":"warp-drive"}}`, "warp-drive"},
 		{`{"scenario":{"overrides":{"dram.typo": 1}}}`, "dram.typo"},
 		{`{"scenario":{"workload":{"name":"x","apki":0}}}`, "apki"},
+		// Fewer electrical channels than memory controllers panics a cell.
+		{`{"scenario": {"preset": "hetero", "overrides": {"electrical.channels": 3}}}`, "electrical.channels"},
 		{`{"spec":{},"scenario":{}}`, "exactly one"},
 	}
 	for _, c := range cases {

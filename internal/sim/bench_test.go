@@ -47,7 +47,7 @@ func BenchmarkGapResourceBackfill(b *testing.B) {
 // the requests have moved past retire from the first-fit scan.
 func BenchmarkGapResourceBackfillClocked(b *testing.B) {
 	pools := &Pools{}
-	r := pools.GapResource()
+	r := tableIn(pools)
 	clock := startClock(pools)
 	at := Time(0)
 	b.ReportAllocs()

@@ -15,11 +15,13 @@ import "math"
 // also in end order: the windows the clock has passed are a prefix, and
 // the first window that fits a reservation is the earliest fit.
 //
-// Tables come only from Pools.GapResource, and the table is split by the
-// clock that hands it: the run's engine. Request times move forward with
-// the engine, so a window that ended before the clock's Now() cannot fit
-// any reservation made at or after that instant: such dead windows stay
-// only as eviction candidates, and first fit walks the short live list.
+// A component keeps its tables by value in its own slots and readies each
+// for a run through Pools.Table or Pools.Tables, which empty it and clock
+// it by the run's engine; a table that has been through neither has no
+// clock. Request times move forward with the engine, so a window that
+// ended before the clock's Now() cannot fit any reservation made at or
+// after that instant: such dead windows stay only as eviction candidates,
+// and first fit walks the short live list.
 // Each window carries a key giving its place in the table order, the
 // tie-break of eviction and of a zero-length reservation at the shared
 // edge of two adjacent windows: appends take the next key, and an eviction
@@ -27,11 +29,28 @@ import "math"
 // still searches the dead windows, so grants never depend on callers
 // respecting the clock.
 type GapResource struct {
+	// A reservation that neither backfills nor leaves an idle window
+	// behind touches only the first four fields. They lead the struct so
+	// that in a component's slice of tables, whose elements do not start
+	// on cache-line boundaries, they mostly share one line.
 	freeAt Time
 	busy   Time
 
-	// clock is the engine of the Pools that handed the table out; windows
-	// ending before its Now() retire to dead.
+	// maxGapEnd is an upper bound on the latest gap end (it may go stale
+	// high when that gap is consumed, never low). A reservation can only
+	// fit a gap whose end reaches at+dur, so Reserve skips the first-fit
+	// scan entirely when maxGapEnd rules every gap out — the common case
+	// once the request stream has moved past the remembered idle windows.
+	maxGapEnd Time
+
+	// maxGapSize is an upper bound on the largest remembered gap (stale
+	// high after that gap is consumed, never low). A reservation longer
+	// than every gap cannot backfill, so Reserve skips the scan — the
+	// common case on backlogged channels whose surviving gaps are slivers.
+	maxGapSize Time
+
+	// clock is the run's engine, set by Pools.Table; windows ending before
+	// its Now() retire to dead.
 	clock *Engine
 
 	// The remembered idle windows, at most maxGaps in total, share one
@@ -43,25 +62,12 @@ type GapResource struct {
 	heaped     bool
 	nextKey    uint64
 
-	// maxGapEnd is an upper bound on the latest gap end (it may go stale
-	// high when that gap is consumed, never low). A reservation can only
-	// fit a gap whose end reaches at+dur, so Reserve skips the first-fit
-	// scan entirely when maxGapEnd rules every gap out — the common case
-	// once the request stream has moved past the remembered idle windows.
-	maxGapEnd Time
-
 	// minGapSize is a lower bound on the smallest remembered gap while the
 	// table is full (removals only raise the true minimum, so the bound
 	// stays valid; insertions tighten it). addGap drops a new window
 	// smaller than every remembered one without the eviction scan, which
 	// such a window could never win.
 	minGapSize Time
-
-	// maxGapSize is an upper bound on the largest remembered gap (stale
-	// high after that gap is consumed, never low). A reservation longer
-	// than every gap cannot backfill, so Reserve skips the scan — the
-	// common case on backlogged channels whose surviving gaps are slivers.
-	maxGapSize Time
 
 	// deadMaxEnd is an upper bound on the latest dead gap end: first-fit
 	// searches the dead windows only for a reservation ending by then.

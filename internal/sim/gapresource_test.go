@@ -8,9 +8,16 @@ import (
 	"testing/quick"
 )
 
+// tableIn returns an empty gap table clocked by pools' engine.
+func tableIn(pools *Pools) *GapResource {
+	r := new(GapResource)
+	pools.Table(r)
+	return r
+}
+
 // newTable returns a gap table from pools of its own whose engine never
 // advances: its clock stays at zero, so every remembered gap stays live.
-func newTable() *GapResource { return (&Pools{}).GapResource() }
+func newTable() *GapResource { return tableIn(new(Pools)) }
 
 func TestGapResourceFrontier(t *testing.T) {
 	r := newTable()
@@ -429,7 +436,7 @@ func advance(e *Engine, at Time) {
 func TestGapResourceClockedMatchesReference(t *testing.T) {
 	rng := NewRng(11)
 	pools := &Pools{}
-	r := pools.GapResource()
+	r := tableIn(pools)
 	clock := startClock(pools)
 	ref := &refGapResource{}
 	var shape shapeChecker
@@ -505,7 +512,7 @@ func TestGapResourceClockedEvictionTies(t *testing.T) {
 	for seed := uint64(1); seed <= 16; seed++ {
 		rng := NewRng(seed)
 		pools := &Pools{}
-		r := pools.GapResource()
+		r := tableIn(pools)
 		clock := startClock(pools)
 		ref := &refGapResource{}
 		var shape shapeChecker
@@ -582,7 +589,7 @@ func TestGapResourceEdgeTieInheritedKey(t *testing.T) {
 // remnant of that reservation filed after the older dead windows.
 func TestGapResourceBelowClockUnheapedDead(t *testing.T) {
 	pools := &Pools{}
-	r, ref := pools.GapResource(), &refGapResource{}
+	r, ref := tableIn(pools), &refGapResource{}
 	clock := startClock(pools)
 	var mid Time
 	for i := 0; i < 100; i++ {
@@ -638,7 +645,7 @@ func TestGapResourceSteadyStateAllocFree(t *testing.T) {
 		pools := &Pools{}
 		r, name := newTable(), "idle-clock"
 		if clocked {
-			r, name = pools.GapResource(), "clocked"
+			r, name = tableIn(pools), "clocked"
 		}
 		clock := startClock(pools)
 		var at Time

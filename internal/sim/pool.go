@@ -1,52 +1,50 @@
 package sim
 
-import "repro/internal/slab"
-
-// Pools recycles the kernel's per-run state across simulation runs: the
-// event engine and the occupancy trackers. Components that model channels,
-// banks, and buses allocate dozens of GapResources and Resources per
-// platform build; routing those through a Pools instance lets a pooled run
-// state hand each component its previous incarnation — gap tables and all —
-// reset to empty.
-//
-// The pools own the run's Engine, and every GapResource they hand out reads
-// its clock, so gap tables retire windows the run has moved past. Every
-// construction goes through a Pools: a fresh build passes a new one, a
-// pooled rebuild its recycled one. The zero value is ready to use.
+// Pools is the kernel state every component of one build shares: the
+// run's event engine, which is also the clock of its gap tables. Each
+// component keeps its GapResources and Resources by value in its own slots
+// and rebuilds them in place, the gap tables through Table and Tables.
+// The type keeps its name and its Reset and Engine methods because every
+// NewIn(re, pools, ...) constructor takes one, and callers outside this
+// module build one too (perfbench's harness passes one to hmem.NewIn and
+// gpu.NewIn). Every construction goes through a Pools: a fresh build
+// passes a new one, a pooled rebuild its recycled one. The zero value is
+// ready to use.
 type Pools struct {
 	eng Engine
-	gap slab.Pool[GapResource]
-	res slab.Pool[Resource]
 }
 
-// Reset rewinds the pools for the next run. Objects handed out since the
-// previous Reset become reusable, and the engine returns to time zero; the
-// caller must no longer touch them through old references once a new run
-// starts (the core.RunState ownership discipline guarantees this).
-func (p *Pools) Reset() {
-	p.eng.Start(0)
-	p.gap.Reset()
-	p.res.Reset()
-}
+// Reset returns the engine to time zero for the next run.
+func (p *Pools) Reset() { p.eng.Start(0) }
 
 // Engine returns the run's event engine.
 func (p *Pools) Engine() *Engine { return &p.eng }
 
-// GapResource returns an empty gap-filling resource, clocked by the pools'
-// engine and recycled when possible.
-func (p *Pools) GapResource() *GapResource {
-	r, recycled := p.gap.Get()
-	if recycled {
-		r.Reset()
-	}
-	r.clock = &p.eng
-	return r
+// Table empties t, keeping its grown window array, and clocks it by the
+// run's engine.
+func (p *Pools) Table(t *GapResource) {
+	t.Reset()
+	t.clock = &p.eng
 }
 
-// Resource returns an empty serially-occupied resource, recycled when
-// possible.
-func (p *Pools) Resource() *Resource {
-	r, _ := p.res.Get()
-	r.Reset()
-	return r
+// Tables returns s resized to n (as Slots does), every table emptied and
+// clocked by the run's engine.
+func (p *Pools) Tables(s []GapResource, n int) []GapResource {
+	s = Slots(s, n)
+	for i := range s {
+		p.Table(&s[i])
+	}
+	return s
+}
+
+// Slots returns s resliced to n elements. An element past len(s) but
+// within its capacity keeps what an earlier build left in it, so a
+// component keeps its grown parts while its count shrinks and grows back;
+// the caller reinitializes every element it uses.
+func Slots[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s[:n]
 }

@@ -10,13 +10,12 @@ import "math"
 // Resource implements FCFS semantics: a reservation made at time t begins at
 // max(t, freeAt) and pushes freeAt forward by the duration. This is the
 // standard first-order queueing model used by memory-channel simulators.
+//
+// The zero value is an idle resource.
 type Resource struct {
 	freeAt Time
 	busy   Time // accumulated occupied picoseconds
 }
-
-// NewResource returns an idle resource.
-func NewResource() *Resource { return &Resource{} }
 
 // FreeAt returns the earliest time a new occupancy can start.
 func (r *Resource) FreeAt() Time { return r.freeAt }

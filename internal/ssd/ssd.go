@@ -38,18 +38,12 @@ func Default() Config {
 // and DMA energy of every transfer, whatever the link.
 type Device struct {
 	cfg   Config
-	flash *sim.Resource
-	dma   *sim.Resource
+	flash sim.Resource
+	dma   sim.Resource
 }
 
 // New builds the device.
-func New(cfg Config) *Device {
-	return &Device{
-		cfg:   cfg,
-		flash: sim.NewResource(),
-		dma:   sim.NewResource(),
-	}
-}
+func New(cfg Config) *Device { return &Device{cfg: cfg} }
 
 // Stage moves n bytes between the SSD and GPU memory (direction only
 // affects latency). It returns when the data is resident on the other side,

@@ -22,7 +22,7 @@ import (
 type Device struct {
 	cfg        config.XPointConfig
 	lineBytes  int
-	partitions []*sim.GapResource
+	partitions []sim.GapResource
 
 	Reads  uint64
 	Writes uint64
@@ -34,8 +34,9 @@ func NewDevice(cfg config.XPointConfig, lineBytes, partitions int) *Device {
 	return newDeviceIn(nil, new(sim.Pools), cfg, lineBytes, partitions)
 }
 
-// newDeviceIn is NewDevice rebuilding into a recycled device; re may be
-// nil, so fresh and pooled construction share one code path.
+// newDeviceIn is NewDevice rebuilding into a recycled device, its
+// partition tables rebuilt in their slots; re may be nil, so fresh and
+// pooled construction share one code path.
 func newDeviceIn(re *Device, pools *sim.Pools, cfg config.XPointConfig, lineBytes, partitions int) *Device {
 	if partitions <= 0 {
 		partitions = 1
@@ -43,15 +44,10 @@ func newDeviceIn(re *Device, pools *sim.Pools, cfg config.XPointConfig, lineByte
 	if re == nil {
 		re = &Device{}
 	}
-	parts := re.partitions
-	if cap(parts) < partitions {
-		parts = make([]*sim.GapResource, partitions)
-	} else {
-		parts = parts[:partitions]
-	}
-	*re = Device{cfg: cfg, lineBytes: lineBytes, partitions: parts}
-	for i := range parts {
-		parts[i] = pools.GapResource()
+	*re = Device{
+		cfg:        cfg,
+		lineBytes:  lineBytes,
+		partitions: pools.Tables(re.partitions, partitions),
 	}
 	return re
 }

@@ -26,7 +26,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchcheck -baseline BENCH_27.json -current /tmp/BENCH_CI.json
+//	go run ./scripts/benchcheck -baseline BENCH_29.json -current /tmp/BENCH_CI.json
 package main
 
 import (
@@ -90,7 +90,7 @@ func majorMinor(v string) string {
 const allocsSlack = 1.001
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_27.json", "committed baseline snapshot")
+	baseline := flag.String("baseline", "BENCH_29.json", "committed baseline snapshot")
 	current := flag.String("current", "", "freshly generated snapshot to check")
 	benches := flag.String("benches",
 		"BenchmarkKernelScheduleID,BenchmarkAccess,BenchmarkAddEnergyHandle,BenchmarkGapResourceBackfillClocked",
