@@ -425,9 +425,10 @@ func TestResourceBudgetsRejectHostileScenarios(t *testing.T) {
 
 // TestTraceBudgetCoversPageState: tiny page sizes must not multiply a
 // legal footprint into an unaffordable per-page allocation, at either spec
-// entry point.
+// entry point. One-byte pages need one-byte lines, which validate only on
+// a platform without XPoint.
 func TestTraceBudgetCoversPageState(t *testing.T) {
-	_, err := ScenarioSpec(config.Spec{Overrides: map[string]interface{}{
+	_, err := ScenarioSpec(config.Spec{Preset: "oracle", Overrides: map[string]interface{}{
 		"gpu.line_bytes":    1,
 		"memory.page_bytes": 1,
 	}, Workload: &config.WorkloadSpec{Inline: &config.Workload{
@@ -436,7 +437,7 @@ func TestTraceBudgetCoversPageState(t *testing.T) {
 		t.Fatalf("page-state bomb accepted via scenario: %v", err)
 	}
 	spec := SweepSpec{
-		Platforms: []config.Platform{config.OhmBW},
+		Platforms: []config.Platform{config.Oracle},
 		Modes:     []config.MemMode{config.Planar},
 		Workloads: []string{"pagerank"},
 		Overrides: Overrides{"gpu.line_bytes": {1}, "memory.page_bytes": {1}},

@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/sim"
@@ -516,6 +517,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: page size %d must be a positive multiple of line size %d",
 			c.Memory.PageBytes, c.GPU.LineBytes)
 	}
+	// Each GPU cache splits into whole sets of its ways.
+	for _, k := range []struct {
+		name       string
+		size, ways int
+	}{
+		{"l1", c.GPU.L1SizeBytes, c.GPU.L1Ways},
+		{"l2", c.GPU.L2SizeBytes, c.GPU.L2Ways},
+	} {
+		if lines := k.size / c.GPU.LineBytes; k.ways < 1 || lines < 1 || lines%k.ways != 0 {
+			return fmt.Errorf("config: gpu.%s_size_bytes %d must hold a positive number of gpu.line_bytes (%d) lines divisible by gpu.%s_ways %d",
+				k.name, k.size, c.GPU.LineBytes, k.name, k.ways)
+		}
+	}
 	// Sizes and divisors a component reads. Each binds only where that
 	// component is built: the electrical channel on Origin and Hetero, the
 	// optical one elsewhere, XPoint on the heterogeneous platforms. Below
@@ -535,6 +549,34 @@ func (c *Config) Validate() error {
 	} {
 		if b.applies && b.v < 1 {
 			return fmt.Errorf("config: %s %d must be at least 1", b.path, b.v)
+		}
+	}
+	// Two-level mode keeps each DRAM-cache line's tag in the spare bits of
+	// its ECC region (Section III-B), so each memory controller's DRAM sets
+	// may stand for at most 2^tagBits of its XPoint lines.
+	twoLevel, line := xp && c.Mode == TwoLevel, int64(c.GPU.LineBytes)
+	if twoLevel {
+		n := int64(c.GPU.MemCtrls)
+		sets, lines := c.Memory.DRAMBytes/n/line, c.Memory.XPointBytes/n/line
+		if sets > 0 && lines > sets {
+			if need := bits.Len64(uint64((lines - 1) / sets)); need > tagBits {
+				return fmt.Errorf("config: two-level tags for memory.xpoint_bytes %d over memory.dram_bytes %d need %d bits, beyond the %d-bit ECC budget",
+					c.Memory.XPointBytes, c.Memory.DRAMBytes, need, tagBits)
+			}
+		}
+	}
+	// Arrays sized by a config value, where the cell builds them.
+	for _, a := range []struct {
+		what    string
+		n       int64
+		applies bool
+	}{
+		{"memory.xpoint_bytes / gpu.line_bytes (XPoint wear counters)", c.Memory.XPointBytes / line, xp},
+		{"memory.dram_bytes / gpu.line_bytes (two-level tag sets)", c.Memory.DRAMBytes / line, twoLevel},
+		{"gpu.mshr_entries", int64(c.GPU.MSHREntries), true},
+	} {
+		if a.applies && a.n > MaxArrayEntries {
+			return fmt.Errorf("config: %s = %d exceeds %d entries", a.what, a.n, MaxArrayEntries)
 		}
 	}
 	if elec && c.Electrical.Channels < c.GPU.MemCtrls {
@@ -573,6 +615,19 @@ func (c *Config) Validate() error {
 // of trace instructions a single cell may generate and simulate. It also
 // keeps every compute run within a trace record's 32-bit run length.
 const MaxTraceInstructions = 1 << 28
+
+// MaxArrayEntries caps each array whose length a config value sets, summed
+// over the memory controllers: the XPoint wear counters (4 bytes per line
+// of media, at most 512 MiB), the two-level tag and dirty arrays (9 bytes
+// per DRAM set, 1.125 GiB) and the MSHR table (16 bytes per entry, 2 GiB).
+// The largest default, two-level XPoint wear at 12 Mi entries, sits more
+// than 10x below it; one-byte lines on a heterogeneous platform need
+// 384 Mi or more at the default capacities and do not fit.
+const MaxArrayEntries = 1 << 27
+
+// tagBits is the width of the two-level tag that the spare bits of a DRAM
+// line's ECC region hold (Section III-B quotes 3-6 bits).
+const tagBits = 6
 
 // OpticalChannelBandwidth returns bytes/second of the whole optical channel
 // (all waveguides).

@@ -149,6 +149,22 @@ func TestValidateDefaults(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Errorf("Default(%s,%s) invalid: %v", p, m, err)
 			}
+			// An eighth of the line size puts 8x the entries in each array
+			// sized per line: the defaults keep that much headroom under
+			// MaxArrayEntries. One-byte lines exceed it wherever XPoint
+			// wear counters are built.
+			c.GPU.LineBytes /= 8
+			if err := c.Validate(); err != nil {
+				t.Errorf("Default(%s,%s) with 8x the lines per array: %v", p, m, err)
+			}
+			c.GPU.LineBytes = 1
+			err := c.Validate()
+			if p.Heterogeneous() && (err == nil || !strings.Contains(err.Error(), "gpu.line_bytes")) {
+				t.Errorf("Default(%s,%s) with gpu.line_bytes=1: Validate = %v, want an error naming the path", p, m, err)
+			}
+			if !p.Heterogeneous() && err != nil {
+				t.Errorf("Default(%s,%s) with gpu.line_bytes=1: %v, want nil without XPoint", p, m, err)
+			}
 		}
 	}
 }
@@ -183,7 +199,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		}
 	}
 
-	// Overrides that panicked a cell or made its channel free fail with an
+	// Overrides that panicked a cell, made its channel free, failed only
+	// when the cell built or sized an array without bound fail with an
 	// error naming their path, on the platforms that build the component,
 	// and bind nowhere else. memory.dram_bytes below one byte per
 	// controller panicked Origin's cells.
@@ -214,6 +231,34 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{OhmBW, Planar, "optical.channel_bits", 0, true},
 		{OhmBW, TwoLevel, "optical.channel_bits", -8, true},
 		{Hetero, Planar, "optical.channel_bits", 0, false},
+		// Cache geometry: whole sets of the ways, on every platform.
+		{Hetero, Planar, "gpu.l1_ways", 0, true},
+		{Oracle, TwoLevel, "gpu.l1_ways", -1, true},
+		{OhmBW, Planar, "gpu.l1_ways", 5, true}, // 24 lines
+		{OhmBW, Planar, "gpu.l1_ways", 3, false},
+		{OhmBW, Planar, "gpu.l1_size_bytes", 1, true},
+		{Origin, Planar, "gpu.l2_size_bytes", 3, true},
+		{OhmWOM, TwoLevel, "gpu.l2_size_bytes", -1, true},
+		{OhmWOM, TwoLevel, "gpu.l2_ways", 0, true},
+		// The two-level tag budget: 6 bits, so at most 64 XPoint lines per
+		// DRAM set per controller. The defaults are 1:64 with 24 MiB of
+		// DRAM; 1:8 fits, 1:128 and one line per controller past 1:64 do
+		// not, and planar mode keeps no tags.
+		{OhmBW, TwoLevel, "memory.xpoint_bytes", 64 * 24 << 20, false},
+		{OhmBW, TwoLevel, "memory.xpoint_bytes", 8 * 24 << 20, false},
+		{OhmBW, TwoLevel, "memory.xpoint_bytes", 128 * 24 << 20, true},
+		{Hetero, TwoLevel, "memory.xpoint_bytes", 64*24<<20 + 6*128, true},
+		{OhmBW, TwoLevel, "memory.dram_bytes", 12 << 20, true},
+		{OhmBW, Planar, "memory.xpoint_bytes", 128 * 24 << 20, false},
+		{Oracle, TwoLevel, "memory.xpoint_bytes", 128 * 24 << 20, false},
+		// Arrays a config sizes, bound by MaxArrayEntries where built.
+		{OhmBW, Planar, "memory.xpoint_bytes", 128 * MaxArrayEntries, false},
+		{OhmBW, Planar, "memory.xpoint_bytes", 128*MaxArrayEntries + 128, true},
+		{Oracle, Planar, "memory.xpoint_bytes", 1 << 40, false},
+		{AutoRW, TwoLevel, "memory.dram_bytes", 128*MaxArrayEntries + 128, true},
+		{AutoRW, Planar, "memory.dram_bytes", 128*MaxArrayEntries + 128, false},
+		{Origin, Planar, "gpu.mshr_entries", MaxArrayEntries + 1, true},
+		{OhmBW, TwoLevel, "gpu.mshr_entries", MaxArrayEntries, false},
 	}
 	for _, n := range named {
 		c := Default(n.p, n.m)

@@ -31,6 +31,10 @@ func FuzzSpecResolve(f *testing.F) {
 		`{"mode":"analytical+analytical"}`,
 		`{"mode":"+"}`,
 		`null`,
+		`{"preset":"hetero","mode":"two-level","overrides":{"gpu.line_bytes":1}}`,
+		`{"preset":"ohm-bw","mode":"two-level","overrides":{"memory.xpoint_bytes":3221225472}}`,
+		`{"overrides":{"gpu.l1_ways":0}}`,
+		`{"overrides":{"gpu.l2_size_bytes":3}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -265,12 +265,11 @@ func TestMigrationsOnlyOnHeterogeneous(t *testing.T) {
 
 // TestSmallOverridesNeverPanic walks every numeric override path at -1,
 // 0, 1 and 3 on every platform in both modes. Each config must fail Set
-// or Validate, or run to a report: these values reach ohmserve from a
-// submitted spec, and nothing on the cell path recovers a panic. 3 is
-// below the default six memory controllers, which sizes several
-// per-controller tables. gpu.line_bytes=1 is left out: it validates, but
-// sizes each XPoint wear array at one entry per byte of media, 1.5 GB in
-// all.
+// or Validate, or run to a report with no error: these values reach
+// ohmserve from a submitted spec, where a config that validates is
+// accepted, and nothing on the cell path recovers a panic. 3 is below the
+// default six memory controllers, which sizes several per-controller
+// tables.
 func TestSmallOverridesNeverPanic(t *testing.T) {
 	w, ok := config.WorkloadByName("lud")
 	if !ok {
@@ -284,9 +283,6 @@ func TestSmallOverridesNeverPanic(t *testing.T) {
 					continue
 				}
 				for _, v := range []int{-1, 0, 1, 3} {
-					if op.Path == "gpu.line_bytes" && v == 1 {
-						continue
-					}
 					cfg := config.Default(p, m)
 					cfg.MaxInstructions = 200
 					if cfg.Set(op.Path, v) != nil || cfg.Validate() != nil {
@@ -299,7 +295,9 @@ func TestSmallOverridesNeverPanic(t *testing.T) {
 								st = new(RunState) // the panic left st half rebuilt
 							}
 						}()
-						Run(st, cfg, w, DefaultRun) // an error is an answer too
+						if _, _, err := Run(st, cfg, w, DefaultRun); err != nil {
+							t.Errorf("%s/%s %s=%d validates but fails to run: %v", p, m, op.Path, v, err)
+						}
 					}()
 				}
 			}

@@ -17,9 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/ddrt"
 	"repro/internal/dram"
-	"repro/internal/ecc"
 	"repro/internal/elec"
 	"repro/internal/optical"
 	"repro/internal/sim"
@@ -118,10 +116,6 @@ type Controller struct {
 	pageBytes int64
 	lineBytes int64
 
-	// ddrtMsgs is the buffer the DDR-T handshake checks rebuild each
-	// migration's message sequence into.
-	ddrtMsgs []ddrt.Msg
-
 	// Pre-interned collector handles for per-access metrics: the hot path
 	// accumulates through indices instead of hashing (and, for the latency
 	// taps, concatenating) map-key strings on every memory access.
@@ -165,17 +159,6 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 	xpPerMC := cfg.Memory.XPointBytes / int64(n)
 	lineBytes := int64(cfg.GPU.LineBytes)
 	hetero := cfg.Platform.Heterogeneous()
-	if hetero && cfg.Mode == config.TwoLevel {
-		// The tag-in-ECC design (Section III-B) only works while the
-		// direct-map tag fits the ECC region's spare bits. The DRAM cache
-		// maps the XPoint space (inclusive), so the tag distinguishes
-		// XPoint lines aliasing onto one set.
-		if need := ecc.TagBitsNeeded(xpPerMC/lineBytes, dramPerMC/lineBytes); need > ecc.TagBits {
-			return nil, fmt.Errorf(
-				"hmem: two-level tag needs %d bits, exceeding the %d-bit ECC budget (capacity ratio too large)",
-				need, ecc.TagBits)
-		}
-	}
 	if re == nil {
 		re = &Controller{}
 	}
@@ -190,7 +173,6 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 		resident:    c.resident,
 		pageBytes:   int64(cfg.Memory.PageBytes),
 		lineBytes:   lineBytes,
-		ddrtMsgs:    c.ddrtMsgs[:0],
 		hDMAEnergy:  col.InternEnergy("dma"),
 		hStageWait:  col.InternExtra("origin-stage-wait"),
 		hDramPart:   col.InternExtra("origin-dram-part"),

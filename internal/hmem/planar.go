@@ -1,10 +1,8 @@
 package hmem
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/ddrt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -218,19 +216,6 @@ func (c *Controller) swapPlanar(mc int, b *bank, at sim.Time, g, page int64) {
 	case MigrWOM, MigrBW:
 		// SWAP-CMD carries the DRAM/XPoint addresses and size on the data
 		// route; the controller presets the bank to the activated state.
-		// The DDR-T handshake checker asserts the Figure 11 protocol is
-		// followed exactly (a hardware bus checker's role).
-		rowOpen := b.dram.RowOpen(dramAddr)
-		c.ddrtMsgs = ddrt.AppendSwapSequence(c.ddrtMsgs[:0], int(c.pageBytes/c.lineBytes), rowOpen)
-		var hs ddrt.SwapHandshake
-		for _, m := range c.ddrtMsgs {
-			if err := hs.Step(m); err != nil {
-				panic(fmt.Sprintf("hmem: swap protocol violation: %v", err))
-			}
-		}
-		if !hs.Done() {
-			panic("hmem: swap handshake incomplete")
-		}
 		cmdEnd := c.request(mc, devXPoint, true, at, cmdBytes, stats.DataCopy)
 		bankReady := b.dram.Preset(cmdEnd, dramAddr)
 		// DDR sequence generator reads the DRAM page and streams it to

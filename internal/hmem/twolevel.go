@@ -1,9 +1,6 @@
 package hmem
 
 import (
-	"fmt"
-
-	"repro/internal/ddrt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -164,8 +161,6 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 			evictDone = b.xp.SwapWrite(tagResp, uint64(victim)*uint64(c.lineBytes))
 			c.XPointWrites++
 		}
-	} else if victim >= 0 {
-		t.MissClean++
 	} else {
 		t.MissClean++
 	}
@@ -186,15 +181,7 @@ func (c *Controller) accessTwoLevel(mc int, b *bank, at sim.Time, local uint64, 
 	case MigrWOM, MigrBW:
 		// Reverse-write: the XPoint controller writes DRAM over the memory
 		// route while the controller snarfs the demand data (handled above
-		// as the demand transfer). The handshake checker asserts the
-		// Figure 12 protocol.
-		c.ddrtMsgs = ddrt.AppendReverseWriteSequence(c.ddrtMsgs[:0], 1)
-		var hs ddrt.ReverseWriteHandshake
-		for _, m := range c.ddrtMsgs {
-			if err := hs.Step(m); err != nil {
-				panic(fmt.Sprintf("hmem: reverse-write protocol violation: %v", err))
-			}
-		}
+		// as the demand transfer).
 		tr := c.memRoute(mc, xr, lineB)
 		fillDone = b.dram.AccessScheduled(tr, dramAddr, true)
 	default:

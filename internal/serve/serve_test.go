@@ -624,6 +624,9 @@ func TestSpecValidationAt400(t *testing.T) {
 		{`{"scenario":{"workload":{"name":"x","apki":0}}}`, "apki"},
 		// Fewer electrical channels than memory controllers panics a cell.
 		{`{"scenario": {"preset": "hetero", "overrides": {"electrical.channels": 3}}}`, "electrical.channels"},
+		// These validated and then failed when the cell was built.
+		{`{"scenario":{"preset":"hetero","overrides":{"gpu.l1_ways":0}}}`, "gpu.l1_ways"},
+		{`{"scenario":{"preset":"ohm-bw","mode":"two-level","overrides":{"memory.xpoint_bytes":3221225472}}}`, "memory.xpoint_bytes"},
 		{`{"spec":{},"scenario":{}}`, "exactly one"},
 	}
 	for _, c := range cases {
