@@ -557,12 +557,9 @@ func (c *Config) Validate() error {
 	twoLevel, line := xp && c.Mode == TwoLevel, int64(c.GPU.LineBytes)
 	if twoLevel {
 		n := int64(c.GPU.MemCtrls)
-		sets, lines := c.Memory.DRAMBytes/n/line, c.Memory.XPointBytes/n/line
-		if sets > 0 && lines > sets {
-			if need := bits.Len64(uint64((lines - 1) / sets)); need > tagBits {
-				return fmt.Errorf("config: two-level tags for memory.xpoint_bytes %d over memory.dram_bytes %d need %d bits, beyond the %d-bit ECC budget",
-					c.Memory.XPointBytes, c.Memory.DRAMBytes, need, tagBits)
-			}
+		if need := tagBitsNeeded(c.Memory.XPointBytes/n/line, c.Memory.DRAMBytes/n/line); need > tagBits {
+			return fmt.Errorf("config: two-level tags for memory.xpoint_bytes %d over memory.dram_bytes %d need %d bits, beyond the %d-bit ECC budget",
+				c.Memory.XPointBytes, c.Memory.DRAMBytes, need, tagBits)
 		}
 	}
 	// Arrays sized by a config value, where the cell builds them.
@@ -628,6 +625,16 @@ const MaxArrayEntries = 1 << 27
 // tagBits is the width of the two-level tag that the spare bits of a DRAM
 // line's ECC region hold (Section III-B quotes 3-6 bits).
 const tagBits = 6
+
+// tagBitsNeeded returns the tag width a direct-mapped DRAM cache of sets
+// sets needs to tell apart the lines XPoint lines that share each set. A
+// controller with no whole set keeps no tags.
+func tagBitsNeeded(lines, sets int64) int {
+	if sets <= 0 || lines <= sets {
+		return 0
+	}
+	return bits.Len64(uint64((lines - 1) / sets))
+}
 
 // OpticalChannelBandwidth returns bytes/second of the whole optical channel
 // (all waveguides).

@@ -241,11 +241,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{OhmWOM, TwoLevel, "gpu.l2_size_bytes", -1, true},
 		{OhmWOM, TwoLevel, "gpu.l2_ways", 0, true},
 		// The two-level tag budget: 6 bits, so at most 64 XPoint lines per
-		// DRAM set per controller. The defaults are 1:64 with 24 MiB of
-		// DRAM; 1:8 fits, 1:128 and one line per controller past 1:64 do
-		// not, and planar mode keeps no tags.
-		{OhmBW, TwoLevel, "memory.xpoint_bytes", 64 * 24 << 20, false},
-		{OhmBW, TwoLevel, "memory.xpoint_bytes", 8 * 24 << 20, false},
+		// DRAM set per controller. The defaults hold 24 MiB of DRAM; 1:128
+		// and one line per controller past 1:64 do not fit, and planar
+		// mode keeps no tags.
 		{OhmBW, TwoLevel, "memory.xpoint_bytes", 128 * 24 << 20, true},
 		{Hetero, TwoLevel, "memory.xpoint_bytes", 64*24<<20 + 6*128, true},
 		{OhmBW, TwoLevel, "memory.dram_bytes", 12 << 20, true},
@@ -271,6 +269,48 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		}
 		if !n.reject && err != nil {
 			t.Errorf("%s/%s %s=%d: Validate = %v, want nil where the component is not built", n.p, n.m, n.path, n.v, err)
+		}
+	}
+}
+
+func TestTagBitsNeeded(t *testing.T) {
+	cases := []struct {
+		lines, sets int64
+		want        int
+	}{
+		{64, 64, 0},   // direct map covers everything: no tag
+		{128, 64, 1},  // 2 ways' worth of aliasing
+		{129, 64, 2},  // one line past 1:2
+		{4096, 64, 6}, // 64:1 => 6 bits (the paper's 1:64 two-level ratio)
+		{4097, 64, 7}, // one line past 1:64
+		{512, 64, 3},  // 8:1 => 3 bits (the paper's "3~6 tag bits" low end)
+		{0, 64, 0},
+		{64, 0, 0},
+	}
+	for _, c := range cases {
+		if got := tagBitsNeeded(c.lines, c.sets); got != c.want {
+			t.Errorf("tagBitsNeeded(%d,%d) = %d, want %d", c.lines, c.sets, got, c.want)
+		}
+	}
+}
+
+// TestPaperRatiosFitECCBudget: the paper's two-level capacity ratios fit
+// the tag-in-ECC design, 1:8 in 3 bits and 1:64 (the default) in 6, so
+// every heterogeneous platform validates at both in two-level mode.
+func TestPaperRatiosFitECCBudget(t *testing.T) {
+	for _, ratio := range []int64{8, 64} {
+		if need := tagBitsNeeded(64*ratio, 64); need > tagBits {
+			t.Errorf("ratio 1:%d needs %d tag bits, exceeding the %d-bit ECC budget", ratio, need, tagBits)
+		}
+		for _, p := range AllPlatforms() {
+			if !p.Heterogeneous() {
+				continue
+			}
+			c := Default(p, TwoLevel)
+			c.Memory.XPointBytes = ratio * c.Memory.DRAMBytes
+			if err := c.Validate(); err != nil {
+				t.Errorf("%s two-level at 1:%d: Validate = %v, want nil", p, ratio, err)
+			}
 		}
 	}
 }
