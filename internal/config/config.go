@@ -311,10 +311,9 @@ func DefaultXPoint() XPointConfig {
 // OpticalConfig reproduces the "Optical channel configuration" and "Optical
 // power model" sections of Table I.
 type OpticalConfig struct {
-	ChannelBits     int     // total channel width (96 bits)
-	FreqHz          float64 // 30 GHz
-	VirtualChannels int     // 6 (static channel division, one per MC)
-	Waveguides      int     // number of physical waveguides (sensitivity knob)
+	ChannelBits int     // total channel width (96 bits)
+	FreqHz      float64 // 30 GHz
+	Waveguides  int     // number of physical waveguides (sensitivity knob)
 	// DynamicDivision enables the wavelength-borrowing strategy of [38]
 	// (Table I's default is static division): a controller whose own
 	// virtual channel is backlogged may borrow the least-loaded idle VC,
@@ -347,13 +346,13 @@ type OpticalConfig struct {
 }
 
 // DefaultOptical returns Table I's optical channel configuration: one
-// waveguide, 96-bit channel at 30 GHz statically divided into six 16-bit
-// virtual channels, and the published power model constants.
+// waveguide, 96-bit channel at 30 GHz statically divided into one virtual
+// channel per memory controller (six 16-bit ones at gpu.mem_ctrls = 6),
+// and the published power model constants.
 func DefaultOptical() OpticalConfig {
 	return OpticalConfig{
 		ChannelBits:       96,
 		FreqHz:            30e9,
-		VirtualChannels:   6,
 		Waveguides:        1,
 		BandwidthScale:    10,
 		MRRTuningFJPerBit: 200,
@@ -371,10 +370,9 @@ func DefaultOptical() OpticalConfig {
 	}
 }
 
-// ElectricalConfig reproduces Table I's electrical channel row: 6 channels,
-// 32-bit each, 15 GHz.
+// ElectricalConfig reproduces Table I's electrical channel row: one 32-bit
+// channel per memory controller (six at gpu.mem_ctrls = 6), 15 GHz.
 type ElectricalConfig struct {
-	Channels int
 	LaneBits int
 	FreqHz   float64
 	PJPerBit float64 // energy per transferred bit (DMA power basis)
@@ -385,7 +383,7 @@ type ElectricalConfig struct {
 
 // DefaultElectrical returns Table I's electrical channel configuration.
 func DefaultElectrical() ElectricalConfig {
-	return ElectricalConfig{Channels: 6, LaneBits: 32, FreqHz: 15e9, PJPerBit: 0.7, BandwidthScale: 10}
+	return ElectricalConfig{LaneBits: 32, FreqHz: 15e9, PJPerBit: 0.7, BandwidthScale: 10}
 }
 
 // MemoryConfig sizes the heterogeneous memory. The paper scales footprints
@@ -493,10 +491,6 @@ func (c *Config) Validate() error {
 	if c.GPU.MemCtrls <= 0 {
 		return fmt.Errorf("config: need at least one memory controller")
 	}
-	if c.Optical.VirtualChannels != c.GPU.MemCtrls && c.Platform.Optical() {
-		return fmt.Errorf("config: static channel division requires VCs (%d) == MCs (%d)",
-			c.Optical.VirtualChannels, c.GPU.MemCtrls)
-	}
 	if c.Optical.Waveguides <= 0 {
 		return fmt.Errorf("config: waveguides must be positive")
 	}
@@ -517,7 +511,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: page size %d must be a positive multiple of line size %d",
 			c.Memory.PageBytes, c.GPU.LineBytes)
 	}
-	// Each GPU cache splits into whole sets of its ways.
+	// Each GPU cache splits into whole sets of its ways. An access shifts
+	// its whole set, and each L2 lookup and insert scans the MSHR table, so
+	// the ways and the MSHR entries are capped at hardware scale: a cell's
+	// cost then stays proportional to its trace budget.
 	for _, k := range []struct {
 		name       string
 		size, ways int
@@ -525,15 +522,22 @@ func (c *Config) Validate() error {
 		{"l1", c.GPU.L1SizeBytes, c.GPU.L1Ways},
 		{"l2", c.GPU.L2SizeBytes, c.GPU.L2Ways},
 	} {
+		if k.ways > MaxCacheWays {
+			return fmt.Errorf("config: gpu.%s_ways %d exceeds %d", k.name, k.ways, MaxCacheWays)
+		}
 		if lines := k.size / c.GPU.LineBytes; k.ways < 1 || lines < 1 || lines%k.ways != 0 {
 			return fmt.Errorf("config: gpu.%s_size_bytes %d must hold a positive number of gpu.line_bytes (%d) lines divisible by gpu.%s_ways %d",
 				k.name, k.size, c.GPU.LineBytes, k.name, k.ways)
 		}
 	}
-	// Sizes and divisors a component reads. Each binds only where that
-	// component is built: the electrical channel on Origin and Hetero, the
-	// optical one elsewhere, XPoint on the heterogeneous platforms. Below
-	// its bound a value panics a cell or makes its channel free.
+	if c.GPU.MSHREntries > MaxMSHREntries {
+		return fmt.Errorf("config: gpu.mshr_entries %d exceeds %d", c.GPU.MSHREntries, MaxMSHREntries)
+	}
+	// Sizes, divisors and factors a component reads. Each binds only where
+	// that component is built: the electrical channel on Origin and Hetero,
+	// the optical one elsewhere, XPoint on the heterogeneous platforms.
+	// Below its bound a value panics a cell, makes its channel free or its
+	// energy negative.
 	elec, xp := !c.Platform.Optical(), c.Platform.Heterogeneous()
 	for _, b := range []struct {
 		path    string
@@ -544,6 +548,7 @@ func (c *Config) Validate() error {
 		{"dram.row_bytes", c.DRAM.RowBytes, true},
 		{"xpoint.read_buf_ent", c.XPoint.ReadBufEnt, xp},
 		{"xpoint.write_buf_ent", c.XPoint.WriteBufEnt, xp},
+		{"xpoint.partitions", c.XPoint.Partitions, xp},
 		{"optical.channel_bits", c.Optical.ChannelBits, !elec},
 		{"electrical.lane_bits", c.Electrical.LaneBits, elec},
 	} {
@@ -551,13 +556,40 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: %s %d must be at least 1", b.path, b.v)
 		}
 	}
+	// The scales and the laser boost must be positive, the energy
+	// coefficients at least 0; NaN fails both.
+	for _, b := range []struct {
+		path            string
+		v               float64
+		applies, zeroOK bool
+	}{
+		{"optical.bandwidth_scale", c.Optical.BandwidthScale, !elec, false},
+		{"optical.laser_boost", c.Optical.LaserBoost, !elec, false},
+		{"optical.laser_power_mw", c.Optical.LaserPowerMW, !elec, true},
+		{"optical.mrr_tuning_fj_per_bit", c.Optical.MRRTuningFJPerBit, !elec, true},
+		{"electrical.bandwidth_scale", c.Electrical.BandwidthScale, elec, false},
+		{"electrical.pj_per_bit", c.Electrical.PJPerBit, elec, true},
+	} {
+		if b.applies && !(b.v > 0 || b.zeroOK && b.v == 0) {
+			bound := "positive"
+			if b.zeroOK {
+				bound = "at least 0"
+			}
+			return fmt.Errorf("config: %s %v must be %s", b.path, b.v, bound)
+		}
+	}
 	// Two-level mode keeps each DRAM-cache line's tag in the spare bits of
-	// its ECC region (Section III-B), so each memory controller's DRAM sets
-	// may stand for at most 2^tagBits of its XPoint lines.
+	// its ECC region (Section III-B), so each memory controller's DRAM sets,
+	// at least one, may stand for at most 2^tagBits of its XPoint lines.
 	twoLevel, line := xp && c.Mode == TwoLevel, int64(c.GPU.LineBytes)
 	if twoLevel {
 		n := int64(c.GPU.MemCtrls)
-		if need := tagBitsNeeded(c.Memory.XPointBytes/n/line, c.Memory.DRAMBytes/n/line); need > tagBits {
+		sets := c.Memory.DRAMBytes / n / line
+		if sets < 1 {
+			return fmt.Errorf("config: memory.dram_bytes %d must hold a gpu.line_bytes (%d) line for each of gpu.mem_ctrls (%d) in two-level mode",
+				c.Memory.DRAMBytes, line, n)
+		}
+		if need := tagBitsNeeded(c.Memory.XPointBytes/n/line, sets); need > tagBits {
 			return fmt.Errorf("config: two-level tags for memory.xpoint_bytes %d over memory.dram_bytes %d need %d bits, beyond the %d-bit ECC budget",
 				c.Memory.XPointBytes, c.Memory.DRAMBytes, need, tagBits)
 		}
@@ -570,18 +602,10 @@ func (c *Config) Validate() error {
 	}{
 		{"memory.xpoint_bytes / gpu.line_bytes (XPoint wear counters)", c.Memory.XPointBytes / line, xp},
 		{"memory.dram_bytes / gpu.line_bytes (two-level tag sets)", c.Memory.DRAMBytes / line, twoLevel},
-		{"gpu.mshr_entries", int64(c.GPU.MSHREntries), true},
 	} {
 		if a.applies && a.n > MaxArrayEntries {
 			return fmt.Errorf("config: %s = %d exceeds %d entries", a.what, a.n, MaxArrayEntries)
 		}
-	}
-	if elec && c.Electrical.Channels < c.GPU.MemCtrls {
-		return fmt.Errorf("config: electrical.channels %d must be at least gpu.mem_ctrls (%d), one channel per memory controller",
-			c.Electrical.Channels, c.GPU.MemCtrls)
-	}
-	if elec && !(c.Electrical.PJPerBit >= 0) {
-		return fmt.Errorf("config: electrical.pj_per_bit %v must not be negative", c.Electrical.PJPerBit)
 	}
 	if c.XPoint.ReadLatency <= 0 || c.XPoint.WriteLatency <= 0 {
 		return fmt.Errorf("config: XPoint latencies must be positive")
@@ -615,12 +639,20 @@ const MaxTraceInstructions = 1 << 28
 
 // MaxArrayEntries caps each array whose length a config value sets, summed
 // over the memory controllers: the XPoint wear counters (4 bytes per line
-// of media, at most 512 MiB), the two-level tag and dirty arrays (9 bytes
-// per DRAM set, 1.125 GiB) and the MSHR table (16 bytes per entry, 2 GiB).
-// The largest default, two-level XPoint wear at 12 Mi entries, sits more
-// than 10x below it; one-byte lines on a heterogeneous platform need
-// 384 Mi or more at the default capacities and do not fit.
+// of media, at most 512 MiB) and the two-level tag and dirty arrays (9
+// bytes per DRAM set, 1.125 GiB). The largest default, two-level XPoint
+// wear at 12 Mi entries, sits more than 10x below it; one-byte lines on a
+// heterogeneous platform need 384 Mi or more at the default capacities and
+// do not fit.
 const MaxArrayEntries = 1 << 27
+
+// MaxCacheWays caps gpu.l1_ways and gpu.l2_ways, and MaxMSHREntries caps
+// gpu.mshr_entries: tens to hundreds, as in hardware. The MSHR ablation
+// runs up to 256 entries.
+const (
+	MaxCacheWays   = 64
+	MaxMSHREntries = 256
+)
 
 // tagBits is the width of the two-level tag that the spare bits of a DRAM
 // line's ECC region hold (Section III-B quotes 3-6 bits).
@@ -642,8 +674,8 @@ func (c *Config) OpticalChannelBandwidth() float64 {
 	return float64(c.Optical.ChannelBits) / 8 * c.Optical.FreqHz * float64(c.Optical.Waveguides)
 }
 
-// ElectricalChannelBandwidth returns bytes/second of all electrical channels.
+// ElectricalChannelBandwidth returns bytes/second of all electrical
+// channels, one per memory controller.
 func (c *Config) ElectricalChannelBandwidth() float64 {
-	e := c.Electrical
-	return float64(e.Channels*e.LaneBits) / 8 * e.FreqHz
+	return float64(c.GPU.MemCtrls*c.Electrical.LaneBits) / 8 * c.Electrical.FreqHz
 }

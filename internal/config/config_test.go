@@ -73,6 +73,9 @@ func TestDefaultTable1Values(t *testing.T) {
 	if g.L2SizeBytes != 6<<20/CacheScale || g.L2Ways != 8 {
 		t.Error("L2 must be 6MB 8-way scaled by CacheScale (Table I)")
 	}
+	if g.MemCtrls != 6 {
+		t.Errorf("memory controllers = %d, want 6: one virtual channel or electrical channel each (Table I)", g.MemCtrls)
+	}
 
 	d := DefaultDRAM()
 	if d.TRCD != 25_000 || d.TRP != 10_000 || d.TCL != 11_000 || d.TRRD != 5_000 {
@@ -88,8 +91,8 @@ func TestDefaultTable1Values(t *testing.T) {
 	}
 
 	o := DefaultOptical()
-	if o.ChannelBits != 96 || o.FreqHz != 30e9 || o.VirtualChannels != 6 {
-		t.Error("optical channel must be 96-bit / 30GHz / 6 VCs (Table I)")
+	if o.ChannelBits != 96 || o.FreqHz != 30e9 {
+		t.Error("optical channel must be 96-bit / 30GHz (Table I)")
 	}
 	if o.LaserPowerMW != 0.73 {
 		t.Errorf("laser power = %v mW, want 0.73 (Section VI)", o.LaserPowerMW)
@@ -100,8 +103,8 @@ func TestDefaultTable1Values(t *testing.T) {
 	}
 
 	e := DefaultElectrical()
-	if e.Channels != 6 || e.LaneBits != 32 || e.FreqHz != 15e9 {
-		t.Error("electrical channels must be 6 x 32-bit x 15GHz (Table I)")
+	if e.LaneBits != 32 || e.FreqHz != 15e9 {
+		t.Error("electrical channels must be 32-bit x 15GHz (Table I)")
 	}
 }
 
@@ -177,7 +180,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero SMs", func(c *Config) { c.GPU.SMs = 0 }},
 		{"non-pow2 line", func(c *Config) { c.GPU.LineBytes = 96 }},
 		{"zero MCs", func(c *Config) { c.GPU.MemCtrls = 0 }},
-		{"VC/MC mismatch", func(c *Config) { c.Optical.VirtualChannels = 3 }},
 		{"zero waveguides", func(c *Config) { c.Optical.Waveguides = 0 }},
 		{"zero DRAM", func(c *Config) { c.Memory.DRAMBytes = 0 }},
 		{"hetero without xpoint", func(c *Config) { c.Memory.XPointBytes = 0 }},
@@ -200,10 +202,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 
 	// Overrides that panicked a cell, made its channel free, failed only
-	// when the cell built or sized an array without bound fail with an
-	// error naming their path, on the platforms that build the component,
-	// and bind nowhere else. memory.dram_bytes below one byte per
-	// controller panicked Origin's cells.
+	// when the cell built, sized an array without bound, ran as another
+	// value or made an energy negative fail with an error naming their
+	// path, on the platforms that build the component, and bind nowhere
+	// else. memory.dram_bytes below one byte per controller panicked
+	// Origin's cells.
 	named := []struct {
 		p      Platform
 		m      MemMode
@@ -214,15 +217,35 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Origin, Planar, "dram.row_bytes", 0, true},
 		{Origin, TwoLevel, "memory.dram_bytes", 5, true},
 		{OhmBW, TwoLevel, "dram.row_bytes", 0, true},
-		{Origin, Planar, "electrical.channels", 3, true},
-		{Hetero, Planar, "electrical.channels", 3, true},
-		{Hetero, TwoLevel, "electrical.channels", 0, true},
-		{Hetero, Planar, "electrical.channels", -1, true},
-		{OhmBW, Planar, "electrical.channels", 3, false},
 		{Hetero, Planar, "electrical.lane_bits", 0, true},
 		{OhmBW, Planar, "electrical.lane_bits", 0, false},
 		{Hetero, Planar, "electrical.pj_per_bit", -1, true},
+		{Hetero, Planar, "electrical.pj_per_bit", 0, false},
 		{OhmBW, Planar, "electrical.pj_per_bit", -1, false},
+		// The scales and the laser boost ran as 1 below 0, and XPoint's
+		// partitions as 8 in the simulator but as given in the twin.
+		{Hetero, Planar, "electrical.bandwidth_scale", 0, true},
+		{Origin, TwoLevel, "electrical.bandwidth_scale", -1, true},
+		{OhmBase, Planar, "electrical.bandwidth_scale", 0, false},
+		{OhmBW, Planar, "optical.bandwidth_scale", 0, true},
+		{Oracle, TwoLevel, "optical.bandwidth_scale", -1, true},
+		{Hetero, Planar, "optical.bandwidth_scale", 0, false},
+		{AutoRW, Planar, "optical.laser_boost", 0, true},
+		{OhmBase, TwoLevel, "optical.laser_boost", -2, true},
+		{Origin, Planar, "optical.laser_boost", 0, false},
+		{Hetero, Planar, "xpoint.partitions", 0, true},
+		{OhmBW, TwoLevel, "xpoint.partitions", -4, true},
+		{OhmWOM, Planar, "xpoint.partitions", 1, false},
+		{Oracle, Planar, "xpoint.partitions", 0, false},
+		{Origin, TwoLevel, "xpoint.partitions", -4, false},
+		// Optical energy coefficients: 0 is a free term, below 0 a negative
+		// energy.
+		{OhmBW, Planar, "optical.mrr_tuning_fj_per_bit", -200, true},
+		{OhmBW, Planar, "optical.mrr_tuning_fj_per_bit", 0, false},
+		{Hetero, Planar, "optical.mrr_tuning_fj_per_bit", -200, false},
+		{OhmBase, TwoLevel, "optical.laser_power_mw", -1, true},
+		{Oracle, Planar, "optical.laser_power_mw", 0, false},
+		{Origin, Planar, "optical.laser_power_mw", -1, false},
 		{Hetero, TwoLevel, "xpoint.read_buf_ent", 0, true},
 		{OhmBW, Planar, "xpoint.read_buf_ent", -1, true},
 		{OhmBW, Planar, "xpoint.write_buf_ent", 0, true},
@@ -240,6 +263,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Origin, Planar, "gpu.l2_size_bytes", 3, true},
 		{OhmWOM, TwoLevel, "gpu.l2_size_bytes", -1, true},
 		{OhmWOM, TwoLevel, "gpu.l2_ways", 0, true},
+		// Ways and MSHR entries scale the cost of each access, so they stop
+		// at hardware scale, on every platform. 2 x MaxCacheWays divides
+		// the L2's 3072 lines, as does a fully associative L2.
+		{OhmBW, Planar, "gpu.l2_ways", MaxCacheWays, false},
+		{OhmBW, Planar, "gpu.l2_ways", 2 * MaxCacheWays, true},
+		{Origin, TwoLevel, "gpu.l2_ways", 3072, true},
+		{Hetero, Planar, "gpu.l1_ways", 2 * MaxCacheWays, true},
+		{Oracle, Planar, "gpu.mshr_entries", MaxMSHREntries, false},
+		{Hetero, TwoLevel, "gpu.mshr_entries", MaxMSHREntries + 1, true},
 		// The two-level tag budget: 6 bits, so at most 64 XPoint lines per
 		// DRAM set per controller. The defaults hold 24 MiB of DRAM; 1:128
 		// and one line per controller past 1:64 do not fit, and planar
@@ -249,6 +281,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{OhmBW, TwoLevel, "memory.dram_bytes", 12 << 20, true},
 		{OhmBW, Planar, "memory.xpoint_bytes", 128 * 24 << 20, false},
 		{Oracle, TwoLevel, "memory.xpoint_bytes", 128 * 24 << 20, false},
+		// Each controller's DRAM cache holds at least one set: 600 bytes
+		// over six controllers is less than a 128-byte line each.
+		{Hetero, TwoLevel, "memory.dram_bytes", 600, true},
+		{OhmWOM, TwoLevel, "memory.dram_bytes", 6*128 - 1, true},
+		{Hetero, Planar, "memory.dram_bytes", 600, false},
+		{Oracle, TwoLevel, "memory.dram_bytes", 600, false},
 		// Arrays a config sizes, bound by MaxArrayEntries where built.
 		{OhmBW, Planar, "memory.xpoint_bytes", 128 * MaxArrayEntries, false},
 		{OhmBW, Planar, "memory.xpoint_bytes", 128*MaxArrayEntries + 128, true},
@@ -256,7 +294,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{AutoRW, TwoLevel, "memory.dram_bytes", 128*MaxArrayEntries + 128, true},
 		{AutoRW, Planar, "memory.dram_bytes", 128*MaxArrayEntries + 128, false},
 		{Origin, Planar, "gpu.mshr_entries", MaxArrayEntries + 1, true},
-		{OhmBW, TwoLevel, "gpu.mshr_entries", MaxArrayEntries, false},
+		{OhmBW, TwoLevel, "gpu.mshr_entries", MaxArrayEntries, true},
 	}
 	for _, n := range named {
 		c := Default(n.p, n.m)

@@ -35,6 +35,15 @@ func FuzzSpecResolve(f *testing.F) {
 		`{"preset":"ohm-bw","mode":"two-level","overrides":{"memory.xpoint_bytes":3221225472}}`,
 		`{"overrides":{"gpu.l1_ways":0}}`,
 		`{"overrides":{"gpu.l2_size_bytes":3}}`,
+		`{"preset":"ohm-bw","overrides":{"gpu.mem_ctrls":3}}`,
+		`{"preset":"hetero","mode":"two-level","overrides":{"gpu.mem_ctrls":12}}`,
+		`{"preset":"ohm-bw","overrides":{"optical.bandwidth_scale":0}}`,
+		`{"preset":"hetero","overrides":{"electrical.bandwidth_scale":-1}}`,
+		`{"preset":"auto-rw","overrides":{"optical.laser_boost":0}}`,
+		`{"preset":"hetero","mode":"two-level","overrides":{"xpoint.partitions":0}}`,
+		`{"preset":"ohm-bw","overrides":{"optical.mrr_tuning_fj_per_bit":-200,"optical.laser_power_mw":-1}}`,
+		`{"preset":"hetero","mode":"two-level","overrides":{"memory.dram_bytes":600}}`,
+		`{"overrides":{"gpu.mshr_entries":257,"gpu.l2_ways":3072}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

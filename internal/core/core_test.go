@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/stats"
+	"repro/internal/twin"
 )
 
 // fastCfg shrinks the instruction budget so full-system tests stay quick.
@@ -301,6 +305,117 @@ func TestSmallOverridesNeverPanic(t *testing.T) {
 					}()
 				}
 			}
+		}
+	}
+}
+
+// TestMemCtrlsAloneSizeTheChannels: gpu.mem_ctrls is the one count of
+// per-controller channel resources (the optical virtual channels and
+// laser sources, the electrical lanes, the twin's queues), so setting it
+// alone validates on every platform in both modes, runs the simulator to
+// a report, and gives a finite twin estimate.
+func TestMemCtrlsAloneSizeTheChannels(t *testing.T) {
+	w, ok := config.WorkloadByName("lud")
+	if !ok {
+		t.Fatal("lud missing")
+	}
+	st := new(RunState)
+	for _, p := range config.AllPlatforms() {
+		for _, m := range config.AllModes() {
+			for _, n := range []int{1, 3, 12} {
+				cfg := config.Default(p, m)
+				cfg.MaxInstructions = 300
+				if err := cfg.Set("gpu.mem_ctrls", n); err != nil {
+					t.Fatal(err)
+				}
+				if err := cfg.Validate(); err != nil {
+					t.Errorf("%s/%s gpu.mem_ctrls=%d: %v", p, m, n, err)
+					continue
+				}
+				rep, _, err := Run(st, cfg, w, DefaultRun)
+				if err != nil {
+					t.Errorf("%s/%s gpu.mem_ctrls=%d: %v", p, m, n, err)
+				} else if rep.Elapsed <= 0 || rep.MemRequests == 0 {
+					t.Errorf("%s/%s gpu.mem_ctrls=%d: simulated %s for %d memory requests", p, m, n, rep.Elapsed, rep.MemRequests)
+				}
+				if err := finiteEstimate(twin.Estimate(&cfg, w)); err != nil {
+					t.Errorf("%s/%s gpu.mem_ctrls=%d: twin %v", p, m, n, err)
+				}
+			}
+		}
+	}
+}
+
+// finiteEstimate reports the first twin output that is not a finite,
+// non-negative number, or a non-positive elapsed time or IPC.
+func finiteEstimate(r stats.Report) error {
+	if r.Elapsed <= 0 || !(r.IPC > 0) || math.IsInf(r.IPC, 0) {
+		return fmt.Errorf("elapsed %s, IPC %v", r.Elapsed, r.IPC)
+	}
+	if r.MeanLatency < 0 || r.P99Latency < 0 {
+		return fmt.Errorf("latency mean %s, p99 %s", r.MeanLatency, r.P99Latency)
+	}
+	vals := map[string]float64{"copy fraction": r.CopyFraction}
+	for k, v := range r.EnergyPJ {
+		vals["energy "+k] = v
+	}
+	for k, v := range r.Extra {
+		vals[k] = v
+	}
+	for k, v := range vals {
+		if !(v >= 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s = %v", k, v)
+		}
+	}
+	return nil
+}
+
+// TestCostBoundedAtCaps: a config that validates costs time proportional
+// to its trace budget, with a constant that no config value scales. Each
+// L2 lookup scans the MSHR table and each cache access shifts its set, so
+// a short cell at each cap Validate puts on those must build and simulate
+// within a generous multiple of the default cell's time, best of three. A
+// cap that lets per-access cost grow with its value fails here.
+func TestCostBoundedAtCaps(t *testing.T) {
+	const bound = 8
+	w, ok := config.WorkloadByName("pagerank")
+	if !ok {
+		t.Fatal("pagerank missing")
+	}
+	st := new(RunState)
+	cost := func(knob func(*config.Config)) time.Duration {
+		t.Helper()
+		cfg := config.Default(config.OhmBW, config.Planar)
+		cfg.MaxInstructions = 4000
+		knob(&cfg)
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			// The trace is generated once and shared; only the build and
+			// the event loop count.
+			_, ph, err := Run(st, cfg, w, DefaultRun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, ph.PlatformBuild+ph.EventLoop)
+		}
+		return best
+	}
+	base := cost(func(*config.Config) {})
+	for _, c := range []struct {
+		path string
+		knob func(*config.Config)
+	}{
+		{"gpu.mshr_entries", func(c *config.Config) { c.GPU.MSHREntries = config.MaxMSHREntries }},
+		{"gpu.l2_ways", func(c *config.Config) { c.GPU.L2Ways = config.MaxCacheWays }},
+		{"gpu.l1_ways", func(c *config.Config) {
+			c.GPU.L1Ways = config.MaxCacheWays
+			c.GPU.L1SizeBytes = config.MaxCacheWays * c.GPU.LineBytes
+		}},
+	} {
+		got := cost(c.knob)
+		t.Logf("%s at its cap: %s, default %s (%.2fx)", c.path, got, base, float64(got)/float64(base))
+		if got > bound*base {
+			t.Errorf("%s at its cap took %s, beyond %dx the default cell's %s", c.path, got, bound, base)
 		}
 	}
 }

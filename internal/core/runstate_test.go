@@ -188,17 +188,17 @@ func TestPooledHostLinkRecycling(t *testing.T) {
 //     banks that the middle one left alone;
 //   - each leaf count shrinking and growing back the same way, so the last
 //     cell reuses slots, occupancy tables included, that the middle one
-//     left alone: DRAM banks, XPoint partitions, SMs, the detailed NoC's
-//     ports and Hetero's electrical channels.
+//     left alone: DRAM banks, XPoint partitions, SMs, and with the
+//     controller count the optical channel's virtual channels, the
+//     detailed NoC's ports and Hetero's electrical lanes.
 func TestPooledSlotAdjacencies(t *testing.T) {
 	dynamic := func(c *config.Config) { c.Optical.DynamicDivision = true }
-	threeMCs := func(c *config.Config) { c.GPU.MemCtrls, c.Optical.VirtualChannels = 3, 3 }
+	threeMCs := func(c *config.Config) { c.GPU.MemCtrls = 3 }
 	fourBanks := func(c *config.Config) { c.DRAM.Banks = 4 }
 	fourParts := func(c *config.Config) { c.XPoint.Partitions = 4 }
 	fourSMs := func(c *config.Config) { c.GPU.SMs = 4 }
 	noc := func(c *config.Config) { c.GPU.NoCDetailed = true }
 	noc3 := func(c *config.Config) { noc(c); threeMCs(c) }
-	threeChannels := func(c *config.Config) { c.GPU.MemCtrls, c.Electrical.Channels = 3, 3 }
 	cells := []struct {
 		p    config.Platform
 		m    config.MemMode
@@ -229,7 +229,7 @@ func TestPooledSlotAdjacencies(t *testing.T) {
 		{config.OhmBW, config.Planar, "sssp", DefaultRun, noc3, ""},
 		{config.OhmBW, config.Planar, "sssp", DefaultRun, noc, ""},
 		{config.Hetero, config.Planar, "sssp", DefaultRun, nil, ""},
-		{config.Hetero, config.Planar, "sssp", DefaultRun, threeChannels, ""},
+		{config.Hetero, config.Planar, "sssp", DefaultRun, threeMCs, ""},
 		{config.Hetero, config.Planar, "sssp", DefaultRun, nil, ""},
 	}
 	st := new(RunState)

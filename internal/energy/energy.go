@@ -78,7 +78,7 @@ func (m Model) Finalize(col *stats.Collector, cfg *config.Config, c Counters) {
 	}
 
 	if cfg.Platform.Optical() {
-		pm := optical.NewPowerModel(cfg.Optical)
+		pm := optical.NewPowerModel(cfg.Optical, cfg.GPU.MemCtrls)
 		add("opti-network", pm.LaserPowerMW()*seconds*1e9)
 	}
 }

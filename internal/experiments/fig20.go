@@ -120,7 +120,7 @@ func Fig20b() *Fig20bResult {
 	res := &Fig20bResult{}
 	for _, c := range cases {
 		cfg := config.Default(c.p, config.Planar)
-		pm := optical.NewPowerModel(cfg.Optical)
+		pm := optical.NewPowerModel(cfg.Optical, cfg.GPU.MemCtrls)
 		for _, path := range c.paths {
 			res.Rows = append(res.Rows, Fig20bRow{
 				Platform: c.p,

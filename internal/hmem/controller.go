@@ -184,9 +184,9 @@ func NewIn(re *Controller, pools *sim.Pools, cfg *config.Config, col *stats.Coll
 	}
 
 	if cfg.Platform.Optical() {
-		c.opt = optical.NewChannelIn(c.opt, pools, cfg.Optical, col)
+		c.opt = optical.NewChannelIn(c.opt, pools, cfg.Optical, n, col)
 	} else {
-		c.elec = elec.NewIn(c.elec, pools, cfg.Electrical, col)
+		c.elec = elec.NewIn(c.elec, pools, cfg.Electrical, n, col)
 	}
 
 	for i := range c.mcs {

@@ -37,9 +37,6 @@ type twoLevelState struct {
 // retained tag/dirty arrays through the touched journal.
 func newTwoLevelStateIn(re *twoLevelState, dramBytes, lineBytes int64) *twoLevelState {
 	n := dramBytes / lineBytes
-	if n < 1 {
-		n = 1
-	}
 	if re == nil {
 		re = &twoLevelState{}
 	}

@@ -12,7 +12,7 @@ import (
 // demux arbitration and handle-based energy accounting.
 func BenchmarkTransfer(b *testing.B) {
 	col := stats.NewCollector()
-	c := NewChannel(config.DefaultOptical(), col)
+	c := NewChannel(config.DefaultOptical(), mcs, col)
 	at := sim.Time(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,6 @@
 package optical
 
 import (
-	"fmt"
-
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -35,7 +33,7 @@ const (
 // for memory requests — that is the paper's central mechanism.
 type Channel struct {
 	cfg  config.OpticalConfig
-	pm   *PowerModel
+	pm   PowerModel
 	col  *stats.Collector
 	data []sim.GapResource // data route per VC x direction (2 per VC)
 	mem  []sim.GapResource // memory route per virtual channel (dual routes)
@@ -57,10 +55,11 @@ type Channel struct {
 	Borrows       uint64 // dynamic-division wavelength borrows
 }
 
-// NewChannel builds the optical channel. The collector may be nil when the
-// caller does its own accounting (unit tests).
-func NewChannel(cfg config.OpticalConfig, col *stats.Collector) *Channel {
-	return NewChannelIn(nil, new(sim.Pools), cfg, col)
+// NewChannel builds the optical channel with vcs virtual channels, one
+// per memory controller. The collector may be nil when the caller does its
+// own accounting (unit tests).
+func NewChannel(cfg config.OpticalConfig, vcs int, col *stats.Collector) *Channel {
+	return NewChannelIn(nil, new(sim.Pools), cfg, vcs, col)
 }
 
 // NewChannelIn is NewChannel rebuilding into a recycled channel: the
@@ -68,28 +67,19 @@ func NewChannel(cfg config.OpticalConfig, col *stats.Collector) *Channel {
 // the tables are clocked by the pools' engine. re may be nil (NewChannel
 // is NewChannelIn(nil, new(sim.Pools), ...)), so fresh and pooled
 // construction share one code path.
-func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *stats.Collector) *Channel {
-	if cfg.VirtualChannels <= 0 {
-		panic("optical: need at least one virtual channel")
-	}
+func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, vcs int, col *stats.Collector) *Channel {
 	if re == nil {
 		re = &Channel{}
-	}
-	pm := re.pm
-	if pm == nil {
-		pm = NewPowerModel(cfg)
-	} else {
-		*pm = PowerModel{cfg: cfg}
 	}
 	c := re
 	*c = Channel{
 		cfg:       cfg,
-		pm:        pm,
+		pm:        PowerModel{cfg: cfg, vcs: vcs},
 		col:       col,
-		data:      pools.Tables(c.data, 2*cfg.VirtualChannels),
-		mem:       pools.Tables(c.mem, cfg.VirtualChannels),
-		last:      sim.Slots(c.last, 2*cfg.VirtualChannels),
-		womActive: sim.Slots(c.womActive, cfg.VirtualChannels),
+		data:      pools.Tables(c.data, 2*vcs),
+		mem:       pools.Tables(c.mem, vcs),
+		last:      sim.Slots(c.last, 2*vcs),
+		womActive: sim.Slots(c.womActive, vcs),
 	}
 	if col != nil {
 		c.hEnergy = col.InternEnergy("opti-network")
@@ -98,12 +88,8 @@ func NewChannelIn(re *Channel, pools *sim.Pools, cfg config.OpticalConfig, col *
 		c.last[i] = -1
 	}
 	clear(c.womActive)
-	scale := cfg.BandwidthScale
-	if scale <= 0 {
-		scale = 1
-	}
-	c.bitTime = sim.Time(float64(sim.FreqToPeriod(cfg.FreqHz))*scale + 0.5)
-	vcBits := float64(cfg.ChannelBits) / float64(cfg.VirtualChannels)
+	c.bitTime = sim.Time(float64(sim.FreqToPeriod(cfg.FreqHz))*cfg.BandwidthScale + 0.5)
+	vcBits := float64(cfg.ChannelBits) / float64(vcs)
 	c.vcBytes = vcBits / 8 * float64(cfg.Waveguides)
 	return c
 }
@@ -133,7 +119,6 @@ func (c *Channel) serialization(vc int, at sim.Time, n int, womTaxed bool) sim.T
 // backlogged virtual channel borrows the least-loaded one instead, paying
 // an extra demultiplexer switch to retune the wavelength.
 func (c *Channel) Transfer(vc int, dev int, dir Direction, at sim.Time, n int, class stats.Class) (start, end sim.Time) {
-	c.checkVC(vc)
 	useVC := vc
 	var borrowed bool
 	if c.cfg.DynamicDivision {
@@ -174,7 +159,6 @@ func (c *Channel) leastLoaded(dir Direction, at sim.Time) int {
 // that). Occupancy is accounted as migration traffic but NOT as data-route
 // busy time, matching Figure 18 (dual-route migration leaves the channel).
 func (c *Channel) TransferMemRoute(vc int, at sim.Time, n int) (start, end sim.Time) {
-	c.checkVC(vc)
 	dur := c.serialization(vc, at, n, false) + c.cfg.HCMRRTune
 	start, end = c.mem[vc].Reserve(at, dur)
 	if c.col != nil {
@@ -194,7 +178,6 @@ func (c *Channel) TransferMemRoute(vc int, at sim.Time, n int) (start, end sim.T
 // but it marks the VC WOM-active for its duration: concurrent request
 // transfers pay the 3/2 serialization overhead.
 func (c *Channel) TransferWOMShared(vc int, at sim.Time, n int) (start, end sim.Time) {
-	c.checkVC(vc)
 	dur := c.serialization(vc, at, n, true) + c.cfg.HCMRRTune
 	start, end = c.mem[vc].Reserve(at, dur)
 	if end > c.womActive[vc] {
@@ -212,7 +195,6 @@ func (c *Channel) TransferWOMShared(vc int, at sim.Time, n int) (start, end sim.
 // DataFreeAt returns when vc's data route frees in a direction (conflict
 // detection input).
 func (c *Channel) DataFreeAt(vc int, dir Direction) sim.Time {
-	c.checkVC(vc)
 	return c.data[2*vc+int(dir)].FreeAt()
 }
 
@@ -243,10 +225,4 @@ func (c *Channel) account(class stats.Class, n int, busy sim.Time) {
 	}
 	c.col.AddChannel(class, uint64(n), busy)
 	c.col.AddEnergyH(c.hEnergy, c.pm.TuningEnergyPJ(uint64(n)))
-}
-
-func (c *Channel) checkVC(vc int) {
-	if vc < 0 || vc >= len(c.mem) {
-		panic(fmt.Sprintf("optical: virtual channel %d out of [0,%d)", vc, len(c.mem)))
-	}
 }

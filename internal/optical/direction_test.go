@@ -68,7 +68,7 @@ func TestGapBackfillOnChannel(t *testing.T) {
 }
 
 func TestVCsTimesTwoDataResources(t *testing.T) {
-	c := NewChannel(config.DefaultOptical(), nil)
+	c := NewChannel(config.DefaultOptical(), mcs, nil)
 	if c.VCs() != 6 {
 		t.Fatalf("VCs = %d, want 6", c.VCs())
 	}
@@ -80,7 +80,7 @@ func TestVCsTimesTwoDataResources(t *testing.T) {
 func TestDynamicDivisionBorrowsIdleVC(t *testing.T) {
 	cfg := config.DefaultOptical()
 	cfg.DynamicDivision = true
-	c := NewChannel(cfg, nil)
+	c := NewChannel(cfg, mcs, nil)
 	// Backlog VC 0's forward path, then issue another transfer on VC 0: it
 	// must borrow an idle VC and start immediately.
 	c.Transfer(0, 0, Forward, 0, 1<<16, stats.RegularRequest)

@@ -88,10 +88,13 @@ func TestWOMProperty(t *testing.T) {
 	}
 }
 
+// mcs is Table I's memory controller count, one virtual channel each.
+var mcs = config.DefaultGPU().MemCtrls
+
 // --- Power / BER ----------------------------------------------------------
 
 func TestDefaultBERNearPaper(t *testing.T) {
-	pm := NewPowerModel(config.DefaultOptical())
+	pm := NewPowerModel(config.DefaultOptical(), mcs)
 	ber := pm.BER(PathReadWrite)
 	// Paper: 7.2e-16 with default laser power. We require the same order of
 	// magnitude and meeting the 1e-15 requirement.
@@ -118,7 +121,7 @@ func TestBoostedPathsMeetReliability(t *testing.T) {
 	for _, c := range cases {
 		cfg := config.DefaultOptical()
 		cfg.LaserBoost = c.boost
-		pm := NewPowerModel(cfg)
+		pm := NewPowerModel(cfg, mcs)
 		if !pm.MeetsReliability(c.path) {
 			t.Errorf("%s with %gx laser: BER %.2e exceeds 1e-15", c.path, c.boost, pm.BER(c.path))
 		}
@@ -128,14 +131,14 @@ func TestBoostedPathsMeetReliability(t *testing.T) {
 func TestUnboostedDualRoutesFail(t *testing.T) {
 	// Without the laser boost, the half-coupled paths must NOT meet the
 	// requirement — that is exactly why the paper raises the laser power.
-	pm := NewPowerModel(config.DefaultOptical())
+	pm := NewPowerModel(config.DefaultOptical(), mcs)
 	if pm.MeetsReliability(PathSwapBW) {
 		t.Fatalf("swap-bw at 1x laser should fail reliability, got BER %.2e", pm.BER(PathSwapBW))
 	}
 }
 
 func TestBERMonotoneInLoss(t *testing.T) {
-	pm := NewPowerModel(config.DefaultOptical())
+	pm := NewPowerModel(config.DefaultOptical(), mcs)
 	plain := pm.BER(PathReadWrite)
 	auto := pm.BER(PathAutoRW)
 	bw := pm.BER(PathSwapBW)
@@ -146,7 +149,7 @@ func TestBERMonotoneInLoss(t *testing.T) {
 
 func TestReceivedPowerAccountsLosses(t *testing.T) {
 	cfg := config.DefaultOptical()
-	pm := NewPowerModel(cfg)
+	pm := NewPowerModel(cfg, mcs)
 	got := pm.ReceivedPowerDBm(PathReadWrite)
 	laser := 10 * math.Log10(cfg.LaserPowerMW)
 	loss := cfg.ModulatorLossDB + cfg.FilterDropDB + cfg.WaveguideLossDBcm*cfg.WaveguideCM +
@@ -157,7 +160,7 @@ func TestReceivedPowerAccountsLosses(t *testing.T) {
 }
 
 func TestTuningEnergy(t *testing.T) {
-	pm := NewPowerModel(config.DefaultOptical())
+	pm := NewPowerModel(config.DefaultOptical(), mcs)
 	// 128 bytes = 1024 bits at 200 fJ/bit = 204.8 pJ.
 	if got := pm.TuningEnergyPJ(128); math.Abs(got-204.8) > 1e-9 {
 		t.Fatalf("tuning energy = %v pJ, want 204.8", got)
@@ -166,14 +169,14 @@ func TestTuningEnergy(t *testing.T) {
 
 func TestLaserPowerScaling(t *testing.T) {
 	cfg := config.DefaultOptical()
-	base := NewPowerModel(cfg).LaserPowerMW()
+	base := NewPowerModel(cfg, mcs).LaserPowerMW()
 	cfg.LaserBoost = 4
-	if got := NewPowerModel(cfg).LaserPowerMW(); math.Abs(got-4*base) > 1e-9 {
+	if got := NewPowerModel(cfg, mcs).LaserPowerMW(); math.Abs(got-4*base) > 1e-9 {
 		t.Fatalf("4x boost laser power = %v, want %v", got, 4*base)
 	}
-	cfg.LaserBoost = 0 // defensive: non-positive boost treated as 1x
-	if got := NewPowerModel(cfg).LaserPowerMW(); math.Abs(got-base) > 1e-9 {
-		t.Fatalf("zero boost treated as %v, want %v", got, base)
+	// One laser source per virtual channel.
+	if got := NewPowerModel(cfg, 2*mcs).LaserPowerMW(); math.Abs(got-8*base) > 1e-9 {
+		t.Fatalf("4x boost over %d VCs = %v, want %v", 2*mcs, got, 8*base)
 	}
 }
 
@@ -188,7 +191,7 @@ func TestPathKindStrings(t *testing.T) {
 // --- Channel --------------------------------------------------------------
 
 func chn(col *stats.Collector) *Channel {
-	return NewChannel(config.DefaultOptical(), col)
+	return NewChannel(config.DefaultOptical(), mcs, col)
 }
 
 func TestChannelSerialization(t *testing.T) {
@@ -302,36 +305,15 @@ func TestChannelAccounting(t *testing.T) {
 
 func TestWaveguidesScaleBandwidth(t *testing.T) {
 	cfg := config.DefaultOptical()
-	one := NewChannel(cfg, nil)
+	one := NewChannel(cfg, mcs, nil)
 	cfg.Waveguides = 4
-	four := NewChannel(cfg, nil)
+	four := NewChannel(cfg, mcs, nil)
 	_, e1 := one.Transfer(0, 0, Forward, 0, 4096, stats.RegularRequest)
 	_, e4 := four.Transfer(0, 0, Forward, 0, 4096, stats.RegularRequest)
 	// Serialization shrinks ~4x (fixed overheads aside).
 	if float64(e4) > float64(e1)*0.5 {
 		t.Fatalf("4 waveguides not faster: %s vs %s", e4, e1)
 	}
-}
-
-func TestChannelPanicsOnBadVC(t *testing.T) {
-	c := chn(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad VC")
-		}
-	}()
-	c.Transfer(99, 0, Forward, 0, 8, stats.RegularRequest)
-}
-
-func TestChannelPanicsOnZeroVCs(t *testing.T) {
-	cfg := config.DefaultOptical()
-	cfg.VirtualChannels = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on zero VCs")
-		}
-	}()
-	NewChannel(cfg, nil)
 }
 
 func TestMinimumOneWord(t *testing.T) {

@@ -47,11 +47,13 @@ func (p PathKind) String() string {
 // 7.2e-16 BER for plain requests (Section VI-B).
 type PowerModel struct {
 	cfg config.OpticalConfig
+	vcs int
 }
 
-// NewPowerModel builds the model from an optical configuration.
-func NewPowerModel(cfg config.OpticalConfig) *PowerModel {
-	return &PowerModel{cfg: cfg}
+// NewPowerModel builds the model of a channel with vcs virtual channels,
+// one per memory controller, from an optical configuration.
+func NewPowerModel(cfg config.OpticalConfig, vcs int) *PowerModel {
+	return &PowerModel{cfg: cfg, vcs: vcs}
 }
 
 // halfCouplings returns how many times the light is halved (-3 dB each) on
@@ -80,8 +82,7 @@ const womLevelPenaltyDB = 0.1
 // path, in dBm.
 func (m *PowerModel) ReceivedPowerDBm(p PathKind) float64 {
 	c := m.cfg
-	laserMW := c.LaserPowerMW * boost(c.LaserBoost)
-	pw := 10 * math.Log10(laserMW) // dBm
+	pw := 10 * math.Log10(c.LaserPowerMW*c.LaserBoost) // dBm
 	pw -= c.ModulatorLossDB
 	pw -= c.FilterDropDB
 	pw -= c.WaveguideLossDBcm * c.WaveguideCM
@@ -92,13 +93,6 @@ func (m *PowerModel) ReceivedPowerDBm(p PathKind) float64 {
 		pw -= womLevelPenaltyDB
 	}
 	return pw
-}
-
-func boost(b float64) float64 {
-	if b <= 0 {
-		return 1
-	}
-	return b
 }
 
 // noiseFloorMW calibrates the detector noise so the default configuration's
@@ -136,5 +130,5 @@ func (m *PowerModel) TuningEnergyPJ(nBytes uint64) float64 {
 // (virtual channel) per waveguide.
 func (m *PowerModel) LaserPowerMW() float64 {
 	c := m.cfg
-	return c.LaserPowerMW * boost(c.LaserBoost) * float64(c.VirtualChannels) * float64(c.Waveguides)
+	return c.LaserPowerMW * c.LaserBoost * float64(m.vcs) * float64(c.Waveguides)
 }

@@ -622,8 +622,8 @@ func TestSpecValidationAt400(t *testing.T) {
 		{`{"scenario":{"preset":"warp-drive"}}`, "warp-drive"},
 		{`{"scenario":{"overrides":{"dram.typo": 1}}}`, "dram.typo"},
 		{`{"scenario":{"workload":{"name":"x","apki":0}}}`, "apki"},
-		// Fewer electrical channels than memory controllers panics a cell.
-		{`{"scenario": {"preset": "hetero", "overrides": {"electrical.channels": 3}}}`, "electrical.channels"},
+		// A bandwidth scale of 0 used to run as 1.
+		{`{"scenario": {"preset": "ohm-bw", "overrides": {"optical.bandwidth_scale": 0}}}`, "optical.bandwidth_scale"},
 		// These validated and then failed when the cell was built.
 		{`{"scenario":{"preset":"hetero","overrides":{"gpu.l1_ways":0}}}`, "gpu.l1_ways"},
 		{`{"scenario":{"preset":"ohm-bw","mode":"two-level","overrides":{"memory.xpoint_bytes":3221225472}}}`, "memory.xpoint_bytes"},

@@ -158,7 +158,7 @@ type est struct {
 	wbacks         float64
 	rdReqs, wrReqs float64
 
-	mcs, vcs            int
+	mcs                 int
 	unitB, slot, serdes float64
 	demux, memTune      float64
 	optical             bool
@@ -269,27 +269,17 @@ func newEst(cfg *config.Config, w config.Workload) *est {
 	e.optical = cfg.Platform.Optical()
 	if e.optical {
 		oc := &cfg.Optical
-		scale := oc.BandwidthScale
-		if scale <= 0 {
-			scale = 1
-		}
-		slotPs := math.Floor(float64(sim.FreqToPeriod(oc.FreqHz))*scale + 0.5)
+		slotPs := math.Floor(float64(sim.FreqToPeriod(oc.FreqHz))*oc.BandwidthScale + 0.5)
 		e.slot = slotPs * 1e-12
-		e.unitB = float64(oc.ChannelBits) / float64(oc.VirtualChannels) / 8 * float64(oc.Waveguides)
-		e.vcs = oc.VirtualChannels
+		e.unitB = float64(oc.ChannelBits) / float64(e.mcs) / 8 * float64(oc.Waveguides)
 		e.serdes = oc.SerDesLatency.Seconds()
 		e.demux = oc.DemuxSwitch.Seconds()
 		e.memTune = oc.HCMRRTune.Seconds()
 	} else {
 		ec := &cfg.Electrical
-		scale := ec.BandwidthScale
-		if scale <= 0 {
-			scale = 1
-		}
-		slotPs := math.Floor(float64(sim.FreqToPeriod(ec.FreqHz))*scale + 0.5)
+		slotPs := math.Floor(float64(sim.FreqToPeriod(ec.FreqHz))*ec.BandwidthScale + 0.5)
 		e.slot = slotPs * 1e-12
 		e.unitB = float64(ec.LaneBits) / 8
-		e.vcs = ec.Channels
 	}
 
 	e.cycle = sim.FreqToPeriod(g.CoreFreqHz).Seconds()
@@ -416,7 +406,7 @@ func (e *est) littleConc() float64 {
 // actually sees is the raw Zipf mass filtered through the on-chip caches
 // (hot pages mostly hit in L2), blended by hotFilterBlend.
 func (e *est) hotVCShare() float64 {
-	u := 1 / float64(e.vcs)
+	u := 1 / float64(e.mcs)
 	p := e.missP1 + hotFilterBlend*(e.pages.p1-e.missP1)
 	return u + (1-u)*p
 }
@@ -483,8 +473,8 @@ func (e *est) passFlat(elapsed float64, o *passOut) {
 	o.dramReads, o.dramWrites = reads, writes
 	o.dramDevBusy = (reads + writes) * e.dLat
 
-	fw := queueWait(o.busyFwdReg, float64(e.vcs), o.busyFwdReg/math.Max(reads+writes, 1), elapsed)
-	bw := queueWait(o.busyBwdReg, float64(e.vcs), serLine, elapsed)
+	fw := queueWait(o.busyFwdReg, float64(e.mcs), o.busyFwdReg/math.Max(reads+writes, 1), elapsed)
+	bw := queueWait(o.busyBwdReg, float64(e.mcs), serLine, elapsed)
 	dWait := e.hotBankWait(reads+writes, elapsed)
 	rdLat := serCmd + fw + e.dLat + dWait + serLine + bw
 	wrLat := serCmdLine + fw + e.dLat + dWait
@@ -545,8 +535,8 @@ func (e *est) passOrigin(elapsed float64, o *passOut) {
 	o.dramReads, o.dramWrites = reads, writes
 	o.dramDevBusy = reqs * e.dLat
 
-	fw := queueWait(o.busyFwdReg, float64(e.vcs), o.busyFwdReg/math.Max(reqs, 1), elapsed)
-	bw := queueWait(o.busyBwdReg, float64(e.vcs), serLine, elapsed)
+	fw := queueWait(o.busyFwdReg, float64(e.mcs), o.busyFwdReg/math.Max(reqs, 1), elapsed)
+	bw := queueWait(o.busyBwdReg, float64(e.mcs), serLine, elapsed)
 	dWait := e.hotBankWait(reqs, elapsed)
 	rdLat := serCmd + fw + e.dLat + dWait + serLine + bw
 	wrLat := serCmdLine + fw + e.dLat + dWait
@@ -657,11 +647,11 @@ func (e *est) passPlanar(elapsed float64, o *passOut) {
 	xpRQ := e.xpR * inflate(o.xpDevBusy, parts, elapsed)
 
 	fwBusy := o.busyFwdReg + o.busyFwdCopy
-	fw := queueWait(fwBusy, float64(e.vcs), fwBusy/math.Max(reqs+4*swaps, 1), elapsed)
+	fw := queueWait(fwBusy, float64(e.mcs), fwBusy/math.Max(reqs+4*swaps, 1), elapsed)
 	if wom {
 		fw += (optical.Overhead - 1) * womFrac * serCmd
 	}
-	bw := queueWait(o.busyBwdReg+o.busyBwdCopy, float64(e.vcs), serLine, elapsed)
+	bw := queueWait(o.busyBwdReg+o.busyBwdCopy, float64(e.mcs), serLine, elapsed)
 	dWait := e.hotBankWait((reads+writes)*dFrac, elapsed)
 
 	dramR := serCmd + fw + e.dLat + dWait + serLine + bw
@@ -752,8 +742,8 @@ func (e *est) passTwoLevel(elapsed float64, o *passOut) {
 	xpRQ := e.xpR * inflate(o.xpDevBusy, parts, elapsed)
 
 	fwBusy := o.busyFwdReg + o.busyFwdCopy
-	fw := queueWait(fwBusy, float64(e.vcs), fwBusy/math.Max(reqs+miss, 1), elapsed)
-	bw := queueWait(o.busyBwdReg, float64(e.vcs), serLine, elapsed)
+	fw := queueWait(fwBusy, float64(e.mcs), fwBusy/math.Max(reqs+miss, 1), elapsed)
+	bw := queueWait(o.busyBwdReg, float64(e.mcs), serLine, elapsed)
 	dWait := e.hotBankWait(o.dramReads+o.dramWrites, elapsed)
 
 	hitR := serCmd + fw + e.dLat + dWait + serLine + bw
@@ -878,7 +868,7 @@ func (e *est) report() stats.Report {
 	}
 	allBytes := o.regBytes + o.copyBytes + o.dualBytes
 	if e.optical {
-		laserMW := optical.NewPowerModel(e.cfg.Optical).LaserPowerMW()
+		laserMW := optical.NewPowerModel(e.cfg.Optical, e.mcs).LaserPowerMW()
 		rep.EnergyPJ["opti-network"] = laserMW*sec*1e9 +
 			allBytes*8*e.cfg.Optical.MRRTuningFJPerBit/1000
 	} else {

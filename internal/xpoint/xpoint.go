@@ -28,8 +28,9 @@ type Device struct {
 	Writes uint64
 }
 
-// NewDevice builds a device; partitions is the internal parallelism (a
-// device property, 8 matches contemporary Optane-class media).
+// NewDevice builds a device; partitions, at least 1, is the internal
+// parallelism (a device property, 8 matches contemporary Optane-class
+// media).
 func NewDevice(cfg config.XPointConfig, lineBytes, partitions int) *Device {
 	return newDeviceIn(nil, new(sim.Pools), cfg, lineBytes, partitions)
 }
@@ -38,9 +39,6 @@ func NewDevice(cfg config.XPointConfig, lineBytes, partitions int) *Device {
 // partition tables rebuilt in their slots; re may be nil, so fresh and
 // pooled construction share one code path.
 func newDeviceIn(re *Device, pools *sim.Pools, cfg config.XPointConfig, lineBytes, partitions int) *Device {
-	if partitions <= 0 {
-		partitions = 1
-	}
 	if re == nil {
 		re = &Device{}
 	}
@@ -192,10 +190,6 @@ func NewControllerIn(re *Controller, pools *sim.Pools, cfg config.XPointConfig, 
 	if lines < 1 {
 		lines = 1
 	}
-	parts := cfg.Partitions
-	if parts <= 0 {
-		parts = 8
-	}
 	if re == nil {
 		re = &Controller{}
 	}
@@ -226,7 +220,7 @@ func NewControllerIn(re *Controller, pools *sim.Pools, cfg config.XPointConfig, 
 	}
 	*re = Controller{
 		cfg:         cfg,
-		dev:         newDeviceIn(re.dev, pools, cfg, lineBytes, parts),
+		dev:         newDeviceIn(re.dev, pools, cfg, lineBytes, cfg.Partitions),
 		sg:          sg,
 		lineBytes:   lineBytes,
 		wear:        wear,

@@ -44,11 +44,13 @@ func TestDevicePartitionParallelism(t *testing.T) {
 	}
 }
 
-func TestDeviceSinglePartitionFallback(t *testing.T) {
-	d := NewDevice(config.DefaultXPoint(), lineB, 0)
-	d.Read(0, 0)
-	if len(d.partitions) != 1 {
-		t.Fatal("non-positive partitions must fall back to 1")
+// TestDeviceSinglePartition: one partition, the least xpoint.partitions
+// validates at, serializes reads that distinct partitions would overlap.
+func TestDeviceSinglePartition(t *testing.T) {
+	cfg := config.DefaultXPoint()
+	d := NewDevice(cfg, lineB, 1)
+	if d0, d1 := d.Read(0, 0), d.Read(0, lineB); d0 != cfg.ReadLatency || d1 != 2*cfg.ReadLatency {
+		t.Fatalf("one partition: reads done at %s and %s, want %s and %s", d0, d1, cfg.ReadLatency, 2*cfg.ReadLatency)
 	}
 }
 
